@@ -15,19 +15,16 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import equilibria as eq
 from . import process as proc
 from . import stability as stab
 from .integrate import integrate
-from .model import ConstantForcing
 from .scenarios import (
+    ANALYSES,
     SCENARIOS,
     ConfigError,
     Scenario,
     UnknownScenarioError,
-    _dumps,
-    _margins_dict,
-    _stability_dict,
+    dumps,
     resolve_scenario,
     run_scenario,
     sweep,
@@ -45,25 +42,49 @@ def _with_tol(scenario: Scenario, tol: float | None) -> Scenario:
 
 
 def _load(args) -> Scenario:
-    return _with_tol(resolve_scenario(args.config), getattr(args, "tol", None))
+    return _with_tol(resolve_scenario(args.config), args.tol)
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(_dumps(doc))
+    sys.stdout.write(dumps(doc))
 
 
-def _integrate_scenario(scenario: Scenario):
-    t0, t_end = scenario.t_span
-    return integrate(
-        scenario.params, scenario.forcing, scenario.u0, t0, t_end, scenario.control
-    )
+def _parse_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = _parse_floats(text)
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
+    return values
+
+
+# Flags of each analysis subcommand, passed to its ANALYSES entry as keyword
+# options; an absent flag leaves the entry's default in force.
+_ANALYSIS_FLAGS = {
+    "conditions": (
+        ("--set", dict(dest="condition_set", choices=stab.CONDITION_SETS,
+                       help="evaluate one specific set")),
+        ("--b1", dict(type=float, help="virion bound for the nonauto set (default 0)")),
+    ),
+    "contraction": (
+        ("--offset", dict(type=_parse_triple, help="partner start = u0 + offset (default 1,1,1)")),
+    ),
+    "pullback": (
+        ("--t-star", dict(dest="t_star", type=float, help="observation time (default: span start)")),
+        ("--horizons", dict(type=_parse_floats, help="horizon ladder (default 5,10,20,40)")),
+        ("--ptol", dict(type=float, help="convergence tolerance (default 1e-6)")),
+    ),
+    "absorbing": (
+        ("--slack", dict(type=float, help="ball slack (default 1e-6 * ceiling)")),
+    ),
+}
+
+_COMMON_ARGS = ("command", "func", "config", "out", "tol")
 
 
 # {{{ subcommand handlers
@@ -91,156 +112,17 @@ def _cmd_simulate(args) -> int:
     return NUMERICAL_EVENT if report.terminated else 0
 
 
-def _cmd_equilibria(args) -> int:
-    s = _load(args)
-    dfe = eq.disease_free(s.params, s.forcing)
-    end = eq.endemic(s.params, s.forcing)
-    _emit(
-        {
-            "disease_free": {
-                "state": list(dfe.state),
-                "residual_norm": dfe.residual_norm,
-            },
-            "endemic": {
-                "state": list(end.state),
-                "residual_norm": end.residual_norm,
-                "feasible": end.feasible,
-                "alt_state": list(end.alt_state),
-                "alt_residual": end.alt_residual,
-            },
-        }
-    )
-    return 0
-
-
-def _cmd_stability(args) -> int:
-    s = _load(args)
-    dfe = eq.disease_free(s.params, s.forcing)
-    doc = {
-        "disease_free": _stability_dict(
-            stab.stability_report(s.params, s.forcing, dfe.state, margin_sets=("dfe",))
+def _cmd_analysis(args) -> int:
+    fn, needs_trajectory = ANALYSES[args.command]
+    scenario = _load(args)
+    traj = None
+    if needs_trajectory:
+        traj = integrate(
+            scenario.params, scenario.forcing, scenario.u0, *scenario.t_span, scenario.control
         )
-    }
-    end = eq.endemic(s.params, s.forcing)
-    if end.feasible:
-        doc["endemic"] = _stability_dict(
-            stab.stability_report(
-                s.params, s.forcing, end.state, margin_sets=("endemic", "equilibrium")
-            )
-        )
-    _emit(doc)
-    return 0
-
-
-def _cmd_conditions(args) -> int:
-    s = _load(args)
-    if args.set:
-        sets = (args.set,)
-    elif s.forcing.is_constant:
-        sets = ("dfe", "endemic")
-    else:
-        sets = ("nonauto",)
-    out = []
-    for set_id in sets:
-        equilibrium = None
-        if set_id == "equilibrium":
-            end = eq.endemic(s.params, s.forcing)
-            equilibrium = end.state if end.feasible else eq.disease_free(s.params, s.forcing).state
-        out.append(
-            _margins_dict(
-                stab.condition_margins(set_id, s.params, s.forcing, equilibrium, b1=args.b1)
-            )
-        )
-    _emit(out)
-    return 0
-
-
-def _cmd_r0(args) -> int:
-    s = _load(args)
-    forcing = s.forcing
-    if not forcing.is_constant:
-        # time-varying production: report the variants at the upper bound
-        forcing = ConstantForcing(s.forcing.lambda_max)
-    r0 = stab.r0_all(s.params, forcing)
-    _emit({"lambda": forcing.value, "simple": r0.simple, "alt": r0.alt, "ngm": r0.ngm})
-    return 0
-
-
-def _cmd_lyapunov(args) -> int:
-    s = _load(args)
-    traj = _integrate_scenario(s)
-    reference = eq.disease_free(s.params, s.forcing).state
-    trace = stab.lyapunov_fit(traj, reference)
-    _emit(
-        {
-            "reference": list(reference),
-            "rate": trace.rate,
-            "fit_quality": trace.fit_quality,
-            "degenerate": trace.degenerate,
-            "initial_value": float(trace.values[0]),
-            "final_value": float(trace.values[-1]),
-        }
-    )
-    return NUMERICAL_EVENT if traj.terminated else 0
-
-
-def _cmd_contraction(args) -> int:
-    s = _load(args)
-    offset = _parse_triple(args.offset)
-    traj1 = _integrate_scenario(s)
-    partner_u0 = tuple(v + d for v, d in zip(s.u0, offset))
-    t0, t_end = s.t_span
-    traj2 = integrate(s.params, s.forcing, partner_u0, t0, t_end, s.control)
-    fit = stab.contraction_fit(traj1, traj2)
-    _emit(
-        {
-            "u0": list(s.u0),
-            "partner_u0": list(partner_u0),
-            "K": fit.K,
-            "alpha": fit.alpha,
-            "fit_quality": fit.fit_quality,
-            "degenerate": fit.degenerate,
-        }
-    )
-    return NUMERICAL_EVENT if (traj1.terminated or traj2.terminated) else 0
-
-
-def _cmd_pullback(args) -> int:
-    s = _load(args)
-    horizons = tuple(float(h) for h in args.horizons.split(","))
-    t_star = s.t_span[0] if args.t_star is None else args.t_star
-    seeds = (s.u0, tuple(v + 1.0 for v in s.u0))
-    est = proc.pullback_estimate(
-        s.params, s.forcing, t_star, horizons, seeds, args.ptol, s.control
-    )
-    _emit(
-        {
-            "t_star": est.t_star,
-            "horizons": list(est.horizons),
-            "endpoints": [[list(pt) for pt in row] for row in est.endpoints],
-            "cauchy_gaps": list(est.cauchy_gaps),
-            "cross_seed_gap": est.cross_seed_gap,
-            "converged": est.converged,
-            "tol": est.tol,
-        }
-    )
-    return 0
-
-
-def _cmd_absorbing(args) -> int:
-    s = _load(args)
-    traj = _integrate_scenario(s)
-    rep = proc.absorbing_check(s.params, s.forcing, traj, slack=args.slack)
-    _emit(
-        {
-            "alpha": rep.alpha,
-            "ceiling": rep.ceiling,
-            "entry_time": rep.entry_time,
-            "holds": rep.holds,
-            "slack": rep.slack,
-        }
-    )
-    return NUMERICAL_EVENT if traj.terminated else 0
+    options = {k: v for k, v in vars(args).items() if k not in _COMMON_ARGS}
+    _emit(fn(scenario, traj, **options))
+    return NUMERICAL_EVENT if traj is not None and traj.terminated else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -279,16 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="scenario id or JSON config path")
-        p.add_argument("--out", default="runs", help="output directory (default: runs)")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed where applicable")
+    def common(p, out_help="output directory (default: runs)"):
+        p.add_argument("--config", required=True, help="scenario id or JSON config path")
+        p.add_argument("--out", default="runs", help=out_help)
         p.add_argument("--tol", type=float, default=None, help="override adaptive abs/rel tolerance")
 
     p = sub.add_parser("scenario", help="run a registered benchmark scenario end to end")
     p.add_argument("id", help=f"one of: {', '.join(sorted(SCENARIOS))}")
     p.add_argument("--out", default="runs")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_scenario)
 
@@ -296,44 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("equilibria", help="infection-free and persistent equilibria")
-    common(p)
-    p.set_defaults(func=_cmd_equilibria)
-
-    p = sub.add_parser("stability", help="eigenvalues, classification, R0 variants, margins")
-    common(p)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("conditions", help="numeric margins of a stability condition set")
-    common(p)
-    p.add_argument("--set", choices=stab.CONDITION_SETS, default=None, help="evaluate one specific set")
-    p.add_argument("--b1", type=float, default=0.0, help="virion bound for the nonauto set (default 0)")
-    p.set_defaults(func=_cmd_conditions)
-
-    p = sub.add_parser("r0", help="reproduction-number variants")
-    common(p)
-    p.set_defaults(func=_cmd_r0)
-
-    p = sub.add_parser("lyapunov", help="decay-rate fit of the squared distance to the infection-free state")
-    common(p)
-    p.set_defaults(func=_cmd_lyapunov)
-
-    p = sub.add_parser("contraction", help="empirical contraction fit between two runs")
-    common(p)
-    p.add_argument("--offset", default="1,1,1", help="partner start = u0 + offset (default 1,1,1)")
-    p.set_defaults(func=_cmd_contraction)
-
-    p = sub.add_parser("pullback", help="pullback limit estimate over a horizon ladder")
-    common(p)
-    p.add_argument("--t-star", dest="t_star", type=float, default=None, help="observation time (default: span start)")
-    p.add_argument("--horizons", default="5,10,20,40")
-    p.add_argument("--ptol", type=float, default=1e-6, help="convergence tolerance (default 1e-6)")
-    p.set_defaults(func=_cmd_pullback)
-
-    p = sub.add_parser("absorbing", help="l1 absorbing-ball check on a scenario trajectory")
-    common(p)
-    p.add_argument("--slack", type=float, default=None, help="ball slack (default 1e-6 * ceiling)")
-    p.set_defaults(func=_cmd_absorbing)
+    for name, (fn, _) in ANALYSES.items():
+        p = sub.add_parser(name, help=fn.__doc__)
+        common(p, out_help="ignored: analysis subcommands write no files")
+        for flag, kwargs in _ANALYSIS_FLAGS.get(name, ()):
+            p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+        p.set_defaults(func=_cmd_analysis)
 
     p = sub.add_parser("sweep", help="randomized property sweep over a parameter box")
     p.add_argument("--n", type=int, default=1000, help="number of draws (default 1000)")

@@ -95,8 +95,8 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     error. Feasible states are Newton-polished before certification.
     """
     lam = _require_constant(forcing)
-    beta_eff = (1.0 - params.eta) * params.beta
-    prod_eff = (1.0 - params.epsilon) * params.p
+    beta_eff = params.beta_eff
+    prod_eff = params.prod_eff
 
     x_bar = params.mu3 * (params.mu2 + params.q) / (beta_eff * prod_eff)
     y_bar = (lam - params.mu1 * x_bar) / params.mu2

@@ -70,6 +70,16 @@ class Parameters:
             if not (0.0 <= value < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
 
+    @property
+    def beta_eff(self) -> float:
+        """Infection rate under treatment, (1-eta)*beta."""
+        return (1.0 - self.eta) * self.beta
+
+    @property
+    def prod_eff(self) -> float:
+        """Virion production rate under treatment, (1-epsilon)*p."""
+        return (1.0 - self.epsilon) * self.p
+
 
 @dataclass(frozen=True)
 class ConstantForcing:
@@ -196,8 +206,8 @@ def make_rhs(params: Parameters, forcing: Forcing):
     """
     mu1, mu2, mu3 = params.mu1, params.mu2, params.mu3
     q = params.q
-    beta_eff = (1.0 - params.eta) * params.beta
-    prod_eff = (1.0 - params.epsilon) * params.p
+    beta_eff = params.beta_eff
+    prod_eff = params.prod_eff
     loss_y = mu2 + q
 
     if forcing.is_constant:
@@ -233,8 +243,8 @@ def jacobian(params: Parameters, u) -> np.ndarray:
     depend on time or on the forcing.
     """
     x, _, z = as_state(u)
-    beta_eff = (1.0 - params.eta) * params.beta
-    prod_eff = (1.0 - params.epsilon) * params.p
+    beta_eff = params.beta_eff
+    prod_eff = params.prod_eff
     return np.array(
         [
             [-params.mu1 - beta_eff * z, params.q, -beta_eff * x],
@@ -270,7 +280,7 @@ def analytic_bounds(params: Parameters, forcing: Forcing, u0) -> BoundsReport:
     x0, y0, z0 = as_state(u0, require_nonnegative=True)
     lam_max = forcing.lambda_max
     m_cap = max(x0 + y0, lam_max / min(params.mu1, params.mu2))
-    prod_eff = (1.0 - params.epsilon) * params.p
+    prod_eff = params.prod_eff
     z_cap = max(z0, prod_eff * m_cap / params.mu3)
     if params.mu2 > prod_eff:
         alpha = min(params.mu1, params.mu2 - prod_eff, params.mu3)

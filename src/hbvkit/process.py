@@ -204,15 +204,17 @@ def absorbing_check(
     """Check the l1 absorbing ball on a computed trajectory.
 
     Applicable only when mu2 > (1-epsilon)*p, which makes the total
-    population x+y+z decay toward lambda_max/alpha.
+    population x+y+z decay toward lambda_max/alpha. ``params`` and
+    ``forcing`` must be those ``traj`` was integrated with; alpha and the
+    ceiling are read from ``traj.bounds``.
     """
-    prod_eff = (1.0 - params.epsilon) * params.p
-    if not params.mu2 > prod_eff:
+    if traj.params != params or traj.forcing != forcing:
+        raise ValueError("trajectory comes from different parameters or forcing")
+    alpha, ceiling = traj.bounds.l1_alpha, traj.bounds.l1_ceiling
+    if alpha is None:
         raise ValueError(
-            f"absorbing bound needs mu2 > (1-epsilon)*p, got {params.mu2} <= {prod_eff}"
+            f"absorbing bound needs mu2 > (1-epsilon)*p, got {params.mu2} <= {params.prod_eff}"
         )
-    alpha = min(params.mu1, params.mu2 - prod_eff, params.mu3)
-    ceiling = forcing.lambda_max / alpha
     if slack is None:
         slack = 1e-6 * ceiling
     elif not slack > 0.0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "SCENARIOS",
     "ANALYSES",
     "DEFAULT_SWEEP_BOX",
+    "dumps",
     "load_config",
     "save_config",
     "scenario_from_dict",
@@ -52,16 +53,6 @@ __all__ = [
     "run_scenario",
     "sweep",
 ]
-
-ANALYSES = (
-    "equilibria",
-    "stability",
-    "conditions",
-    "lyapunov",
-    "contraction",
-    "pullback",
-    "absorbing",
-)
 
 PULLBACK_HORIZONS = (5.0, 10.0, 20.0, 40.0)
 PULLBACK_TOL = 1e-6
@@ -93,10 +84,141 @@ class Scenario:
         if not t1 > t0:
             raise ValueError(f"t_span must be increasing, got {self.t_span}")
         object.__setattr__(self, "t_span", (t0, t1))
+        if isinstance(self.forcing, PiecewiseLinearForcing):
+            first, last = self.forcing.times[0], self.forcing.times[-1]
+            if first > t0:
+                raise ValueError(f"forcing.times starts at {first}, after the t_span start {t0}")
+            if last < t1:
+                raise ValueError(f"forcing.times ends at {last}, before the t_span end {t1}")
         object.__setattr__(self, "analyses", tuple(self.analyses))
         for name in self.analyses:
             if name not in ANALYSES:
-                raise ValueError(f"unknown analysis {name!r}; expected one of {ANALYSES}")
+                raise ValueError(f"unknown analysis {name!r}; expected one of {tuple(ANALYSES)}")
+
+
+# {{{ analyses
+#
+# Each entry maps an analysis name to fn(scenario, traj, **options) -> dict
+# and whether fn reads the scenario's trajectory. run_scenario calls fn with
+# the defaults below; each CLI subcommand passes its flags as the options,
+# and takes its help text from fn's docstring.
+
+
+def _equilibria(scenario: Scenario, traj) -> dict:
+    """infection-free and persistent equilibria"""
+    return {
+        key: {k: v for k, v in asdict(rep).items() if v is not None}
+        for key, rep in (
+            ("disease_free", eq.disease_free(scenario.params, scenario.forcing)),
+            ("endemic", eq.endemic(scenario.params, scenario.forcing)),
+        )
+    }
+
+
+def _stability_dict(rep: stab.StabilityReport) -> dict:
+    return asdict(rep) | {"eigenvalues": [[lam.real, lam.imag] for lam in rep.eigenvalues]}
+
+
+def _stability(scenario: Scenario, traj) -> dict:
+    """eigenvalues, classification, R0 variants, margins"""
+    params, forcing = scenario.params, scenario.forcing
+    dfe = eq.disease_free(params, forcing)
+    out = {"disease_free": _stability_dict(
+        stab.stability_report(params, forcing, dfe.state, margin_sets=("dfe",))
+    )}
+    end = eq.endemic(params, forcing)
+    if end.feasible:
+        out["endemic"] = _stability_dict(
+            stab.stability_report(params, forcing, end.state, margin_sets=("endemic", "equilibrium"))
+        )
+    return out
+
+
+def _conditions(scenario: Scenario, traj, condition_set=None, b1=0.0) -> list:
+    """numeric margins of the stability condition sets"""
+    params, forcing = scenario.params, scenario.forcing
+    if condition_set is not None:
+        sets = (condition_set,)
+    elif forcing.is_constant:
+        sets = ("dfe", "endemic")
+    else:
+        sets = ("nonauto",)
+    out = []
+    for set_id in sets:
+        equilibrium = None
+        if set_id == "equilibrium":
+            end = eq.endemic(params, forcing)
+            equilibrium = end.state if end.feasible else eq.disease_free(params, forcing).state
+        out.append(asdict(stab.condition_margins(set_id, params, forcing, equilibrium, b1=b1)))
+    return out
+
+
+def _r0(scenario: Scenario, traj) -> dict:
+    """reproduction-number variants"""
+    forcing = scenario.forcing
+    if not forcing.is_constant:
+        # time-varying production: report the variants at the upper bound
+        forcing = ConstantForcing(forcing.lambda_max)
+    return {"lambda": forcing.value} | asdict(stab.r0_all(scenario.params, forcing))
+
+
+def _lyapunov(scenario: Scenario, traj: Trajectory) -> dict:
+    """decay-rate fit of the squared distance to the infection-free state"""
+    reference = eq.disease_free(scenario.params, scenario.forcing).state
+    trace = stab.lyapunov_fit(traj, reference)
+    return {
+        "reference": list(reference),
+        "rate": trace.rate,
+        "fit_quality": trace.fit_quality,
+        "degenerate": trace.degenerate,
+        "initial_value": float(trace.values[0]),
+        "final_value": float(trace.values[-1]),
+    }
+
+
+def _contraction(scenario: Scenario, traj: Trajectory, offset=(1.0, 1.0, 1.0)) -> dict:
+    """empirical contraction fit between two runs"""
+    partner_u0 = tuple(v + d for v, d in zip(scenario.u0, offset))
+    partner = integrate(
+        scenario.params, scenario.forcing, partner_u0, *scenario.t_span, scenario.control
+    )
+    if partner.terminated:
+        kinds = ", ".join(sorted({e.kind for e in partner.events}))
+        raise proc.ProcessTerminatedError(
+            f"partner run from u0+offset terminated at t={partner.final_time} ({kinds})"
+        )
+    return {"partner_u0": list(partner_u0)} | asdict(stab.contraction_fit(traj, partner))
+
+
+def _pullback(
+    scenario: Scenario, traj, t_star=None, horizons=PULLBACK_HORIZONS, ptol=PULLBACK_TOL
+) -> dict:
+    """pullback limit estimate over a horizon ladder"""
+    t_star = scenario.t_span[0] if t_star is None else t_star
+    seeds = (scenario.u0, tuple(v + 1.0 for v in scenario.u0))
+    return asdict(proc.pullback_estimate(
+        scenario.params, scenario.forcing, t_star, horizons, seeds, ptol, scenario.control
+    ))
+
+
+def _absorbing(scenario: Scenario, traj: Trajectory, slack=None) -> dict:
+    """l1 absorbing-ball check on a scenario trajectory"""
+    return asdict(proc.absorbing_check(scenario.params, scenario.forcing, traj, slack=slack))
+
+
+ANALYSES = {
+    "equilibria": (_equilibria, False),
+    "stability": (_stability, False),
+    "conditions": (_conditions, False),
+    "r0": (_r0, False),
+    "lyapunov": (_lyapunov, True),
+    "contraction": (_contraction, True),
+    "pullback": (_pullback, False),
+    "absorbing": (_absorbing, True),
+}
+
+
+# }}}
 
 
 def _registry() -> dict[str, Scenario]:
@@ -219,16 +341,7 @@ def _control_from_dict(d: dict, where: str) -> StepControl:
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "id": s.id,
-        "params": {
-            "mu1": s.params.mu1,
-            "mu2": s.params.mu2,
-            "mu3": s.params.mu3,
-            "beta": s.params.beta,
-            "eta": s.params.eta,
-            "epsilon": s.params.epsilon,
-            "p": s.params.p,
-            "q": s.params.q,
-        },
+        "params": asdict(s.params),
         "forcing": _forcing_to_dict(s.forcing),
         "u0": list(s.u0),
         "t_span": list(s.t_span),
@@ -246,7 +359,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     pd = d["params"]
     if not isinstance(pd, dict):
         raise ConfigError("params must be an object")
-    names = ("mu1", "mu2", "mu3", "beta", "eta", "epsilon", "p", "q")
+    names = [f.name for f in fields(Parameters)]
     missing = [n for n in names if n not in pd]
     if missing:
         raise ConfigError(f"params: missing {', '.join(missing)}")
@@ -284,59 +397,12 @@ def load_config(path) -> Scenario:
 
 
 def save_config(s: Scenario, path) -> None:
-    Path(path).write_text(_dumps(scenario_to_dict(s)), encoding="utf-8")
+    Path(path).write_text(dumps(scenario_to_dict(s)), encoding="utf-8")
 
 
-def _dumps(doc: dict) -> str:
+def dumps(doc) -> str:
+    """JSON text as written to report files and printed by the CLI."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# }}}
-
-
-# {{{ analysis serialization helpers
-
-
-def _eq_dict(rep: eq.EquilibriumReport) -> dict:
-    d = {"kind": rep.kind, "state": list(rep.state), "residual_norm": rep.residual_norm}
-    if rep.feasible is not None:
-        d["feasible"] = rep.feasible
-    if rep.alt_state is not None:
-        d["alt_state"] = list(rep.alt_state)
-        d["alt_residual"] = rep.alt_residual
-    return d
-
-
-def _margins_dict(cm: stab.ConditionMargins) -> dict:
-    return {
-        "condition_set": cm.condition_set,
-        "all_satisfied": cm.all_satisfied,
-        "lines": [
-            {
-                "label": line.label,
-                "lhs": line.lhs,
-                "rhs": line.rhs,
-                "margin": line.margin,
-                "satisfied": line.satisfied,
-            }
-            for line in cm.lines
-        ],
-        "aux": dict(sorted(cm.aux.items())),
-    }
-
-
-def _stability_dict(rep: stab.StabilityReport) -> dict:
-    return {
-        "eigenvalues": [[lam.real, lam.imag] for lam in rep.eigenvalues],
-        "max_real_part": rep.max_real_part,
-        "classification": rep.classification,
-        "r0": {"simple": rep.r0.simple, "alt": rep.r0.alt, "ngm": rep.r0.ngm},
-        "margins": [_margins_dict(m) for m in rep.margins],
-    }
-
-
-def _event_dict(e) -> dict:
-    return {"kind": e.kind, "time": e.time, "component": e.component, "value": e.value}
 
 
 # }}}
@@ -397,15 +463,11 @@ def run_scenario(ref, out_dir) -> RunReport:
     analyses: dict = {}
     skipped: dict = {}
     for name in scenario.analyses:
+        fn, _ = ANALYSES[name]
         try:
-            result = _run_analysis(name, scenario, traj)
-        except (eq.UnsupportedForcingError, ValueError, proc.ProcessTerminatedError) as exc:
+            analyses[name] = fn(scenario, traj)
+        except (ValueError, proc.ProcessTerminatedError) as exc:
             skipped[name] = str(exc)
-            continue
-        if result is None:
-            skipped[name] = "not applicable"
-        else:
-            analyses[name] = result
 
     doc = {
         "scenario": scenario_to_dict(scenario),
@@ -416,7 +478,7 @@ def run_scenario(ref, out_dir) -> RunReport:
             "final_state": [float(v) for v in traj.final_state],
             "terminated": traj.terminated,
         },
-        "events": [_event_dict(e) for e in traj.events],
+        "events": [asdict(e) for e in traj.events],
         "analyses": analyses,
         "skipped": skipped,
     }
@@ -424,7 +486,7 @@ def run_scenario(ref, out_dir) -> RunReport:
     trajectory_path = out_dir / "trajectory.csv"
     report_path = out_dir / "report.json"
     traj.to_csv(trajectory_path)
-    report_path.write_text(_dumps(doc), encoding="utf-8")
+    report_path.write_text(dumps(doc), encoding="utf-8")
     (out_dir / "plot.gp").write_text(_PLOT_SCRIPT, encoding="utf-8")
 
     return RunReport(
@@ -435,86 +497,6 @@ def run_scenario(ref, out_dir) -> RunReport:
         report_path=report_path,
         duration_seconds=time.perf_counter() - started,
     )
-
-
-def _run_analysis(name: str, scenario: Scenario, traj: Trajectory):
-    params, forcing = scenario.params, scenario.forcing
-    t0, t_end = scenario.t_span
-
-    if name == "equilibria":
-        dfe = eq.disease_free(params, forcing)
-        end = eq.endemic(params, forcing)
-        return {"disease_free": _eq_dict(dfe), "endemic": _eq_dict(end)}
-
-    if name == "stability":
-        dfe = eq.disease_free(params, forcing)
-        out = {"disease_free": _stability_dict(
-            stab.stability_report(params, forcing, dfe.state, margin_sets=("dfe",))
-        )}
-        end = eq.endemic(params, forcing)
-        if end.feasible:
-            out["endemic"] = _stability_dict(
-                stab.stability_report(params, forcing, end.state, margin_sets=("endemic", "equilibrium"))
-            )
-        return out
-
-    if name == "conditions":
-        if forcing.is_constant:
-            sets = ("dfe", "endemic")
-        else:
-            sets = ("nonauto",)
-        return [_margins_dict(stab.condition_margins(s, params, forcing)) for s in sets]
-
-    if name == "lyapunov":
-        dfe = eq.disease_free(params, forcing)
-        trace = stab.lyapunov_fit(traj, dfe.state)
-        return {
-            "reference": list(dfe.state),
-            "rate": trace.rate,
-            "fit_quality": trace.fit_quality,
-            "degenerate": trace.degenerate,
-            "initial_value": float(trace.values[0]),
-            "final_value": float(trace.values[-1]),
-        }
-
-    if name == "contraction":
-        partner_u0 = tuple(v + 1.0 for v in scenario.u0)
-        partner = integrate(params, forcing, partner_u0, t0, t_end, scenario.control)
-        fit = stab.contraction_fit(traj, partner)
-        return {
-            "partner_u0": list(partner_u0),
-            "K": fit.K,
-            "alpha": fit.alpha,
-            "fit_quality": fit.fit_quality,
-            "degenerate": fit.degenerate,
-        }
-
-    if name == "pullback":
-        seeds = (scenario.u0, tuple(v + 1.0 for v in scenario.u0))
-        est = proc.pullback_estimate(
-            params, forcing, t0, PULLBACK_HORIZONS, seeds, PULLBACK_TOL, scenario.control
-        )
-        return {
-            "t_star": est.t_star,
-            "horizons": list(est.horizons),
-            "endpoints": [[list(pt) for pt in row] for row in est.endpoints],
-            "cauchy_gaps": list(est.cauchy_gaps),
-            "cross_seed_gap": est.cross_seed_gap,
-            "converged": est.converged,
-            "tol": est.tol,
-        }
-
-    if name == "absorbing":
-        rep = proc.absorbing_check(params, forcing, traj)
-        return {
-            "alpha": rep.alpha,
-            "ceiling": rep.ceiling,
-            "entry_time": rep.entry_time,
-            "holds": rep.holds,
-            "slack": rep.slack,
-        }
-
-    raise ValueError(f"unknown analysis {name!r}")
 
 
 # {{{ parameter sweep

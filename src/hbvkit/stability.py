@@ -195,8 +195,8 @@ def _constant_value(forcing) -> float:
 def r0_all(params: Parameters, forcing) -> R0Variants:
     """Evaluate all three reproduction-number variants at a constant rate."""
     lam = _constant_value(forcing)
-    beta_eff = (1.0 - params.eta) * params.beta
-    prod_eff = (1.0 - params.epsilon) * params.p
+    beta_eff = params.beta_eff
+    prod_eff = params.prod_eff
     simple = beta_eff * (lam / params.mu1) / (params.mu2 + params.q)
     alt = (
         lam * params.beta * params.p * (1.0 - params.epsilon) * (1.0 - params.eta)
@@ -268,8 +268,8 @@ def condition_margins(
         raise ValueError(f"unknown condition set {set_id!r}; expected one of {CONDITION_SETS}")
 
     mu1, mu2, mu3, q = params.mu1, params.mu2, params.mu3, params.q
-    beta_eff = (1.0 - params.eta) * params.beta
-    prod_eff = (1.0 - params.epsilon) * params.p
+    beta_eff = params.beta_eff
+    prod_eff = params.prod_eff
     mu_star = min(mu1, mu2)
 
     if set_id == "nonauto":
