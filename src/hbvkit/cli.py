@@ -35,8 +35,10 @@ NUMERICAL_EVENT = 3
 
 
 def _with_tol(scenario: Scenario, tol: float | None) -> Scenario:
-    if tol is None or scenario.control.mode != "adaptive":
+    if tol is None:
         return scenario
+    if scenario.control.mode != "adaptive":
+        raise ConfigError(f"--tol applies to adaptive stepping only; {scenario.id} uses fixed steps")
     ctl = dataclasses.replace(scenario.control, abs_tol=tol, rel_tol=tol)
     return dataclasses.replace(scenario, control=ctl)
 

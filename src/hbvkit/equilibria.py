@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Forcing, Parameters, as_state, jacobian, vector_field
+from .model import (
+    Forcing,
+    Parameters,
+    UnsupportedForcingError,
+    as_state,
+    constant_rate,
+    jacobian,
+    vector_field,
+)
 
 __all__ = [
     "EquilibriumReport",
@@ -31,10 +39,6 @@ __all__ = [
     "newton_refine",
     "residual_norm",
 ]
-
-
-class UnsupportedForcingError(ValueError):
-    """Equilibrium analysis requested with a time-varying production rate."""
 
 
 class SingularJacobianError(RuntimeError):
@@ -68,17 +72,9 @@ def residual_norm(params: Parameters, forcing: Forcing, state) -> float:
     return float(np.max(np.abs(vector_field(params, forcing, 0.0, state))))
 
 
-def _require_constant(forcing: Forcing) -> float:
-    if not forcing.is_constant:
-        raise UnsupportedForcingError(
-            "equilibria are defined only for a constant production rate"
-        )
-    return forcing.value
-
-
 def disease_free(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     """Infection-free equilibrium (L/mu1, 0, 0)."""
-    lam = _require_constant(forcing)
+    lam = constant_rate(forcing, "equilibria")
     state = (lam / params.mu1, 0.0, 0.0)
     return EquilibriumReport(
         kind="disease_free",
@@ -94,7 +90,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     collapses onto the infection-free one) is a reported outcome, not an
     error. Feasible states are Newton-polished before certification.
     """
-    lam = _require_constant(forcing)
+    lam = constant_rate(forcing, "equilibria")
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
 
@@ -140,7 +136,7 @@ def newton_refine(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    _require_constant(forcing)
+    constant_rate(forcing, "equilibria")
 
     u = as_state(guess)
     res = residual_norm(params, forcing, u)

@@ -30,6 +30,7 @@ from .model import BoundsReport, Forcing, Parameters, analytic_bounds, as_state,
 
 __all__ = [
     "StepControl",
+    "MODE_FIELDS",
     "MonitorEvent",
     "Trajectory",
     "integrate",
@@ -86,7 +87,7 @@ class StepControl:
     positivity_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "adaptive"):
+        if self.mode not in MODE_FIELDS:
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if self.mode == "fixed" and not self.h > 0.0:
             raise ValueError("fixed step h must be positive")
@@ -105,24 +106,16 @@ class StepControl:
         return cls(mode="fixed", h=h, **kwargs)
 
     @classmethod
-    def adaptive(
-        cls,
-        abs_tol: float = 1e-10,
-        rel_tol: float = 1e-8,
-        h_init: float = 1e-3,
-        h_min: float = 1e-12,
-        h_max: float = 0.5,
-        **kwargs,
-    ) -> "StepControl":
-        return cls(
-            mode="adaptive",
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            h_init=h_init,
-            h_min=h_min,
-            h_max=h_max,
-            **kwargs,
-        )
+    def adaptive(cls, **kwargs) -> "StepControl":
+        return cls(mode="adaptive", **kwargs)
+
+
+# The StepControl fields only one stepping mode reads; mode and the monitor
+# thresholds apply to both.
+MODE_FIELDS = {
+    "fixed": ("h",),
+    "adaptive": ("abs_tol", "rel_tol", "h_init", "h_min", "h_max"),
+}
 
 
 @dataclass(frozen=True)

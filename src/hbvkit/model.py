@@ -18,7 +18,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,8 @@ __all__ = [
     "Forcing",
     "BoundsReport",
     "OutOfDomainError",
+    "UnsupportedForcingError",
+    "constant_rate",
     "vector_field",
     "jacobian",
     "analytic_bounds",
@@ -39,6 +41,10 @@ __all__ = [
 
 class OutOfDomainError(ValueError):
     """Evaluation time outside a tabulated forcing's knot range."""
+
+
+class UnsupportedForcingError(ValueError):
+    """An analysis that needs a constant production rate got a time-varying one."""
 
 
 @dataclass(frozen=True)
@@ -60,15 +66,17 @@ class Parameters:
     p: float
     q: float
 
+    # the treatment fractions; every other field is a rate
+    FRACTIONS = ("eta", "epsilon")
+
     def __post_init__(self):
-        for name in ("mu1", "mu2", "mu3", "beta", "p", "q"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        for name in ("eta", "epsilon"):
-            value = getattr(self, name)
-            if not (0.0 <= value < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in self.FRACTIONS:
+                if not (0.0 <= value < 1.0):
+                    raise ValueError(f"{f.name} must lie in [0, 1), got {value!r}")
+            elif not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
 
     @property
     def beta_eff(self) -> float:
@@ -92,10 +100,6 @@ class ConstantForcing:
             raise ValueError(f"production rate must be finite and positive, got {self.value!r}")
 
     is_constant = True
-
-    @property
-    def lambda_min(self) -> float:
-        return self.value
 
     @property
     def lambda_max(self) -> float:
@@ -127,16 +131,12 @@ class SinusoidForcing:
     is_constant = False
 
     @property
-    def lambda_min(self) -> float:
-        return self.offset - abs(self.amplitude)
-
-    @property
     def lambda_max(self) -> float:
         return self.offset + abs(self.amplitude)
 
     @property
     def bounds(self) -> tuple[float, float]:
-        return (self.lambda_min, self.lambda_max)
+        return (self.offset - abs(self.amplitude), self.lambda_max)
 
     def __call__(self, t: float) -> float:
         return self.offset + self.amplitude * math.cos(self.omega * t + self.phase)
@@ -164,16 +164,12 @@ class PiecewiseLinearForcing:
     is_constant = False
 
     @property
-    def lambda_min(self) -> float:
-        return min(self.values)
-
-    @property
     def lambda_max(self) -> float:
         return max(self.values)
 
     @property
     def bounds(self) -> tuple[float, float]:
-        return (self.lambda_min, self.lambda_max)
+        return (min(self.values), self.lambda_max)
 
     def __call__(self, t: float) -> float:
         if t < self.times[0] or t > self.times[-1]:
@@ -184,6 +180,13 @@ class PiecewiseLinearForcing:
 
 
 Forcing = ConstantForcing | SinusoidForcing | PiecewiseLinearForcing
+
+
+def constant_rate(forcing: Forcing, analysis: str) -> float:
+    """The production rate of a constant forcing; ``analysis`` names what needs it."""
+    if not forcing.is_constant:
+        raise UnsupportedForcingError(f"{analysis}: defined only for a constant production rate")
+    return forcing.value
 
 
 def as_state(u, require_nonnegative: bool = False) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import equilibria as eq
 from . import process as proc
 from . import stability as stab
-from .integrate import StepControl, Trajectory, integrate
+from .integrate import MODE_FIELDS, StepControl, Trajectory, integrate
 from .model import (
     ConstantForcing,
     Forcing,
@@ -73,8 +73,8 @@ class Scenario:
     forcing: Forcing
     u0: tuple[float, float, float]
     t_span: tuple[float, float]
-    control: StepControl
-    analyses: tuple[str, ...]
+    control: StepControl = StepControl.adaptive()
+    analyses: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.id:
@@ -259,128 +259,96 @@ SCENARIOS = _registry()
 
 
 # {{{ config serialization
+#
+# A config is the JSON form of a Scenario. Each object holds the fields of its
+# dataclass; "forcing" adds the "kind" naming its class, and "control" holds
+# only the fields its mode reads.
+
+FORCING_KINDS = {
+    "constant": ConstantForcing,
+    "sinusoid": SinusoidForcing,
+    "piecewise_linear": PiecewiseLinearForcing,
+}
+
+# control.mode -> StepControl and the fields a control of that mode may set
+_CONTROL_MODES = {
+    mode: (StepControl, tuple(
+        f.name for f in fields(StepControl)
+        if not any(f.name in MODE_FIELDS[other] for other in MODE_FIELDS if other != mode)
+    ))
+    for mode in MODE_FIELDS
+}
 
 
-def _forcing_to_dict(f: Forcing) -> dict:
-    if isinstance(f, ConstantForcing):
-        return {"kind": "constant", "value": f.value}
-    if isinstance(f, SinusoidForcing):
-        return {
-            "kind": "sinusoid",
-            "amplitude": f.amplitude,
-            "omega": f.omega,
-            "phase": f.phase,
-            "offset": f.offset,
-        }
-    if isinstance(f, PiecewiseLinearForcing):
-        return {"kind": "piecewise_linear", "times": list(f.times), "values": list(f.values)}
-    raise TypeError(f"unknown forcing type {type(f)!r}")
+def _array(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return tuple(value)
 
 
-def _forcing_from_dict(d: dict, where: str) -> Forcing:
-    kind = d.get("kind")
+_COERCE = {"float": float, "str": str, "tuple": _array}
+
+
+def _build(cls, obj, where: str, tag: str | None = None, default=None, **convert):
+    """The dataclass ``cls`` built from the JSON object ``obj``.
+
+    ``obj`` must hold each field of ``cls`` that has no default, and no key
+    that is not a field. A float, str or tuple field is coerced by float(),
+    str() or to a tuple from an array; a field named in ``convert`` goes
+    through that function instead. With ``tag``, ``cls`` is a table:
+    ``obj[tag]`` (``default`` when absent) picks the entry, a class or a
+    ``(class, field names)`` pair.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {type(obj).__name__}")
+    prefix = f"{where}: " if where else ""
+    names = None
+    if tag is not None:
+        choice = obj.get(tag, default)
+        if not isinstance(choice, str) or choice not in cls:
+            raise ConfigError(f"{where}.{tag} must be one of {', '.join(map(repr, cls))}, got {choice!r}")
+        cls, names = cls[choice] if isinstance(cls[choice], tuple) else (cls[choice], None)
+    known = {f.name: f for f in fields(cls) if names is None or f.name in names}
+    for key in obj:
+        if key not in known and key != tag:
+            variant = f" for {tag} {choice!r}" if tag else ""
+            raise ConfigError(f"{prefix}unknown field {key!r}{variant}; expected {', '.join(known)}")
+    for name, f in known.items():
+        if name not in obj and name != tag and f.default is MISSING:
+            raise ConfigError(f"{prefix}missing field {name!r}")
+    kwargs = {tag: choice} if tag in known else {}
+    for name, value in obj.items():
+        if name == tag:
+            continue
+        coerce = convert.get(name) or _COERCE[known[name].type.split("[")[0]]
+        try:
+            kwargs[name] = coerce(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where + '.' if where else ''}{name}: {exc}") from exc
     try:
-        if kind == "constant":
-            return ConstantForcing(float(d["value"]))
-        if kind == "sinusoid":
-            return SinusoidForcing(
-                amplitude=float(d["amplitude"]),
-                omega=float(d["omega"]),
-                phase=float(d["phase"]),
-                offset=float(d["offset"]),
-            )
-        if kind == "piecewise_linear":
-            return PiecewiseLinearForcing(tuple(d["times"]), tuple(d["values"]))
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc.args[0]!r}") from exc
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(
-        f"{where}.kind must be 'constant', 'sinusoid' or 'piecewise_linear', got {kind!r}"
-    )
-
-
-def _control_to_dict(ctl: StepControl) -> dict:
-    d = {
-        "mode": ctl.mode,
-        "blow_up_threshold": ctl.blow_up_threshold,
-        "positivity_tol": ctl.positivity_tol,
-    }
-    if ctl.mode == "fixed":
-        d["h"] = ctl.h
-    else:
-        d.update(
-            abs_tol=ctl.abs_tol,
-            rel_tol=ctl.rel_tol,
-            h_init=ctl.h_init,
-            h_min=ctl.h_min,
-            h_max=ctl.h_max,
-        )
-    return d
-
-
-def _control_from_dict(d: dict, where: str) -> StepControl:
-    try:
-        mode = d.get("mode", "adaptive")
-        common = {
-            k: float(d[k]) for k in ("blow_up_threshold", "positivity_tol") if k in d
-        }
-        if mode == "fixed":
-            return StepControl.fixed(h=float(d["h"]), **common)
-        if mode == "adaptive":
-            keys = ("abs_tol", "rel_tol", "h_init", "h_min", "h_max")
-            opts = {k: float(d[k]) for k in keys if k in d}
-            return StepControl.adaptive(**opts, **common)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.mode must be 'fixed' or 'adaptive', got {d.get('mode')!r}")
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "id": s.id,
-        "params": asdict(s.params),
-        "forcing": _forcing_to_dict(s.forcing),
-        "u0": list(s.u0),
-        "t_span": list(s.t_span),
-        "control": _control_to_dict(s.control),
-        "analyses": list(s.analyses),
+    kind = next(k for k, cls in FORCING_KINDS.items() if isinstance(s.forcing, cls))
+    control = asdict(s.control)
+    return asdict(s) | {
+        "forcing": {"kind": kind} | asdict(s.forcing),
+        "control": {name: control[name] for name in _CONTROL_MODES[s.control.mode][1]},
     }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config root must be an object, got {type(d).__name__}")
-    for key in ("id", "params", "forcing", "u0", "t_span"):
-        if key not in d:
-            raise ConfigError(f"missing required field {key!r}")
-    pd = d["params"]
-    if not isinstance(pd, dict):
-        raise ConfigError("params must be an object")
-    names = [f.name for f in fields(Parameters)]
-    missing = [n for n in names if n not in pd]
-    if missing:
-        raise ConfigError(f"params: missing {', '.join(missing)}")
-    try:
-        params = Parameters(**{n: float(pd[n]) for n in names})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    forcing = _forcing_from_dict(d["forcing"], "forcing")
-    control = _control_from_dict(d.get("control", {}), "control")
-    try:
-        return Scenario(
-            id=str(d["id"]),
-            params=params,
-            forcing=forcing,
-            u0=tuple(float(v) for v in d["u0"]),
-            t_span=tuple(float(v) for v in d["t_span"]),
-            control=control,
-            analyses=tuple(d.get("analyses", ())),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        Scenario, d, "",
+        params=lambda v: _build(Parameters, v, "params"),
+        forcing=lambda v: _build(FORCING_KINDS, v, "forcing", tag="kind"),
+        control=lambda v: _build(_CONTROL_MODES, v, "control", tag="mode", default="adaptive"),
+    )
 
 
 def load_config(path) -> Scenario:
@@ -502,16 +470,11 @@ def run_scenario(ref, out_dir) -> RunReport:
 # {{{ parameter sweep
 
 
-DEFAULT_SWEEP_BOX = {
-    "lam": (1e-2, 1e2),
-    "mu1": (1e-2, 1e2),
-    "mu2": (1e-2, 1e2),
-    "mu3": (1e-2, 1e2),
-    "beta": (1e-2, 1e2),
-    "p": (1e-2, 1e2),
-    "q": (1e-2, 1e2),
-    "eta": (0.0, 0.9),
-    "epsilon": (0.0, 0.9),
+# Rates (and the production rate lam) are drawn log-uniform, treatment
+# fractions uniform.
+DEFAULT_SWEEP_BOX = {"lam": (1e-2, 1e2)} | {
+    f.name: (0.0, 0.9) if f.name in Parameters.FRACTIONS else (1e-2, 1e2)
+    for f in fields(Parameters)
 }
 
 R0_FEASIBILITY_BAND = 1e-6
@@ -519,13 +482,17 @@ R0_EIGENVALUE_BAND = 1e-3
 DFE_RESIDUAL_CAP_FACTOR = 1e-14
 ENDEMIC_RESIDUAL_CAP = 1e-10
 
-_SWEEP_COLUMNS = (
-    "index", "lam", "mu1", "mu2", "mu3", "beta", "eta", "epsilon", "p", "q",
-    "r0_ngm", "feasible", "in_r0_band", "threshold_ok",
-    "dfe_residual", "dfe_residual_ok", "endemic_residual", "endemic_residual_ok",
-    "max_re_dfe", "in_eig_band", "eig_sign_ok", "rh_agree",
-    "positivity_ok", "bounds_ok", "t_reached",
-)
+# count key -> (row flag, the flag value it counts)
+_SWEEP_COUNTS = {
+    "feasible": ("feasible", True),
+    "threshold_violations": ("threshold_ok", False),
+    "dfe_residual_failures": ("dfe_residual_ok", False),
+    "endemic_residual_failures": ("endemic_residual_ok", False),
+    "eig_sign_violations": ("eig_sign_ok", False),
+    "rh_violations": ("rh_agree", False),
+    "positivity_violations": ("positivity_ok", False),
+    "bound_violations": ("bounds_ok", False),
+}
 
 _SWEEP_SPAN = 2.0
 _SWEEP_MAX_STEPS = 4000
@@ -542,8 +509,11 @@ class SweepResult:
 
 
 def _draw_params(rng, box):
+    """Draws the rates in box order, then the fractions; returns (lam, params)."""
     values = {}
-    for name in ("lam", "mu1", "mu2", "mu3", "beta", "p", "q"):
+    for name in box:
+        if name in Parameters.FRACTIONS:
+            continue
         lo, hi = box[name]
         if not 0.0 < lo <= hi:
             raise ValueError(f"sweep box for {name} must satisfy 0 < lo <= hi, got {box[name]}")
@@ -552,7 +522,7 @@ def _draw_params(rng, box):
         # would otherwise perturb the last bit); the rng draw is still
         # consumed so the stream stays aligned across boxes
         values[name] = lo if lo == hi else drawn
-    for name in ("eta", "epsilon"):
+    for name in Parameters.FRACTIONS:
         lo, hi = box[name]
         if not 0.0 <= lo <= hi < 1.0:
             raise ValueError(f"sweep box for {name} must sit inside [0, 1), got {box[name]}")
@@ -594,14 +564,7 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     return {
         "index": index,
         "lam": lam,
-        "mu1": params.mu1,
-        "mu2": params.mu2,
-        "mu3": params.mu3,
-        "beta": params.beta,
-        "eta": params.eta,
-        "epsilon": params.epsilon,
-        "p": params.p,
-        "q": params.q,
+        **asdict(params),
         "r0_ngm": r0,
         "feasible": end.feasible,
         "in_r0_band": in_r0_band,
@@ -645,39 +608,20 @@ def sweep(n_draws: int, seed: int, out_path=None, box: dict | None = None) -> Sw
         full_box.update(box)
 
     rng = np.random.default_rng(seed)
-    rows = []
-    counts = {
-        "draws": n_draws,
-        "feasible": 0,
-        "threshold_violations": 0,
-        "dfe_residual_failures": 0,
-        "endemic_residual_failures": 0,
-        "eig_sign_violations": 0,
-        "rh_violations": 0,
-        "positivity_violations": 0,
-        "bound_violations": 0,
+    rows = [_sweep_row(i, *_draw_params(rng, full_box)) for i in range(n_draws)]
+    counts = {"draws": n_draws} | {
+        key: sum(1 for row in rows if row[flag] == value)
+        for key, (flag, value) in _SWEEP_COUNTS.items()
     }
-    for i in range(n_draws):
-        lam, params = _draw_params(rng, full_box)
-        row = _sweep_row(i, lam, params)
-        rows.append(row)
-        counts["feasible"] += int(row["feasible"])
-        counts["threshold_violations"] += int(not row["threshold_ok"])
-        counts["dfe_residual_failures"] += int(not row["dfe_residual_ok"])
-        counts["endemic_residual_failures"] += int(not row["endemic_residual_ok"])
-        counts["eig_sign_violations"] += int(not row["eig_sign_ok"])
-        counts["rh_violations"] += int(not row["rh_agree"])
-        counts["positivity_violations"] += int(not row["positivity_ok"])
-        counts["bound_violations"] += int(not row["bounds_ok"])
 
     csv_path = None
     if out_path is not None:
         csv_path = Path(out_path)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(rows[0]) + "\n")
             for row in rows:
-                fh.write(",".join(_cell(row[c]) for c in _SWEEP_COLUMNS) + "\n")
+                fh.write(",".join(map(_cell, row.values())) + "\n")
     return SweepResult(counts=counts, rows=rows, csv_path=csv_path)
 
 

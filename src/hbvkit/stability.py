@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import UnsupportedForcingError
 from .integrate import Trajectory
-from .model import Forcing, Parameters, as_state, jacobian
+from .model import Forcing, Parameters, as_state, constant_rate, jacobian
 
 __all__ = [
     "MARGINAL_BAND",
@@ -181,20 +180,9 @@ class R0Variants:
     ngm: float
 
 
-def _constant_value(forcing) -> float:
-    if isinstance(forcing, (int, float)):
-        return float(forcing)
-    if not forcing.is_constant:
-        raise UnsupportedForcingError(
-            "reproduction numbers need a constant production rate; pass the bound "
-            "lambda_max explicitly for time-varying diagnostics"
-        )
-    return forcing.value
-
-
-def r0_all(params: Parameters, forcing) -> R0Variants:
+def r0_all(params: Parameters, forcing: Forcing) -> R0Variants:
     """Evaluate all three reproduction-number variants at a constant rate."""
-    lam = _constant_value(forcing)
+    lam = constant_rate(forcing, "reproduction numbers")
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
     simple = beta_eff * (lam / params.mu1) / (params.mu2 + params.q)
@@ -244,7 +232,7 @@ def _line(label: str, lhs: float, rhs: float) -> ConditionLine:
 def condition_margins(
     set_id: str,
     params: Parameters,
-    forcing,
+    forcing: Forcing,
     equilibrium=None,
     b1: float = 0.0,
 ) -> ConditionMargins:
@@ -273,9 +261,9 @@ def condition_margins(
     mu_star = min(mu1, mu2)
 
     if set_id == "nonauto":
-        lam = forcing.lambda_max if not isinstance(forcing, (int, float)) else float(forcing)
+        lam = forcing.lambda_max
     else:
-        lam = _constant_value(forcing)
+        lam = constant_rate(forcing, f"condition set {set_id!r}")
     load = beta_eff * lam / mu_star  # (1-eta)*beta*Lambda/mu*
     aux = {"mu_star": mu_star, "lambda": lam}
 

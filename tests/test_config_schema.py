@@ -1,0 +1,194 @@
+"""The config schema: JSON objects built from the dataclasses' own fields."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hbvkit as hk
+from hbvkit.cli import main
+from hbvkit.scenarios import ANALYSES, dumps, scenario_from_dict, scenario_to_dict
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _write(tmp_path, doc, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _base_doc():
+    return scenario_to_dict(hk.SCENARIOS["table2-dfe"])
+
+
+# {{{ malformed and unread keys
+
+
+@pytest.mark.parametrize("key, value", [("control", "adaptive"), ("forcing", [1, 2])])
+def test_non_object_section_is_a_config_error(tmp_path, key, value):
+    doc = _base_doc() | {key: value}
+    path = _write(tmp_path, doc)
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(path)
+    assert f"{key} must be an object" in str(err.value)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+
+
+def test_unhashable_forcing_kind_is_a_config_error(tmp_path):
+    doc = _base_doc() | {"forcing": {"kind": ["constant"], "value": 1.0}}
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(_write(tmp_path, doc))
+    assert "forcing.kind" in str(err.value)
+
+
+def _unknown_top_level(doc):
+    doc["contol"] = {"mode": "fixed", "h": 0.01}
+    return "contol"
+
+
+def _unknown_param(doc):
+    doc["params"]["mu4"] = 1.0
+    return "mu4"
+
+
+def _other_forcing_field(doc):
+    doc["forcing"]["omega"] = 2.0  # a sinusoid field on a constant forcing
+    return "omega"
+
+
+def _other_mode_field(doc):
+    doc["control"] = {"mode": "fixed", "h": 0.01, "abs_tol": 1e-6}
+    return "abs_tol"
+
+
+def _analyses_as_string(doc):
+    doc["analyses"] = "equilibria"
+    return "analyses"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_unknown_top_level, _unknown_param, _other_forcing_field, _other_mode_field,
+     _analyses_as_string],
+)
+def test_unread_key_is_rejected_by_name(tmp_path, edit):
+    doc = _base_doc()
+    key = edit(doc)
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(_write(tmp_path, doc))
+    assert key in str(err.value)
+
+
+def test_tol_on_fixed_step_scenario_is_a_usage_error(tmp_path, capsys):
+    doc = _base_doc() | {"control": {"mode": "fixed", "h": 0.01}}
+    path = _write(tmp_path, doc)
+    assert main(["r0", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["r0", "--config", str(path), "--tol", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+# }}}
+
+
+# {{{ round trip
+
+
+_rate = st.floats(1e-3, 1e3)
+_fraction = st.floats(0.0, 0.99)
+_params = st.builds(
+    hk.Parameters, mu1=_rate, mu2=_rate, mu3=_rate, beta=_rate,
+    eta=_fraction, epsilon=_fraction, p=_rate, q=_rate,
+)
+
+
+@st.composite
+def _forcing_and_span(draw):
+    kind = draw(st.sampled_from(["constant", "sinusoid", "piecewise_linear"]))
+    if kind == "piecewise_linear":
+        steps = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6))
+        times = [draw(st.floats(-5.0, 5.0))]
+        for dt in steps:
+            times.append(times[-1] + dt)
+        values = draw(st.lists(_rate, min_size=len(times), max_size=len(times)))
+        return hk.PiecewiseLinearForcing(tuple(times), tuple(values)), (times[0], times[-1])
+    if kind == "sinusoid":
+        amplitude = draw(st.floats(-10.0, 10.0))
+        forcing = hk.SinusoidForcing(
+            amplitude=amplitude, omega=draw(st.floats(-10.0, 10.0)),
+            phase=draw(st.floats(-4.0, 4.0)), offset=abs(amplitude) + draw(_rate),
+        )
+    else:
+        forcing = hk.ConstantForcing(draw(_rate))
+    return forcing, (0.0, draw(st.floats(0.1, 100.0)))
+
+
+@st.composite
+def _control(draw):
+    thresholds = dict(
+        blow_up_threshold=draw(st.floats(1.0, 1e15)), positivity_tol=draw(st.floats(0.0, 1e-3))
+    )
+    if draw(st.booleans()):
+        return hk.StepControl.fixed(h=draw(st.floats(1e-6, 1.0)), **thresholds)
+    h_min, h_init, h_max = sorted(draw(st.floats(1e-14, 1.0)) for _ in range(3))
+    return hk.StepControl.adaptive(
+        abs_tol=draw(st.floats(1e-14, 1e-2)), rel_tol=draw(st.floats(1e-14, 1e-2)),
+        h_init=h_init, h_min=h_min, h_max=h_max, **thresholds,
+    )
+
+
+@st.composite
+def _scenarios(draw):
+    forcing, t_span = draw(_forcing_and_span())
+    return hk.Scenario(
+        id=draw(st.text(min_size=1, max_size=8)),
+        params=draw(_params),
+        forcing=forcing,
+        u0=tuple(draw(st.floats(0.0, 1e3)) for _ in range(3)),
+        t_span=t_span,
+        control=draw(_control()),
+        analyses=tuple(draw(st.lists(st.sampled_from(list(ANALYSES)), unique=True))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios())
+def test_config_json_round_trip(scenario):
+    assert scenario_from_dict(json.loads(dumps(scenario_to_dict(scenario)))) == scenario
+
+
+def test_integer_json_number_loads_as_float(tmp_path):
+    doc = _base_doc()
+    doc["forcing"] = {"kind": "constant", "value": 10}
+    scenario = hk.load_config(_write(tmp_path, doc))
+    assert type(scenario.forcing.value) is float
+    assert '"value": 10.0' in dumps(scenario_to_dict(scenario))
+
+
+def test_readme_config_schema_block_loads():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"### Config schema\s+```json\n(.*?)```", text, re.S)
+    assert block is not None
+    scenario = scenario_from_dict(json.loads(block.group(1)))
+    assert scenario.id == "my-run"
+
+
+# }}}
+
+
+def test_sweep_csv_header(tmp_path):
+    hk.sweep(2, 3, out_path=tmp_path / "sweep.csv")
+    header = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == (
+        "index,lam,mu1,mu2,mu3,beta,eta,epsilon,p,q,"
+        "r0_ngm,feasible,in_r0_band,threshold_ok,"
+        "dfe_residual,dfe_residual_ok,endemic_residual,endemic_residual_ok,"
+        "max_re_dfe,in_eig_band,eig_sign_ok,rh_agree,"
+        "positivity_ok,bounds_ok,t_reached"
+    )

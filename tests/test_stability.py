@@ -136,8 +136,8 @@ def test_r0_ngm_matches_next_generation_matrix_spectral_radius():
 def test_r0_requires_constant_forcing(clearing_params, wave_forcing):
     with pytest.raises(hk.UnsupportedForcingError):
         hk.r0_all(clearing_params, wave_forcing)
-    # explicit bound evaluation is the supported path for time-varying rates
-    r0_at_max = hk.r0_all(clearing_params, wave_forcing.lambda_max)
+    # a constant forcing at the bound is the supported path for time-varying rates
+    r0_at_max = hk.r0_all(clearing_params, hk.ConstantForcing(wave_forcing.lambda_max))
     assert r0_at_max.ngm > 0.0
 
 
