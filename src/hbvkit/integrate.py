@@ -17,12 +17,18 @@ step the new point is checked against a set of monitors:
 Dense output between accepted points uses cubic Hermite interpolation,
 which is adequate because the monitors are inequality checks rather than
 root-finding problems.
+
+The Dormand-Prince step is written out as scalar float expressions. Each
+stage and error sum adds its tableau row left to right, zero coefficients
+included, and the error norm adds x, y, z in that order. Run files are
+compared byte for byte, so they depend on this order: regrouping a sum
+changes the last bits of the trajectory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +72,17 @@ _DP_E = (
     22 / 525,
     -1 / 40,
 )
+# The same coefficients as scalars for the straight-line step.
+_C2, _C3, _C4, _C5, _C6, _C7 = _DP_C[1:]
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _DP_A[1:]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,10 @@ class StepControl:
     def __post_init__(self):
         if self.mode not in MODE_FIELDS:
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "mode" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.mode == "fixed" and not self.h > 0.0:
             raise ValueError("fixed step h must be positive")
         if self.mode == "adaptive":
@@ -196,7 +217,6 @@ class _Recorder:
     """Accumulates accepted points and applies the monitors."""
 
     def __init__(self, ctl: StepControl, bounds: BoundsReport):
-        self.ctl = ctl
         self.bounds = bounds
         self.times: list[float] = []
         self.states: list[tuple[float, float, float]] = []
@@ -204,6 +224,10 @@ class _Recorder:
         self.events: list[MonitorEvent] = []
         self._seen: set[tuple[str, str]] = set()
         self.done = False
+        self._blow_up = ctl.blow_up_threshold
+        self._negative = -ctl.positivity_tol
+        self._xy_ceiling = bounds.M * (1.0 + BOUND_XY_SLACK)
+        self._z_ceiling = bounds.z_ceiling * (1.0 + BOUND_Z_SLACK)
 
     def _event(self, kind: str, t: float, component: str, value: float) -> None:
         key = (kind, component)
@@ -211,35 +235,47 @@ class _Recorder:
             self._seen.add(key)
             self.events.append(MonitorEvent(kind, t, component, value))
 
-    def push(self, t: float, state, deriv) -> None:
-        """Record an accepted point; sets ``done`` on a terminating event."""
-        x, y, z = state
+    def stop(self, kind: str, t: float, component: str, value: float) -> None:
+        """Record a terminating event and set ``done``."""
+        self.events.append(MonitorEvent(kind, t, component, value))
+        self.done = True
+
+    def push(self, t: float, x: float, y: float, z: float, deriv) -> None:
+        """Record an accepted point; sets ``done`` on a terminating event.
+
+        Checks run component by component in x, y, z order: nonfinite, then
+        blow_up (either stops at the first hit), then positivity, then the
+        x + y and z ceilings.
+        """
         self.times.append(t)
         self.states.append((x, y, z))
         self.derivs.append(tuple(deriv))
 
-        for name, v in (("x", x), ("y", y), ("z", z)):
-            if not math.isfinite(v):
-                self.events.append(MonitorEvent("nonfinite", t, name, v))
-                self.done = True
-                return
-        for name, v in (("x", x), ("y", y), ("z", z)):
-            if abs(v) > self.ctl.blow_up_threshold:
-                self.events.append(MonitorEvent("blow_up", t, name, v))
-                self.done = True
-                return
-        tol = -self.ctl.positivity_tol
-        for name, v in (("x", x), ("y", y), ("z", z)):
-            if v < tol:
-                self._event("positivity_violation", t, name, v)
-        if x + y > self.bounds.M * (1.0 + BOUND_XY_SLACK):
+        isfinite = math.isfinite
+        if not isfinite(x):
+            return self.stop("nonfinite", t, "x", x)
+        if not isfinite(y):
+            return self.stop("nonfinite", t, "y", y)
+        if not isfinite(z):
+            return self.stop("nonfinite", t, "z", z)
+        threshold = self._blow_up
+        if abs(x) > threshold:
+            return self.stop("blow_up", t, "x", x)
+        if abs(y) > threshold:
+            return self.stop("blow_up", t, "y", y)
+        if abs(z) > threshold:
+            return self.stop("blow_up", t, "z", z)
+        negative = self._negative
+        if x < negative:
+            self._event("positivity_violation", t, "x", x)
+        if y < negative:
+            self._event("positivity_violation", t, "y", y)
+        if z < negative:
+            self._event("positivity_violation", t, "z", z)
+        if x + y > self._xy_ceiling:
             self._event("bound_violation", t, "x+y", x + y)
-        if z > self.bounds.z_ceiling * (1.0 + BOUND_Z_SLACK):
+        if z > self._z_ceiling:
             self._event("bound_violation", t, "z", z)
-
-    def step_floor(self, t: float, h: float) -> None:
-        self.events.append(MonitorEvent("step_floor", t, "h", h))
-        self.done = True
 
 
 def _finish(rec: _Recorder, params, forcing, ctl) -> Trajectory:
@@ -273,11 +309,12 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
     h = ctl.h
     n_whole = int(math.floor((t_end - t0) / h + 1e-12))
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
-    rec.push(t0, (x, y, z), rhs(t0, x, y, z))
+    rec.push(t0, x, y, z, rhs(t0, x, y, z))
     steps = 0
     i = 0
     t = t0
-    while not rec.done and t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    while not rec.done and t < t_stop:
         if max_steps is not None and steps >= max_steps:
             break
         if i < n_whole:
@@ -292,19 +329,71 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
         except OverflowError:
             x = y = z = math.inf
             deriv = (math.inf, math.inf, math.inf)
-        rec.push(t_next, (x, y, z), deriv)
+        rec.push(t_next, x, y, z, deriv)
         t = t_next
         i += 1
         steps += 1
 
 
-def _error_norm(err, y_old, y_new, atol, rtol):
-    acc = 0.0
-    for e, a, b in zip(err, y_old, y_new):
-        sc = atol + rtol * max(abs(a), abs(b))
-        r = e / sc
-        acc += r * r
-    return math.sqrt(acc / 3.0)
+def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):
+    """One Dormand-Prince 5(4) step from (t, x, y, z) with k1 = rhs there.
+
+    Returns the stage-7 point (the 5th-order solution), k7 = rhs at it, and
+    the RMS norm of the local error estimate scaled by atol + rtol * |u|.
+    Every sum runs over its tableau row left to right, zero terms included,
+    so each float equals what a loop over ``_DP_A``/``_DP_E`` would give.
+    """
+    k1x, k1y, k1z = k1
+    k2x, k2y, k2z = rhs(
+        t + _C2 * h,
+        x + h * (_A21 * k1x),
+        y + h * (_A21 * k1y),
+        z + h * (_A21 * k1z),
+    )
+    k3x, k3y, k3z = rhs(
+        t + _C3 * h,
+        x + h * (_A31 * k1x + _A32 * k2x),
+        y + h * (_A31 * k1y + _A32 * k2y),
+        z + h * (_A31 * k1z + _A32 * k2z),
+    )
+    k4x, k4y, k4z = rhs(
+        t + _C4 * h,
+        x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+        y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
+        z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
+    )
+    k5x, k5y, k5z = rhs(
+        t + _C5 * h,
+        x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+        y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+        z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
+    )
+    k6x, k6y, k6z = rhs(
+        t + _C6 * h,
+        x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
+        y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
+        z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
+    )
+    x7 = x + h * (_A71 * k1x + _A72 * k2x + _A73 * k3x + _A74 * k4x + _A75 * k5x + _A76 * k6x)
+    y7 = y + h * (_A71 * k1y + _A72 * k2y + _A73 * k3y + _A74 * k4y + _A75 * k5y + _A76 * k6y)
+    z7 = z + h * (_A71 * k1z + _A72 * k2z + _A73 * k3z + _A74 * k4z + _A75 * k5z + _A76 * k6z)
+    k7 = rhs(t + _C7 * h, x7, y7, z7)
+    k7x, k7y, k7z = k7
+    # b if b > a else a is max(a, b) without the call
+    ax, ay, az = abs(x), abs(y), abs(z)
+    bx, by, bz = abs(x7), abs(y7), abs(z7)
+    rx = h * (
+        _E1 * k1x + _E2 * k2x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x
+    ) / (atol + rtol * (bx if bx > ax else ax))
+    ry = h * (
+        _E1 * k1y + _E2 * k2y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
+    ) / (atol + rtol * (by if by > ay else ay))
+    rz = h * (
+        _E1 * k1z + _E2 * k2z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z
+    ) / (atol + rtol * (bz if bz > az else az))
+    # each r * r is +0.0 or more, so the sum equals 0.0 + rx * rx + ...
+    err_norm = math.sqrt((rx * rx + ry * ry + rz * rz) / 3.0)
+    return x7, y7, z7, k7, err_norm
 
 
 def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
@@ -314,33 +403,27 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
     expo = 0.2 - 0.75 * beta_stab
     min_factor, max_factor = 0.2, 10.0
 
+    atol, rtol = ctl.abs_tol, ctl.rel_tol
+    h_min, h_max = ctl.h_min, ctl.h_max
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     t = t0
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     k1 = rhs(t, x, y, z)
-    rec.push(t, (x, y, z), k1)
+    rec.push(t, x, y, z, k1)
     h = min(ctl.h_init, t_end - t0)
     err_prev = 1e-4
     steps = 0
 
-    while not rec.done and t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while not rec.done and t < t_stop:
         if max_steps is not None and steps >= max_steps:
             break
         h = min(h, t_end - t)
-        if h < ctl.h_min:
-            rec.step_floor(t, h)
+        if h < h_min:
+            rec.stop("step_floor", t, "h", h)
             break
 
         try:
-            ks = [k1]
-            for row, c in zip(_DP_A[1:], _DP_C[1:]):
-                xs = x + h * sum(a * k[0] for a, k in zip(row, ks))
-                ys = y + h * sum(a * k[1] for a, k in zip(row, ks))
-                zs = z + h * sum(a * k[2] for a, k in zip(row, ks))
-                ks.append(rhs(t + c * h, xs, ys, zs))
-            x_new, y_new, z_new = xs, ys, zs  # stage 7 point is the 5th-order solution
-            k7 = ks[6]
-            err = tuple(h * sum(e * k[j] for e, k in zip(_DP_E, ks)) for j in range(3))
-            err_norm = _error_norm(err, (x, y, z), (x_new, y_new, z_new), ctl.abs_tol, ctl.rel_tol)
+            x_new, y_new, z_new, k7, err_norm = _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol)
         except OverflowError:
             err_norm = math.inf
 
@@ -353,14 +436,14 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
             t = t + h
             x, y, z = x_new, y_new, z_new
             k1 = k7
-            rec.push(t, (x, y, z), k1)
+            rec.push(t, x, y, z, k1)
             if err_norm == 0.0:
                 factor = max_factor
             else:
                 factor = safety * err_norm**-expo * err_prev**beta_stab
                 factor = min(max_factor, max(min_factor, factor))
             err_prev = max(err_norm, 1e-4)
-            h = min(h * factor, ctl.h_max)
+            h = min(h * factor, h_max)
         else:
             h *= max(min_factor, safety * err_norm**-0.2)
         steps += 1

@@ -77,8 +77,9 @@ class Scenario:
     analyses: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("scenario id must be nonempty")
+        # runs are written to <out>/<id>, so the id must stay inside <out>
+        if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
+            raise ValueError(f"id must be a single plain path component, got {self.id!r}")
         object.__setattr__(self, "u0", tuple(float(v) for v in as_state(self.u0, True)))
         t0, t1 = (float(t) for t in self.t_span)
         if not t1 > t0:

@@ -1,6 +1,7 @@
 """The config schema: JSON objects built from the dataclasses' own fields."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -94,6 +95,39 @@ def test_tol_on_fixed_step_scenario_is_a_usage_error(tmp_path, capsys):
     assert "--tol" in captured.err
 
 
+@pytest.mark.parametrize("bad_id", ["../escape", "..", ".", "a/b", "/abs", "a\\b", ""])
+def test_id_that_is_not_one_path_component_is_rejected(tmp_path, bad_id):
+    path = _write(tmp_path, _base_doc() | {"id": bad_id})
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(path)
+    assert "id" in str(err.value)
+
+
+def test_simulate_rejects_an_id_that_escapes_out(tmp_path):
+    path = _write(tmp_path, _base_doc() | {"id": "../escape"})
+    out = tmp_path / "runs" / "inner"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["h", "abs_tol", "rel_tol", "h_init", "h_min", "h_max", "blow_up_threshold", "positivity_tol"],
+)
+def test_non_finite_step_control_value_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        hk.StepControl(mode="fixed" if field == "h" else "adaptive", **{field: value})
+
+
+def test_nan_positivity_tol_in_config_is_a_config_error(tmp_path):
+    doc = _base_doc()
+    doc["control"]["positivity_tol"] = math.nan  # json.dumps writes NaN, json.loads reads it
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(_write(tmp_path, doc))
+    assert "positivity_tol" in str(err.value)
+
+
 # }}}
 
 
@@ -143,11 +177,17 @@ def _control(draw):
     )
 
 
+# any single path component: no separator or NUL, not "." or ".."
+_ids = st.text(min_size=1, max_size=8).filter(
+    lambda s: s not in (".", "..") and not any(c in s for c in "/\\\0")
+)
+
+
 @st.composite
 def _scenarios(draw):
     forcing, t_span = draw(_forcing_and_span())
     return hk.Scenario(
-        id=draw(st.text(min_size=1, max_size=8)),
+        id=draw(_ids),
         params=draw(_params),
         forcing=forcing,
         u0=tuple(draw(st.floats(0.0, 1e3)) for _ in range(3)),
