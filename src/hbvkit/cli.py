@@ -124,7 +124,7 @@ def _cmd_analysis(args) -> int:
         )
     options = {k: v for k, v in vars(args).items() if k not in _COMMON_ARGS}
     _emit(fn(scenario, traj, **options))
-    return NUMERICAL_EVENT if traj is not None and traj.terminated else 0
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -142,10 +142,14 @@ def _cmd_sweep(args) -> int:
             ) from exc
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("box file must be a nonempty object of name: [lo, hi] pairs")
-        try:
-            box = {name: (float(lo), float(hi)) for name, (lo, hi) in raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"box entries must be [lo, hi] number pairs: {exc}") from exc
+        box = {}
+        for name, pair in raw.items():
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ConfigError(f"box entry {name!r} must be a [lo, hi] array, got {pair!r}")
+            try:
+                box[name] = (float(pair[0]), float(pair[1]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"box entry {name!r} must hold two numbers: {exc}") from exc
     out_path = Path(args.out) / "sweep.csv"
     result = sweep(args.n, args.seed, out_path=out_path, box=box)
     _emit(result.counts)

@@ -14,9 +14,10 @@ step the new point is checked against a set of monitors:
 * ``step_floor``: the adaptive controller could not keep the error within
   tolerance above ``h_min``; terminates.
 
-Dense output between accepted points uses cubic Hermite interpolation,
-which is adequate because the monitors are inequality checks rather than
-root-finding problems.
+A trajectory records only the accepted times and states. Dense output
+between them uses cubic Hermite interpolation, whose node slopes are the
+vector field at the accepted points: they are computed once, on the first
+``sample``, and are the same floats the step already evaluated there.
 
 The Dormand-Prince step is written out as scalar float expressions. Each
 stage and error sum adds its tableau row left to right, zero coefficients
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -155,16 +157,16 @@ class MonitorEvent:
 
 @dataclass
 class Trajectory:
-    """Accepted integration points with their derivatives and monitor events.
+    """Accepted integration points and monitor events.
 
-    ``states[i]`` is the state at ``times[i]`` and ``derivs[i]`` the vector
-    field there; the derivatives make cubic Hermite sampling possible.
-    A trajectory is written once by its integration and immutable after.
+    ``states[i]`` is the state at ``times[i]``. ``derivs[i]``, the vector
+    field there, is computed on the first ``sample`` for cubic Hermite
+    interpolation and kept. A trajectory is written once by its
+    integration and immutable after.
     """
 
     times: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
     events: tuple[MonitorEvent, ...]
     params: Parameters
     forcing: Forcing
@@ -183,6 +185,14 @@ class Trajectory:
     def terminated(self) -> bool:
         """True when integration ended on a blow_up/nonfinite/step_floor event."""
         return any(e.kind in TERMINAL_EVENT_KINDS for e in self.events)
+
+    @cached_property
+    def derivs(self) -> np.ndarray:
+        """The vector field at each accepted point, one rhs call per point."""
+        rhs = make_rhs(self.params, self.forcing)
+        return np.array([
+            rhs(t, x, y, z) for t, (x, y, z) in zip(self.times.tolist(), self.states.tolist())
+        ])
 
     def sample(self, t: float) -> np.ndarray:
         """State at time t by cubic Hermite interpolation on the accepted steps."""
@@ -220,7 +230,6 @@ class _Recorder:
         self.bounds = bounds
         self.times: list[float] = []
         self.states: list[tuple[float, float, float]] = []
-        self.derivs: list[tuple[float, float, float]] = []
         self.events: list[MonitorEvent] = []
         self._seen: set[tuple[str, str]] = set()
         self.done = False
@@ -240,7 +249,7 @@ class _Recorder:
         self.events.append(MonitorEvent(kind, t, component, value))
         self.done = True
 
-    def push(self, t: float, x: float, y: float, z: float, deriv) -> None:
+    def push(self, t: float, x: float, y: float, z: float) -> None:
         """Record an accepted point; sets ``done`` on a terminating event.
 
         Checks run component by component in x, y, z order: nonfinite, then
@@ -249,7 +258,6 @@ class _Recorder:
         """
         self.times.append(t)
         self.states.append((x, y, z))
-        self.derivs.append(tuple(deriv))
 
         isfinite = math.isfinite
         if not isfinite(x):
@@ -278,19 +286,6 @@ class _Recorder:
             self._event("bound_violation", t, "z", z)
 
 
-def _finish(rec: _Recorder, params, forcing, ctl) -> Trajectory:
-    return Trajectory(
-        times=np.array(rec.times),
-        states=np.array(rec.states),
-        derivs=np.array(rec.derivs),
-        events=tuple(rec.events),
-        params=params,
-        forcing=forcing,
-        bounds=rec.bounds,
-        control=ctl,
-    )
-
-
 def _rk4_step(rhs, t, x, y, z, h):
     k1 = rhs(t, x, y, z)
     h2 = 0.5 * h
@@ -309,7 +304,7 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
     h = ctl.h
     n_whole = int(math.floor((t_end - t0) / h + 1e-12))
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
-    rec.push(t0, x, y, z, rhs(t0, x, y, z))
+    rec.push(t0, x, y, z)
     steps = 0
     i = 0
     t = t0
@@ -325,11 +320,9 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
             break
         try:
             x, y, z = _rk4_step(rhs, t, x, y, z, t_next - t)
-            deriv = rhs(t_next, x, y, z)
         except OverflowError:
             x = y = z = math.inf
-            deriv = (math.inf, math.inf, math.inf)
-        rec.push(t_next, x, y, z, deriv)
+        rec.push(t_next, x, y, z)
         t = t_next
         i += 1
         steps += 1
@@ -409,7 +402,7 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
     t = t0
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     k1 = rhs(t, x, y, z)
-    rec.push(t, x, y, z, k1)
+    rec.push(t, x, y, z)
     h = min(ctl.h_init, t_end - t0)
     err_prev = 1e-4
     steps = 0
@@ -436,7 +429,7 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
             t = t + h
             x, y, z = x_new, y_new, z_new
             k1 = k7
-            rec.push(t, x, y, z, k1)
+            rec.push(t, x, y, z)
             if err_norm == 0.0:
                 factor = max_factor
             else:
@@ -475,7 +468,15 @@ def integrate(
         _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps)
     else:
         _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps)
-    return _finish(rec, params, forcing, ctl)
+    return Trajectory(
+        times=np.array(rec.times),
+        states=np.array(rec.states),
+        events=tuple(rec.events),
+        params=params,
+        forcing=forcing,
+        bounds=bounds,
+        control=ctl,
+    )
 
 
 def richardson_order(

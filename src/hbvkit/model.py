@@ -156,6 +156,8 @@ class PiecewiseLinearForcing:
         object.__setattr__(self, "values", values)
         if len(times) < 2 or len(times) != len(values):
             raise ValueError("need at least two (time, value) knots of equal length")
+        if not all(map(math.isfinite, times)):
+            raise ValueError("knot times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("knot times must be strictly increasing")
         if min(values) <= 0.0 or not all(map(math.isfinite, values)):

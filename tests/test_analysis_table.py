@@ -103,6 +103,35 @@ def test_contraction_command_exits_3_when_partner_terminates(
     assert "terminated" in captured.err
 
 
+@pytest.fixture()
+def blowup_scenario():
+    # the run itself stops on blow_up at t = 48.9 of 200
+    s = hk.SCENARIOS["set2-auto-boundcheck"]
+    ctl = dataclasses.replace(s.control, blow_up_threshold=5.0)
+    return dataclasses.replace(s, id="blowup", control=ctl)
+
+
+@pytest.mark.parametrize("name", ["lyapunov", "absorbing", "contraction"])
+def test_run_scenario_skips_verdicts_on_a_terminated_run(tmp_path, blowup_scenario, name):
+    scenario = dataclasses.replace(blowup_scenario, analyses=(name,))
+    report = hk.run_scenario(scenario, tmp_path / "run")
+    assert report.terminated
+    assert report.document["analyses"] == {}
+    reason = report.document["skipped"][name]
+    assert reason.startswith(f"scenario run terminated at t={report.trajectory.final_time}")
+    assert "blow_up" in reason
+
+
+@pytest.mark.parametrize("name", ["lyapunov", "absorbing", "contraction"])
+def test_analysis_command_exits_3_on_a_terminated_run(tmp_path, capsys, blowup_scenario, name):
+    path = tmp_path / "blowup.json"
+    hk.save_config(blowup_scenario, path)
+    assert main([name, "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "terminated" in captured.err
+
+
 # }}}
 
 

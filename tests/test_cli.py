@@ -141,6 +141,16 @@ def test_sweep_command_rejects_bad_box(tmp_path):
     assert main(["sweep", "--n", "3", "--out", str(tmp_path), "--box", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("entry", ["12", {"0.5": 1, "3": 2}, [1.0], [1.0, 2.0, 3.0], 5.0])
+def test_sweep_box_entry_must_be_a_two_element_array(tmp_path, capsys, entry):
+    # a two-character string or a two-key object would unpack into (lo, hi)
+    box_path = tmp_path / "box.json"
+    box_path.write_text(json.dumps({"lam": entry}))
+    assert main(["sweep", "--n", "3", "--out", str(tmp_path), "--box", str(box_path)]) == 2
+    assert "'lam'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "hbvkit", "r0", "--config", "table2-dfe"],

@@ -120,6 +120,18 @@ def test_non_finite_step_control_value_is_rejected(field, value):
         hk.StepControl(mode="fixed" if field == "h" else "adaptive", **{field: value})
 
 
+@pytest.mark.parametrize("times", ["[0, NaN, 20]", "[0, 5, Infinity]", "[-Infinity, 5, 20]"])
+def test_non_finite_knot_time_is_a_config_error(times):
+    # every comparison with NaN is false, so NaN passes an ordering check
+    doc = _base_doc()
+    doc["forcing"] = json.loads(
+        f'{{"kind": "piecewise_linear", "times": {times}, "values": [9.0, 9.5, 10.0]}}'
+    )
+    with pytest.raises(hk.ConfigError, match="forcing") as err:
+        scenario_from_dict(doc)
+    assert "finite" in str(err.value)
+
+
 def test_nan_positivity_tol_in_config_is_a_config_error(tmp_path):
     doc = _base_doc()
     doc["control"]["positivity_tol"] = math.nan  # json.dumps writes NaN, json.loads reads it
