@@ -24,6 +24,7 @@ __all__ = [
     "PullbackEstimate",
     "AbsorbingSetReport",
     "ProcessTerminatedError",
+    "require_complete",
     "process_solve",
     "semigroup_check",
     "pullback_estimate",
@@ -33,6 +34,15 @@ __all__ = [
 
 class ProcessTerminatedError(RuntimeError):
     """The underlying integration ended on a terminating monitor event."""
+
+
+def require_complete(traj: Trajectory, what: str) -> None:
+    """Raise ProcessTerminatedError, naming the final time and the sorted
+    event kinds, when ``traj`` ended on a terminating monitor event; a
+    verdict on the part that ran would claim more than was integrated."""
+    if traj.terminated:
+        kinds = ", ".join(sorted({e.kind for e in traj.events}))
+        raise ProcessTerminatedError(f"{what} terminated at t={traj.final_time} ({kinds})")
 
 
 @dataclass(frozen=True)
@@ -97,11 +107,7 @@ class AbsorbingSetReport:
 
 def _endpoint(params, forcing, u0, t0, t_end, ctl) -> np.ndarray:
     traj = integrate(params, forcing, u0, t0, t_end, ctl)
-    if traj.terminated:
-        kinds = ", ".join(sorted({e.kind for e in traj.events}))
-        raise ProcessTerminatedError(
-            f"integration from t0={t0} terminated before t={t_end} ({kinds})"
-        )
+    require_complete(traj, f"integration from t0={t0} to t={t_end}")
     if traj.final_time < t_end - 1e-9 * max(1.0, abs(t_end)):
         raise ProcessTerminatedError(
             f"integration from t0={t0} stopped at t={traj.final_time} before t={t_end}"

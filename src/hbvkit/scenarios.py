@@ -163,17 +163,9 @@ def _r0(scenario: Scenario, traj) -> dict:
     return {"lambda": forcing.value} | asdict(stab.r0_all(scenario.params, forcing))
 
 
-def _require_complete(traj: Trajectory, run: str) -> None:
-    """Raise ProcessTerminatedError when ``traj`` ended on a numerical event;
-    a verdict on the part that ran would claim more than was integrated."""
-    if traj.terminated:
-        kinds = ", ".join(sorted({e.kind for e in traj.events}))
-        raise proc.ProcessTerminatedError(f"{run} terminated at t={traj.final_time} ({kinds})")
-
-
 def _lyapunov(scenario: Scenario, traj: Trajectory) -> dict:
     """decay-rate fit of the squared distance to the infection-free state"""
-    _require_complete(traj, "scenario run")
+    proc.require_complete(traj, "scenario run")
     reference = eq.disease_free(scenario.params, scenario.forcing).state
     trace = stab.lyapunov_fit(traj, reference)
     return {
@@ -188,12 +180,12 @@ def _lyapunov(scenario: Scenario, traj: Trajectory) -> dict:
 
 def _contraction(scenario: Scenario, traj: Trajectory, offset=(1.0, 1.0, 1.0)) -> dict:
     """empirical contraction fit between two runs"""
-    _require_complete(traj, "scenario run")
+    proc.require_complete(traj, "scenario run")
     partner_u0 = tuple(v + d for v, d in zip(scenario.u0, offset))
     partner = integrate(
         scenario.params, scenario.forcing, partner_u0, *scenario.t_span, scenario.control
     )
-    _require_complete(partner, "partner run from u0+offset")
+    proc.require_complete(partner, "partner run from u0+offset")
     return {"partner_u0": list(partner_u0)} | asdict(stab.contraction_fit(traj, partner))
 
 
@@ -210,7 +202,7 @@ def _pullback(
 
 def _absorbing(scenario: Scenario, traj: Trajectory, slack=None) -> dict:
     """l1 absorbing-ball check on a scenario trajectory"""
-    _require_complete(traj, "scenario run")
+    proc.require_complete(traj, "scenario run")
     return asdict(proc.absorbing_check(scenario.params, scenario.forcing, traj, slack=slack))
 
 
