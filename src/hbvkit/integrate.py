@@ -219,7 +219,7 @@ class Trajectory:
         """Write `t,x,y,z` rows at full double precision."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,y,z\n")
-            for t, (x, y, z) in zip(self.times, self.states):
+            for t, (x, y, z) in zip(self.times.tolist(), self.states.tolist()):
                 fh.write(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
 
 
@@ -287,16 +287,16 @@ class _Recorder:
 
 
 def _rk4_step(rhs, t, x, y, z, h):
-    k1 = rhs(t, x, y, z)
+    k1x, k1y, k1z = rhs(t, x, y, z)
     h2 = 0.5 * h
-    k2 = rhs(t + h2, x + h2 * k1[0], y + h2 * k1[1], z + h2 * k1[2])
-    k3 = rhs(t + h2, x + h2 * k2[0], y + h2 * k2[1], z + h2 * k2[2])
-    k4 = rhs(t + h, x + h * k3[0], y + h * k3[1], z + h * k3[2])
+    k2x, k2y, k2z = rhs(t + h2, x + h2 * k1x, y + h2 * k1y, z + h2 * k1z)
+    k3x, k3y, k3z = rhs(t + h2, x + h2 * k2x, y + h2 * k2y, z + h2 * k2z)
+    k4x, k4y, k4z = rhs(t + h, x + h * k3x, y + h * k3y, z + h * k3z)
     s = h / 6.0
     return (
-        x + s * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        y + s * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-        z + s * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
+        x + s * (k1x + 2.0 * (k2x + k3x) + k4x),
+        y + s * (k1y + 2.0 * (k2y + k3y) + k4y),
+        z + s * (k1z + 2.0 * (k2z + k3z) + k4z),
     )
 
 

@@ -18,6 +18,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -160,6 +161,9 @@ class PiecewiseLinearForcing:
             raise ValueError("knot times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("knot times must be strictly increasing")
+        # an overflowing knot spacing would give a zero slope times an infinite offset
+        if not math.isfinite(times[-1] - times[0]):
+            raise ValueError("knot times must span a finite range")
         if min(values) <= 0.0 or not all(map(math.isfinite, values)):
             raise ValueError("knot values must be finite and strictly positive")
 
@@ -174,11 +178,23 @@ class PiecewiseLinearForcing:
         return (min(self.values), self.lambda_max)
 
     def __call__(self, t: float) -> float:
-        if t < self.times[0] or t > self.times[-1]:
-            raise OutOfDomainError(
-                f"t={t!r} outside the tabulated range [{self.times[0]}, {self.times[-1]}]"
-            )
-        return float(np.interp(t, self.times, self.values))
+        return _interp(t, self.times, self.values)
+
+
+def _interp(t: float, times: tuple[float, ...], values: tuple[float, ...]) -> float:
+    """Linear interpolation at t through the knots (times, values).
+
+    A knot hit returns the knot value; elsewhere the expression and its order
+    of operations are np.interp's, so the result has the same bits. A t
+    outside the knot range, NaN included, raises OutOfDomainError.
+    """
+    if not (times[0] <= t <= times[-1]):
+        raise OutOfDomainError(f"t={t!r} outside the tabulated range [{times[0]}, {times[-1]}]")
+    j = bisect_right(times, t) - 1
+    x0, y0 = times[j], values[j]
+    if t == x0:
+        return y0
+    return (values[j + 1] - y0) / (times[j + 1] - x0) * (t - x0) + y0
 
 
 Forcing = ConstantForcing | SinusoidForcing | PiecewiseLinearForcing
@@ -221,6 +237,17 @@ def make_rhs(params: Parameters, forcing: Forcing):
         def rhs(t, x, y, z):
             infect = beta_eff * x * z
             return (lam - mu1 * x - infect + q * y, infect - loss_y * y, prod_eff * y - mu3 * z)
+
+    elif isinstance(forcing, PiecewiseLinearForcing):
+        times, values = forcing.times, forcing.values
+
+        def rhs(t, x, y, z):
+            infect = beta_eff * x * z
+            return (
+                _interp(t, times, values) - mu1 * x - infect + q * y,
+                infect - loss_y * y,
+                prod_eff * y - mu3 * z,
+            )
 
     else:
 

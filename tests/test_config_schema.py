@@ -120,7 +120,9 @@ def test_non_finite_step_control_value_is_rejected(field, value):
         hk.StepControl(mode="fixed" if field == "h" else "adaptive", **{field: value})
 
 
-@pytest.mark.parametrize("times", ["[0, NaN, 20]", "[0, 5, Infinity]", "[-Infinity, 5, 20]"])
+@pytest.mark.parametrize(
+    "times", ["[0, NaN, 20]", "[0, 5, Infinity]", "[-Infinity, 5, 20]", "[-1e308, 5, 1e308]"]
+)
 def test_non_finite_knot_time_is_a_config_error(times):
     # every comparison with NaN is false, so NaN passes an ordering check
     doc = _base_doc()

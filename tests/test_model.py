@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hbvkit as hk
-from hbvkit.model import as_state
+from hbvkit.model import as_state, make_rhs
 
 
 def _random_params(rng):
@@ -35,12 +37,13 @@ def test_piecewise_linear_interpolates_and_bounds():
     assert f.bounds == (1.0, 4.0)
 
 
-def test_piecewise_linear_out_of_domain():
+def test_piecewise_linear_out_of_domain(clearing_params):
     f = hk.PiecewiseLinearForcing(times=(0.0, 1.0), values=(2.0, 3.0))
-    with pytest.raises(hk.OutOfDomainError):
-        f(-0.1)
-    with pytest.raises(hk.OutOfDomainError):
-        f(1.5)
+    for t in (-0.1, 1.5, math.nan):  # every comparison with NaN is false
+        with pytest.raises(hk.OutOfDomainError):
+            f(t)
+        with pytest.raises(hk.OutOfDomainError):
+            hk.vector_field(clearing_params, f, t, (1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -56,6 +59,47 @@ def test_piecewise_linear_out_of_domain():
 def test_forcing_must_stay_positive(build):
     with pytest.raises(ValueError):
         build()
+
+
+@st.composite
+def _tables_and_times(draw):
+    """A knot table and times in its range: knot hits, both ends, the
+    neighbours of each knot one float away, and arbitrary points between."""
+    times = sorted(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=16, unique=True
+    )))
+    values = draw(st.lists(st.floats(1e-6, 1e6), min_size=len(times), max_size=len(times)))
+    lo, hi = times[0], times[-1]
+    near = [math.nextafter(k, d) for k in times for d in (-math.inf, math.inf)]
+    inside = st.one_of(
+        st.sampled_from(times),
+        st.sampled_from([t for t in near if lo <= t <= hi]),
+        st.floats(lo, hi),
+    )
+    return times, values, [lo, hi] + draw(st.lists(inside, min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_and_times())
+def test_piecewise_linear_matches_np_interp_bit_for_bit(clearing_params, table):
+    times, values, points = table
+    forcing = hk.PiecewiseLinearForcing(times=tuple(times), values=tuple(values))
+    rhs = make_rhs(clearing_params, forcing)
+    for t in points:
+        expected = float(np.interp(t, times, values))
+        assert forcing(t) == expected
+        assert rhs(t, 0.0, 0.0, 0.0)[0] == expected  # dx at the origin is L(t) exactly
+
+
+def test_table_forcing_does_not_call_np_interp(monkeypatch, persistent_params):
+    def fail(*args, **kwargs):
+        raise AssertionError("np.interp called")
+
+    monkeypatch.setattr(np, "interp", fail)
+    table = hk.PiecewiseLinearForcing(times=(0.0, 0.3, 2.0, 5.0), values=(20.0, 23.5, 17.25, 19.6))
+    for control in (hk.StepControl.fixed(0.01), hk.StepControl.adaptive()):
+        traj = hk.integrate(persistent_params, table, (1.0, 1.0, 1.0), 0.0, 5.0, control)
+        assert traj.final_time == 5.0 and not traj.terminated
 
 
 def test_forcing_outputs_inside_declared_bounds(wave_forcing):
