@@ -24,7 +24,7 @@ for t in (0.5, 1.0, 2.0):
 # a fixed step of 1.0 puts h*lambda far outside the RK4 stability region;
 # the true solution is bounded but the numerical one explodes, and the
 # blow-up monitor records exactly that
-bad = hk.integrate(params, forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.StepControl.fixed(h=1.0))
+bad = hk.integrate(params, forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.FixedStep(h=1.0))
 print("\noversized fixed step:")
 for event in bad.events:
     print("  ", event.detail)

@@ -14,7 +14,7 @@ s = hk.SCENARIOS["set1-nonauto"]
 u0 = (1.0, 1.0, 1.0)
 
 # process laws: identity at t = t0, and composition over a midpoint
-echo = hk.process_solve(hk.ProcessQuery(2.0, 2.0, u0, s.params, s.forcing), s.control)
+echo = hk.process_solve(s.params, s.forcing, u0, 2.0, 2.0, s.control)
 print("phi(t0, t0, u0) == u0:", bool(np.array_equal(echo, np.array(u0))))
 gap = hk.semigroup_check(s.params, s.forcing, u0, (0.0, 1.0, 2.0), s.control)
 print(f"evolution-property gap over (0, 1, 2): {gap:.3e}")

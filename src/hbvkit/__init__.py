@@ -10,7 +10,15 @@ from .equilibria import (
     newton_refine,
     residual_norm,
 )
-from .integrate import MonitorEvent, StepControl, Trajectory, integrate, richardson_order
+from .integrate import (
+    AdaptiveStep,
+    FixedStep,
+    MonitorEvent,
+    StepControl,
+    Trajectory,
+    integrate,
+    richardson_order,
+)
 from .model import (
     BoundsReport,
     ConstantForcing,
@@ -25,7 +33,6 @@ from .model import (
 )
 from .process import (
     AbsorbingSetReport,
-    ProcessQuery,
     ProcessTerminatedError,
     PullbackEstimate,
     absorbing_check,
@@ -40,6 +47,7 @@ from .scenarios import (
     Scenario,
     SweepResult,
     UnknownScenarioError,
+    load_box,
     load_config,
     run_scenario,
     save_config,

@@ -25,6 +25,7 @@ from .scenarios import (
     Scenario,
     UnknownScenarioError,
     dumps,
+    load_box,
     resolve_scenario,
     run_scenario,
     sweep,
@@ -128,28 +129,7 @@ def _cmd_analysis(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    box = None
-    if args.box is not None:
-        import json
-
-        try:
-            raw = json.loads(Path(args.box).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read box file {args.box}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{args.box}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(raw, dict) or not raw:
-            raise ConfigError("box file must be a nonempty object of name: [lo, hi] pairs")
-        box = {}
-        for name, pair in raw.items():
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"box entry {name!r} must be a [lo, hi] array, got {pair!r}")
-            try:
-                box[name] = (float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"box entry {name!r} must hold two numbers: {exc}") from exc
+    box = None if args.box is None else load_box(args.box)
     out_path = Path(args.out) / "sweep.csv"
     result = sweep(args.n, args.seed, out_path=out_path, box=box)
     _emit(result.counts)

@@ -12,7 +12,8 @@ step the new point is checked against a set of monitors:
   clamped; positivity is a property of the model, so a violation beyond
   tolerance signals integrator error and must stay visible.
 * ``step_floor``: the adaptive controller could not keep the error within
-  tolerance above ``h_min``; terminates.
+  tolerance above ``h_min``, or a fixed step ``h`` is too small to advance
+  the time at all (``t + h`` rounds back to ``t``); terminates.
 
 A trajectory records only the accepted times and states. Dense output
 between them uses cubic Hermite interpolation, whose node slopes are the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +40,8 @@ from .model import BoundsReport, Forcing, Parameters, analytic_bounds, as_state,
 
 __all__ = [
     "StepControl",
-    "MODE_FIELDS",
+    "FixedStep",
+    "AdaptiveStep",
     "MonitorEvent",
     "Trajectory",
     "integrate",
@@ -87,58 +90,57 @@ _C2, _C3, _C4, _C5, _C6, _C7 = _DP_C[1:]
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Stepping policy plus monitor thresholds.
+@dataclass(frozen=True, kw_only=True)
+class _Control:
+    """Monitor thresholds shared by both stepping modes."""
 
-    Use the ``fixed`` / ``adaptive`` constructors rather than filling the
-    fields by hand.
-    """
-
-    mode: str
-    h: float = 0.01
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    h_init: float = 1e-3
-    h_min: float = 1e-12
-    h_max: float = 0.5
     blow_up_threshold: float = 1e12
     positivity_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.mode not in MODE_FIELDS:
-            raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name != "mode" and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.mode == "fixed" and not self.h > 0.0:
-            raise ValueError("fixed step h must be positive")
-        if self.mode == "adaptive":
-            if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-                raise ValueError("tolerances must be positive")
-            if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-                raise ValueError("need 0 < h_min <= h_init <= h_max")
         if not self.blow_up_threshold > 0.0:
             raise ValueError("blow_up_threshold must be positive")
         if self.positivity_tol < 0.0:
             raise ValueError("positivity_tol must be nonnegative")
 
-    @classmethod
-    def fixed(cls, h: float, **kwargs) -> "StepControl":
-        return cls(mode="fixed", h=h, **kwargs)
 
-    @classmethod
-    def adaptive(cls, **kwargs) -> "StepControl":
-        return cls(mode="adaptive", **kwargs)
+@dataclass(frozen=True, kw_only=True)
+class FixedStep(_Control):
+    """Classical RK4 with step ``h``; the last step is shortened to land on t_end."""
+
+    mode: ClassVar[str] = "fixed"
+    h: float = 0.01
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.h > 0.0:
+            raise ValueError("fixed step h must be positive")
 
 
-# The StepControl fields only one stepping mode reads; mode and the monitor
-# thresholds apply to both.
-MODE_FIELDS = {
-    "fixed": ("h",),
-    "adaptive": ("abs_tol", "rel_tol", "h_init", "h_min", "h_max"),
-}
+@dataclass(frozen=True, kw_only=True)
+class AdaptiveStep(_Control):
+    """Dormand-Prince 5(4) with PI control of the step between h_min and h_max."""
+
+    mode: ClassVar[str] = "adaptive"
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-8
+    h_init: float = 1e-3
+    h_min: float = 1e-12
+    h_max: float = 0.5
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
+            raise ValueError("need 0 < h_min <= h_init <= h_max")
+
+
+StepControl = FixedStep | AdaptiveStep
 
 
 @dataclass(frozen=True)
@@ -305,18 +307,18 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
     n_whole = int(math.floor((t_end - t0) / h + 1e-12))
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     rec.push(t0, x, y, z)
-    steps = 0
     i = 0
     t = t0
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while not rec.done and t < t_stop:
-        if max_steps is not None and steps >= max_steps:
+        if max_steps is not None and i >= max_steps:
             break
         if i < n_whole:
             t_next = t0 + (i + 1) * h
         else:
             t_next = t_end
-        if t_next <= t:  # guard against a zero-length closing step
+        if t_next <= t:  # h is below the float spacing at t
+            rec.stop("step_floor", t, "h", h)
             break
         try:
             x, y, z = _rk4_step(rhs, t, x, y, z, t_next - t)
@@ -325,7 +327,6 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
         rec.push(t_next, x, y, z)
         t = t_next
         i += 1
-        steps += 1
 
 
 def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):
@@ -495,7 +496,7 @@ def richardson_order(
     """
     finals = []
     for step in (h, h / 2.0, h / 8.0):
-        traj = integrate(params, forcing, u0, t0, t_end, StepControl.fixed(h=step))
+        traj = integrate(params, forcing, u0, t0, t_end, FixedStep(h=step))
         if traj.terminated:
             kinds = ", ".join(e.kind for e in traj.events if e.kind in TERMINAL_EVENT_KINDS)
             raise RuntimeError(f"run with h={step} terminated early ({kinds})")

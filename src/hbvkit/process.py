@@ -20,7 +20,6 @@ from .integrate import StepControl, Trajectory, integrate
 from .model import Forcing, Parameters, as_state
 
 __all__ = [
-    "ProcessQuery",
     "PullbackEstimate",
     "AbsorbingSetReport",
     "ProcessTerminatedError",
@@ -43,22 +42,6 @@ def require_complete(traj: Trajectory, what: str) -> None:
     if traj.terminated:
         kinds = ", ".join(sorted({e.kind for e in traj.events}))
         raise ProcessTerminatedError(f"{what} terminated at t={traj.final_time} ({kinds})")
-
-
-@dataclass(frozen=True)
-class ProcessQuery:
-    """A single phi(t, t0, u0) evaluation request."""
-
-    t: float
-    t0: float
-    u0: tuple[float, float, float]
-    params: Parameters
-    forcing: Forcing
-
-    def __post_init__(self):
-        if self.t < self.t0:
-            raise ValueError(f"need t >= t0, got t={self.t}, t0={self.t0}")
-        object.__setattr__(self, "u0", tuple(float(v) for v in as_state(self.u0, True)))
 
 
 @dataclass(frozen=True)
@@ -105,22 +88,27 @@ class AbsorbingSetReport:
     slack: float
 
 
-def _endpoint(params, forcing, u0, t0, t_end, ctl) -> np.ndarray:
-    traj = integrate(params, forcing, u0, t0, t_end, ctl)
-    require_complete(traj, f"integration from t0={t0} to t={t_end}")
-    if traj.final_time < t_end - 1e-9 * max(1.0, abs(t_end)):
-        raise ProcessTerminatedError(
-            f"integration from t0={t0} stopped at t={traj.final_time} before t={t_end}"
-        )
+def process_solve(
+    params: Parameters,
+    forcing: Forcing,
+    u0,
+    t0: float,
+    t: float,
+    ctl: StepControl,
+) -> np.ndarray:
+    """Evaluate phi(t, t0, u0); the t == t0 case returns u0 unchanged.
+
+    Raises ProcessTerminatedError when the integration ends on a
+    terminating monitor event, so a partial run is never taken for phi.
+    """
+    if t < t0:
+        raise ValueError(f"need t >= t0, got t={t}, t0={t0}")
+    u0 = as_state(u0, require_nonnegative=True)
+    if t == t0:
+        return u0.copy()
+    traj = integrate(params, forcing, u0, t0, t, ctl)
+    require_complete(traj, f"integration from t0={t0} to t={t}")
     return traj.final_state
-
-
-def process_solve(query: ProcessQuery, ctl: StepControl) -> np.ndarray:
-    """Evaluate phi(t, t0, u0); the t == t0 case returns u0 unchanged."""
-    u0 = np.array(query.u0)
-    if query.t == query.t0:
-        return u0
-    return _endpoint(query.params, query.forcing, u0, query.t0, query.t, ctl)
 
 
 def semigroup_check(
@@ -134,12 +122,11 @@ def semigroup_check(
     t0, t1, t2 = times
     if not (t0 <= t1 <= t2):
         raise ValueError(f"times must be ordered t0 <= t1 <= t2, got {times}")
-    start = tuple(as_state(u0, require_nonnegative=True))
-    direct = process_solve(ProcessQuery(t2, t0, start, params, forcing), ctl)
-    mid = process_solve(ProcessQuery(t1, t0, start, params, forcing), ctl)
+    direct = process_solve(params, forcing, u0, t0, t2, ctl)
+    mid = process_solve(params, forcing, u0, t0, t1, ctl)
     # the relay state may carry sub-tolerance negative noise; clamp so the
-    # nonnegativity contract of the query holds
-    relayed = process_solve(ProcessQuery(t2, t1, tuple(np.maximum(mid, 0.0)), params, forcing), ctl)
+    # nonnegativity contract of process_solve holds
+    relayed = process_solve(params, forcing, np.maximum(mid, 0.0), t1, t2, ctl)
     return float(np.max(np.abs(direct - relayed)))
 
 
@@ -163,6 +150,8 @@ def pullback_estimate(
         raise ValueError("need at least two horizons to measure Cauchy gaps")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
+    if not horizons[0] > 0.0:
+        raise ValueError(f"horizons must be positive, got {horizons[0]}")
     seed_states = [as_state(s, require_nonnegative=True) for s in seeds]
     if len(seed_states) < 2:
         raise ValueError("need at least two seeds to measure seed independence")
@@ -173,7 +162,7 @@ def pullback_estimate(
     for seed in seed_states:
         row = []
         for T in horizons:
-            end = _endpoint(params, forcing, seed, t_star - T, t_star, ctl)
+            end = process_solve(params, forcing, seed, t_star - T, t_star, ctl)
             row.append(tuple(float(v) for v in end))
         endpoints.append(tuple(row))
     endpoints = tuple(endpoints)

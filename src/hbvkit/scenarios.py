@@ -25,7 +25,7 @@ import numpy as np
 from . import equilibria as eq
 from . import process as proc
 from . import stability as stab
-from .integrate import MODE_FIELDS, StepControl, Trajectory, integrate
+from .integrate import AdaptiveStep, FixedStep, StepControl, Trajectory, integrate
 from .model import (
     ConstantForcing,
     Forcing,
@@ -46,6 +46,7 @@ __all__ = [
     "ANALYSES",
     "DEFAULT_SWEEP_BOX",
     "dumps",
+    "load_box",
     "load_config",
     "save_config",
     "scenario_from_dict",
@@ -73,7 +74,7 @@ class Scenario:
     forcing: Forcing
     u0: tuple[float, float, float]
     t_span: tuple[float, float]
-    control: StepControl = StepControl.adaptive()
+    control: StepControl = AdaptiveStep()
     analyses: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -222,7 +223,7 @@ ANALYSES = {
 
 
 def _registry() -> dict[str, Scenario]:
-    ctl = StepControl.adaptive(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25)
+    ctl = AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25)
     # benchmark rate sets: infection clearing, subthreshold (R0 < 1 with a
     # large production rate), and persistent infection (R0 > 1)
     clearing = Parameters(mu1=2.0, mu2=3.0, mu3=7.0, beta=0.2, eta=0.2, epsilon=0.5, p=0.01, q=5.0)
@@ -261,8 +262,8 @@ SCENARIOS = _registry()
 # {{{ config serialization
 #
 # A config is the JSON form of a Scenario. Each object holds the fields of its
-# dataclass; "forcing" adds the "kind" naming its class, and "control" holds
-# only the fields its mode reads.
+# dataclass; "forcing" adds the "kind" naming its class and "control" the
+# "mode" naming its class.
 
 FORCING_KINDS = {
     "constant": ConstantForcing,
@@ -270,14 +271,7 @@ FORCING_KINDS = {
     "piecewise_linear": PiecewiseLinearForcing,
 }
 
-# control.mode -> StepControl and the fields a control of that mode may set
-_CONTROL_MODES = {
-    mode: (StepControl, tuple(
-        f.name for f in fields(StepControl)
-        if not any(f.name in MODE_FIELDS[other] for other in MODE_FIELDS if other != mode)
-    ))
-    for mode in MODE_FIELDS
-}
+CONTROL_MODES = {cls.mode: cls for cls in (FixedStep, AdaptiveStep)}
 
 
 def _array(value) -> tuple:
@@ -295,28 +289,26 @@ def _build(cls, obj, where: str, tag: str | None = None, default=None, **convert
     ``obj`` must hold each field of ``cls`` that has no default, and no key
     that is not a field. A float, str or tuple field is coerced by float(),
     str() or to a tuple from an array; a field named in ``convert`` goes
-    through that function instead. With ``tag``, ``cls`` is a table:
-    ``obj[tag]`` (``default`` when absent) picks the entry, a class or a
-    ``(class, field names)`` pair.
+    through that function instead. With ``tag``, ``cls`` is a table of
+    classes and ``obj[tag]`` (``default`` when absent) picks the entry.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config'} must be an object, got {type(obj).__name__}")
     prefix = f"{where}: " if where else ""
-    names = None
     if tag is not None:
         choice = obj.get(tag, default)
         if not isinstance(choice, str) or choice not in cls:
             raise ConfigError(f"{where}.{tag} must be one of {', '.join(map(repr, cls))}, got {choice!r}")
-        cls, names = cls[choice] if isinstance(cls[choice], tuple) else (cls[choice], None)
-    known = {f.name: f for f in fields(cls) if names is None or f.name in names}
+        cls = cls[choice]
+    known = {f.name: f for f in fields(cls)}
     for key in obj:
         if key not in known and key != tag:
             variant = f" for {tag} {choice!r}" if tag else ""
             raise ConfigError(f"{prefix}unknown field {key!r}{variant}; expected {', '.join(known)}")
     for name, f in known.items():
-        if name not in obj and name != tag and f.default is MISSING:
+        if name not in obj and f.default is MISSING:
             raise ConfigError(f"{prefix}missing field {name!r}")
-    kwargs = {tag: choice} if tag in known else {}
+    kwargs = {}
     for name, value in obj.items():
         if name == tag:
             continue
@@ -335,10 +327,9 @@ def _build(cls, obj, where: str, tag: str | None = None, default=None, **convert
 
 def scenario_to_dict(s: Scenario) -> dict:
     kind = next(k for k, cls in FORCING_KINDS.items() if isinstance(s.forcing, cls))
-    control = asdict(s.control)
     return asdict(s) | {
         "forcing": {"kind": kind} | asdict(s.forcing),
-        "control": {name: control[name] for name in _CONTROL_MODES[s.control.mode][1]},
+        "control": {"mode": s.control.mode} | asdict(s.control),
     }
 
 
@@ -347,21 +338,24 @@ def scenario_from_dict(d: dict) -> Scenario:
         Scenario, d, "",
         params=lambda v: _build(Parameters, v, "params"),
         forcing=lambda v: _build(FORCING_KINDS, v, "forcing", tag="kind"),
-        control=lambda v: _build(_CONTROL_MODES, v, "control", tag="mode", default="adaptive"),
+        control=lambda v: _build(CONTROL_MODES, v, "control", tag="mode", default="adaptive"),
     )
 
 
-def load_config(path) -> Scenario:
+def _read_json(path, what: str):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return scenario_from_dict(data)
+
+
+def load_config(path) -> Scenario:
+    return scenario_from_dict(_read_json(path, "config"))
 
 
 def save_config(s: Scenario, path) -> None:
@@ -496,9 +490,23 @@ _SWEEP_COUNTS = {
 
 _SWEEP_SPAN = 2.0
 _SWEEP_MAX_STEPS = 4000
-_SWEEP_CTL = StepControl.adaptive(
-    abs_tol=1e-10, rel_tol=1e-9, h_init=1e-3, h_min=1e-14, h_max=0.25
-)
+_SWEEP_CTL = AdaptiveStep(abs_tol=1e-10, rel_tol=1e-9, h_init=1e-3, h_min=1e-14, h_max=0.25)
+
+
+def load_box(path) -> dict[str, tuple[float, float]]:
+    """The ``sweep`` box overrides in a JSON file of ``name: [lo, hi]`` pairs."""
+    raw = _read_json(path, "box file")
+    if not isinstance(raw, dict) or not raw:
+        raise ConfigError("box file must be a nonempty object of name: [lo, hi] pairs")
+    box = {}
+    for name, pair in raw.items():
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"box entry {name!r} must be a [lo, hi] array, got {pair!r}")
+        try:
+            box[name] = (float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"box entry {name!r} must hold two numbers: {exc}") from exc
+    return box
 
 
 @dataclass

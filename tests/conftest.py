@@ -46,4 +46,4 @@ def wave_forcing():
 
 @pytest.fixture(scope="session")
 def tight_ctl():
-    return hk.StepControl.adaptive(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25)
+    return hk.AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25)

@@ -206,7 +206,7 @@ def test_c08_monitors_silent_on_benchmarks(benchmark_trajectories):
 def test_c09_process_laws():
     s = hk.SCENARIOS["set1-nonauto"]
     u0 = (1.0, 1.0, 1.0)
-    echo = hk.process_solve(hk.ProcessQuery(3.0, 3.0, u0, s.params, s.forcing), s.control)
+    echo = hk.process_solve(s.params, s.forcing, u0, 3.0, 3.0, s.control)
     initial_exact = bool(np.array_equal(echo, np.array(u0)))
 
     rng = np.random.default_rng(2024)

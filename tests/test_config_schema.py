@@ -71,10 +71,15 @@ def _analyses_as_string(doc):
     return "analyses"
 
 
+def _unknown_mode(doc):
+    doc["control"] = {"mode": "other"}
+    return "control.mode"
+
+
 @pytest.mark.parametrize(
     "edit",
     [_unknown_top_level, _unknown_param, _other_forcing_field, _other_mode_field,
-     _analyses_as_string],
+     _analyses_as_string, _unknown_mode],
 )
 def test_unread_key_is_rejected_by_name(tmp_path, edit):
     doc = _base_doc()
@@ -117,7 +122,7 @@ def test_simulate_rejects_an_id_that_escapes_out(tmp_path):
 )
 def test_non_finite_step_control_value_is_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        hk.StepControl(mode="fixed" if field == "h" else "adaptive", **{field: value})
+        (hk.FixedStep if field == "h" else hk.AdaptiveStep)(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -183,9 +188,9 @@ def _control(draw):
         blow_up_threshold=draw(st.floats(1.0, 1e15)), positivity_tol=draw(st.floats(0.0, 1e-3))
     )
     if draw(st.booleans()):
-        return hk.StepControl.fixed(h=draw(st.floats(1e-6, 1.0)), **thresholds)
+        return hk.FixedStep(h=draw(st.floats(1e-6, 1.0)), **thresholds)
     h_min, h_init, h_max = sorted(draw(st.floats(1e-14, 1.0)) for _ in range(3))
-    return hk.StepControl.adaptive(
+    return hk.AdaptiveStep(
         abs_tol=draw(st.floats(1e-14, 1e-2)), rel_tol=draw(st.floats(1e-14, 1e-2)),
         h_init=h_init, h_min=h_min, h_max=h_max, **thresholds,
     )

@@ -119,7 +119,7 @@ _monitored = st.one_of(
 def test_monitors_match_per_component_loops(persistent_params, x, y, z, positivity_tol):
     forcing = hk.ConstantForcing(20.0)
     bounds = analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0))
-    ctl = hk.StepControl.adaptive(positivity_tol=positivity_tol)
+    ctl = hk.AdaptiveStep(positivity_tol=positivity_tol)
     rec = _Recorder(ctl, bounds)
     rec.push(0.5, x, y, z)
     assert (rec.events, rec.done) == _reference_events(ctl, bounds, 0.5, x, y, z)

@@ -9,7 +9,7 @@ DFE2 = np.array([4.90675, 0.0, 0.0])
 
 def test_exact_fixed_point_stays_put(clearing_params, clearing_forcing):
     traj = hk.integrate(
-        clearing_params, clearing_forcing, DFE2, 0.0, 10.0, hk.StepControl.fixed(h=0.01)
+        clearing_params, clearing_forcing, DFE2, 0.0, 10.0, hk.FixedStep(h=0.01)
     )
     assert np.max(np.abs(traj.states - DFE2)) <= 1e-12
     assert traj.events == ()
@@ -26,7 +26,7 @@ def test_oversized_fixed_step_blows_up(clearing_params, clearing_forcing):
     # |h*lambda| ~ 8 is far outside the RK4 stability region, so the numerical
     # solution diverges even though the true one is bounded
     traj = hk.integrate(
-        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.StepControl.fixed(h=1.0)
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.FixedStep(h=1.0)
     )
     assert traj.terminated
     terminal = [e for e in traj.events if e.kind in ("blow_up", "nonfinite")]
@@ -37,7 +37,7 @@ def test_oversized_fixed_step_blows_up(clearing_params, clearing_forcing):
 
     # fine-step oracle on the same problem stays bounded
     oracle = hk.integrate(
-        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.StepControl.fixed(h=0.001)
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.FixedStep(h=0.001)
     )
     assert not oracle.terminated
     assert np.max(oracle.states) < 10.0
@@ -69,7 +69,7 @@ def test_adaptive_agrees_with_fine_fixed_reference():
             scenario.params, scenario.forcing, scenario.u0, t0, t_end, scenario.control
         )
         fixed = hk.integrate(
-            scenario.params, scenario.forcing, scenario.u0, t0, t_end, hk.StepControl.fixed(h=1e-4)
+            scenario.params, scenario.forcing, scenario.u0, t0, t_end, hk.FixedStep(h=1e-4)
         )
         band = 10.0 * (
             scenario.control.abs_tol + scenario.control.rel_tol * np.abs(fixed.final_state)
@@ -100,7 +100,7 @@ def test_analytic_ceilings_hold_on_all_benchmarks():
 
 
 def test_step_floor_terminates(clearing_params, clearing_forcing):
-    ctl = hk.StepControl.adaptive(
+    ctl = hk.AdaptiveStep(
         abs_tol=1e-14, rel_tol=1e-14, h_init=0.25, h_min=0.25, h_max=0.25
     )
     traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 5.0, ctl)
@@ -108,10 +108,25 @@ def test_step_floor_terminates(clearing_params, clearing_forcing):
     assert traj.events[-1].kind == "step_floor"
 
 
+def test_fixed_step_below_time_spacing_is_a_step_floor(clearing_params, clearing_forcing):
+    # at t = 1e6 the float spacing is 1.2e-10, so t + 1e-11 rounds back to t
+    ctl = hk.FixedStep(h=1e-11)
+    traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 1e6, 1e6 + 1e-6, ctl)
+    assert len(traj.times) == 1
+    assert traj.terminated
+    assert [(e.kind, e.time, e.component, e.value) for e in traj.events] == [
+        ("step_floor", 1e6, "h", 1e-11)
+    ]
+    # near t = 0 the same step advances
+    near_zero = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1e-9, ctl)
+    assert len(near_zero.times) == 101
+    assert not near_zero.terminated
+
+
 def test_dense_output_matches_fine_reference(clearing_params, clearing_forcing, tight_ctl):
     adaptive = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 5.0, tight_ctl)
     fixed = hk.integrate(
-        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 5.0, hk.StepControl.fixed(h=1e-4)
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 5.0, hk.FixedStep(h=1e-4)
     )
     rng = np.random.default_rng(3)
     for idx in rng.integers(0, len(fixed.times), 50):
@@ -144,11 +159,18 @@ def test_max_steps_truncates(clearing_params, clearing_forcing, tight_ctl):
     )
     assert traj.final_time < 15.0
     assert not traj.terminated  # truncation is not a numerical event
+    fixed = hk.integrate(
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.FixedStep(h=0.1),
+        max_steps=20,
+    )
+    assert len(fixed.times) == 21
+    assert fixed.final_time == 2.0
+    assert not fixed.terminated
 
 
 def test_terminal_event_kinds_are_final_only(clearing_params, clearing_forcing):
     traj = hk.integrate(
-        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.StepControl.fixed(h=1.0)
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.FixedStep(h=1.0)
     )
     for event in traj.events:
         if event.kind in TERMINAL_EVENT_KINDS:
@@ -164,10 +186,13 @@ def test_integrate_validates_inputs(clearing_params, clearing_forcing, tight_ctl
 
 def test_step_control_validation():
     with pytest.raises(ValueError):
-        hk.StepControl.fixed(h=-0.1)
+        hk.FixedStep(h=-0.1)
     with pytest.raises(ValueError):
-        hk.StepControl.adaptive(abs_tol=-1e-10)
+        hk.AdaptiveStep(abs_tol=-1e-10)
     with pytest.raises(ValueError):
-        hk.StepControl.adaptive(h_init=1e-3, h_min=1e-2)
-    with pytest.raises(ValueError):
-        hk.StepControl(mode="other")
+        hk.AdaptiveStep(h_init=1e-3, h_min=1e-2)
+    # each mode's class has no field for a setting the other mode reads
+    with pytest.raises(TypeError):
+        hk.FixedStep(h=0.1, abs_tol=1e-6)
+    with pytest.raises(TypeError):
+        hk.AdaptiveStep(h=0.5)

@@ -97,7 +97,7 @@ def test_table_forcing_does_not_call_np_interp(monkeypatch, persistent_params):
 
     monkeypatch.setattr(np, "interp", fail)
     table = hk.PiecewiseLinearForcing(times=(0.0, 0.3, 2.0, 5.0), values=(20.0, 23.5, 17.25, 19.6))
-    for control in (hk.StepControl.fixed(0.01), hk.StepControl.adaptive()):
+    for control in (hk.FixedStep(h=0.01), hk.AdaptiveStep()):
         traj = hk.integrate(persistent_params, table, (1.0, 1.0, 1.0), 0.0, 5.0, control)
         assert traj.final_time == 5.0 and not traj.terminated
 

@@ -21,8 +21,8 @@ FORCINGS = {
     "piecewise_linear": hk.PiecewiseLinearForcing((0.0, 1.5, 3.0), (9.0, 12.0, 8.5)),
 }
 CONTROLS = {
-    "adaptive": hk.StepControl.adaptive(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
-    "fixed": hk.StepControl.fixed(h=0.01),
+    "adaptive": hk.AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
+    "fixed": hk.FixedStep(h=0.01),
 }
 
 
@@ -51,7 +51,7 @@ def test_trajectory_has_no_stored_slope_field():
 
 def test_fixed_rk4_makes_four_rhs_calls_a_step(rhs_calls, clearing_params, clearing_forcing):
     traj = hk.integrate(
-        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, hk.StepControl.fixed(h=0.01)
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, hk.FixedStep(h=0.01)
     )
     n_steps = len(traj.times) - 1
     assert n_steps == 100

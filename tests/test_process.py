@@ -8,14 +8,19 @@ DFE2 = np.array([4.90675, 0.0, 0.0])
 
 def test_initial_property_is_exact(clearing_params, clearing_forcing, tight_ctl):
     u0 = (1.1, 0.7, 0.3)
-    q = hk.ProcessQuery(2.5, 2.5, u0, clearing_params, clearing_forcing)
-    out = hk.process_solve(q, tight_ctl)
+    out = hk.process_solve(clearing_params, clearing_forcing, u0, 2.5, 2.5, tight_ctl)
     assert np.array_equal(out, np.array(u0))
+    # an array u0 comes back as a new array, not as the caller's object
+    arr = np.array(u0)
+    echo = hk.process_solve(clearing_params, clearing_forcing, arr, 2.5, 2.5, tight_ctl)
+    assert echo is not arr and np.array_equal(echo, arr)
 
 
-def test_query_rejects_reversed_times(clearing_params, clearing_forcing):
+def test_query_rejects_reversed_times(clearing_params, clearing_forcing, tight_ctl):
     with pytest.raises(ValueError):
-        hk.ProcessQuery(0.0, 1.0, (1.0, 1.0, 1.0), clearing_params, clearing_forcing)
+        hk.process_solve(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 1.0, 0.0, tight_ctl)
+    with pytest.raises(ValueError):
+        hk.process_solve(clearing_params, clearing_forcing, (-1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
 
 
 def test_evolution_property_wave(clearing_params, wave_forcing, tight_ctl):
@@ -45,7 +50,7 @@ def test_evolution_band_over_random_scenarios():
         width = min(5.0, s.t_span[1] - t0)
         ts = tuple(np.sort(t0 + rng.uniform(0.0, width, 3)))
         gap = hk.semigroup_check(s.params, s.forcing, s.u0, ts, s.control)
-        end = hk.process_solve(hk.ProcessQuery(ts[2], ts[0], s.u0, s.params, s.forcing), s.control)
+        end = hk.process_solve(s.params, s.forcing, s.u0, ts[0], ts[2], s.control)
         band = 10.0 * (s.control.abs_tol + s.control.rel_tol * float(np.max(np.abs(end))))
         assert gap <= band
 
@@ -56,7 +61,7 @@ def test_degenerate_triple_gap_is_zero(clearing_params, wave_forcing, tight_ctl)
 
 
 def test_loose_tolerance_gap_stays_small(clearing_params, wave_forcing):
-    loose = hk.StepControl.adaptive(abs_tol=1e-4, rel_tol=1e-4, h_init=1e-2, h_max=0.5)
+    loose = hk.AdaptiveStep(abs_tol=1e-4, rel_tol=1e-4, h_init=1e-2, h_max=0.5)
     gap = hk.semigroup_check(clearing_params, wave_forcing, (1.0, 1.0, 1.0), (0.0, 1.0, 2.0), loose)
     assert gap <= 1e-3
 
@@ -66,10 +71,8 @@ def test_autonomous_shift_invariance(clearing_params, clearing_forcing, tight_ct
     # both endpoints cannot change the answer
     s = 3.7
     u0 = (1.0, 1.0, 1.0)
-    base = hk.process_solve(hk.ProcessQuery(2.0, 0.0, u0, clearing_params, clearing_forcing), tight_ctl)
-    shifted = hk.process_solve(
-        hk.ProcessQuery(2.0 + s, s, u0, clearing_params, clearing_forcing), tight_ctl
-    )
+    base = hk.process_solve(clearing_params, clearing_forcing, u0, 0.0, 2.0, tight_ctl)
+    shifted = hk.process_solve(clearing_params, clearing_forcing, u0, s, 2.0 + s, tight_ctl)
     assert np.max(np.abs(base - shifted)) <= 1e-8
 
 
@@ -126,6 +129,11 @@ def test_pullback_requires_increasing_horizons(clearing_params, wave_forcing, ti
         hk.pullback_estimate(
             clearing_params, wave_forcing, 0.0, (10.0, 5.0), [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-6, tight_ctl
         )
+    # phi(t_star, t_star, seed) is the seed itself: a zero horizon measures nothing
+    with pytest.raises(ValueError, match="positive"):
+        hk.pullback_estimate(
+            clearing_params, wave_forcing, 0.0, (0.0, 5.0), [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-6, tight_ctl
+        )
 
 
 def test_pullback_requires_two_seeds(clearing_params, wave_forcing, tight_ctl):
@@ -181,7 +189,7 @@ def test_absorbing_bound_never_violated_on_benchmarks():
 def test_absorbing_precondition(clearing_forcing):
     params = hk.Parameters(mu1=1.0, mu2=1.0, mu3=1.0, beta=1.0, eta=0.0, epsilon=0.0, p=2.0, q=1.0)
     traj = hk.integrate(
-        params, hk.ConstantForcing(1.0), (1.0, 1.0, 1.0), 0.0, 1.0, hk.StepControl.fixed(h=0.01)
+        params, hk.ConstantForcing(1.0), (1.0, 1.0, 1.0), 0.0, 1.0, hk.FixedStep(h=0.01)
     )
     with pytest.raises(ValueError):
         hk.absorbing_check(params, hk.ConstantForcing(1.0), traj)
@@ -191,8 +199,14 @@ def test_absorbing_precondition(clearing_forcing):
 
 
 def test_terminated_integration_raises(clearing_params, clearing_forcing):
-    ctl = hk.StepControl.fixed(h=1.0)
+    ctl = hk.FixedStep(h=1.0)
     with pytest.raises(hk.ProcessTerminatedError):
-        hk.process_solve(
-            hk.ProcessQuery(10.0, 0.0, (1.0, 1.0, 1.0), clearing_params, clearing_forcing), ctl
-        )
+        hk.process_solve(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 10.0, ctl)
+
+
+def test_fixed_step_that_cannot_advance_is_not_taken_for_phi(clearing_params, clearing_forcing):
+    # t + h rounds back to t at t0 = 1e6: the run stops on step_floor at t0,
+    # so phi(t0 + 1e-6, t0, u0) is not u0
+    ctl = hk.FixedStep(h=1e-11)
+    with pytest.raises(hk.ProcessTerminatedError, match="step_floor"):
+        hk.process_solve(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 1e6, 1e6 + 1e-6, ctl)

@@ -27,14 +27,14 @@ TABLE = hk.PiecewiseLinearForcing(
 # mode -> (step control, sha256 of the run files of a run on TABLE)
 TABLE_CONTROLS = {
     "fixed": (
-        hk.StepControl.fixed(0.01),
+        hk.FixedStep(h=0.01),
         {
             "trajectory.csv": "433cdd37ccf114ba61595175f6a7441dc898812c23a895d2283abea6d8da80f0",
             "report.json": "de26d24f03ce43db7d3785ed97ce05ccbbf086c6a4f668af4628b0bb08f91867",
         },
     ),
     "adaptive": (
-        hk.StepControl.adaptive(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
+        hk.AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
         {
             "trajectory.csv": "5b7ea8bd6bd5bddfeefe27eb7c0d151b15401d7c3a1b7f95feeecb6f59e556bc",
             "report.json": "bdcd343212589cdf7d3121949fb6583d061f8d396371c56dad0c34f3d0258cfe",

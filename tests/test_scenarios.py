@@ -167,7 +167,7 @@ def test_piecewise_forcing_scenario_round_trip_and_run(tmp_path, clearing_params
         forcing=forcing,
         u0=(1.0, 1.0, 1.0),
         t_span=(0.0, 5.0),
-        control=hk.StepControl.adaptive(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
+        control=hk.AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
         analyses=("conditions", "absorbing"),
     )
     path = tmp_path / "tabulated.json"

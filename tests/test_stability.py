@@ -277,7 +277,7 @@ def test_lyapunov_certificate_rate_is_a_lower_bound():
     k = cm.aux["k"]
     assert k > 0.0
     reference = np.array([0.01, 0.0, 0.0])
-    ctl = hk.StepControl.adaptive(abs_tol=1e-12, rel_tol=1e-10, h_init=1e-5, h_max=0.01)
+    ctl = hk.AdaptiveStep(abs_tol=1e-12, rel_tol=1e-10, h_init=1e-5, h_max=0.01)
     traj = hk.integrate(params, forcing, reference + 0.05, 0.0, 0.06, ctl)
     trace = hk.lyapunov_fit(traj, reference)
     assert trace.rate >= 0.0
@@ -333,7 +333,7 @@ def test_contraction_rejects_mismatched_scenarios(
 
 def test_contraction_resamples_different_grids(clearing_params, clearing_forcing, tight_ctl):
     t1 = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 5.0, tight_ctl)
-    coarse = hk.StepControl.adaptive(abs_tol=1e-8, rel_tol=1e-8, h_init=2e-3, h_max=0.4)
+    coarse = hk.AdaptiveStep(abs_tol=1e-8, rel_tol=1e-8, h_init=2e-3, h_max=0.4)
     t2 = hk.integrate(clearing_params, clearing_forcing, (2.0, 2.0, 2.0), 0.0, 5.0, coarse)
     fit = hk.contraction_fit(t1, t2)
     assert not fit.degenerate
