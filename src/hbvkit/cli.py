@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -141,6 +142,7 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``hbvkit`` command line; ``main`` reuses one."""
     parser = argparse.ArgumentParser(
         prog="hbvkit",
         description="Simulate and stress-test the within-host HBV model.",
@@ -184,8 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the tree costs milliseconds (one help formatter per argument);
+    # parsing keeps no state in it, since each parse fills a new Namespace
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; the process builds its parser on the first call."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except proc.ProcessTerminatedError as exc:

@@ -274,23 +274,49 @@ FORCING_KINDS = {
 CONTROL_MODES = {cls.mode: cls for cls in (FixedStep, AdaptiveStep)}
 
 
-def _array(value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected an array, got {type(value).__name__}")
-    return tuple(value)
+def _number(value) -> float:
+    # JSON true/false load as bool, an int subclass, but are not numbers
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is out of the float range") from None
 
 
-_COERCE = {"float": float, "str": str, "tuple": _array}
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+_SCALARS = {"float": _number, "str": _string}
+
+
+def _coercer(annotation: str):
+    """The check and conversion of a JSON value for a field of this type."""
+    kind, _, args = annotation.partition("[")
+    if kind != "tuple":
+        return _SCALARS[kind]
+    element = _SCALARS[args.split(",")[0].rstrip("]")]
+
+    def array(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected an array, got {type(value).__name__}")
+        return tuple(map(element, value))
+
+    return array
 
 
 def _build(cls, obj, where: str, tag: str | None = None, default=None, **convert):
     """The dataclass ``cls`` built from the JSON object ``obj``.
 
     ``obj`` must hold each field of ``cls`` that has no default, and no key
-    that is not a field. A float, str or tuple field is coerced by float(),
-    str() or to a tuple from an array; a field named in ``convert`` goes
-    through that function instead. With ``tag``, ``cls`` is a table of
-    classes and ``obj[tag]`` (``default`` when absent) picks the entry.
+    that is not a field. A float field takes only a number (not a bool), a
+    str field only a string, and a tuple field an array of those; a field
+    named in ``convert`` goes through that function instead. With ``tag``,
+    ``cls`` is a table of classes and ``obj[tag]`` (``default`` when absent)
+    picks the entry.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config'} must be an object, got {type(obj).__name__}")
@@ -312,7 +338,7 @@ def _build(cls, obj, where: str, tag: str | None = None, default=None, **convert
     for name, value in obj.items():
         if name == tag:
             continue
-        coerce = convert.get(name) or _COERCE[known[name].type.split("[")[0]]
+        coerce = convert.get(name) or _coercer(known[name].type)
         try:
             kwargs[name] = coerce(value)
         except ConfigError:
@@ -503,7 +529,7 @@ def load_box(path) -> dict[str, tuple[float, float]]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"box entry {name!r} must be a [lo, hi] array, got {pair!r}")
         try:
-            box[name] = (float(pair[0]), float(pair[1]))
+            box[name] = (_number(pair[0]), _number(pair[1]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"box entry {name!r} must hold two numbers: {exc}") from exc
     return box

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import hbvkit as hk
-from hbvkit.cli import main
+from hbvkit import cli
+from hbvkit.cli import build_parser, main
 from hbvkit.scenarios import scenario_to_dict
 
 
@@ -167,3 +168,55 @@ def test_tol_override_applies(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "table2-dfe" / "report.json").read_text())
     assert report["scenario"]["control"]["abs_tol"] == 1e-6
+
+
+# {{{ one parser per process
+
+
+def test_reused_parser_keeps_no_flag_between_calls(capsys):
+    assert main(["conditions", "--config", "table2-dfe", "--set", "dfe"]) == 0
+    first = [m["condition_set"] for m in json.loads(capsys.readouterr().out)]
+    assert main(["conditions", "--config", "table2-dfe"]) == 0
+    second = [m["condition_set"] for m in json.loads(capsys.readouterr().out)]
+    assert (first, second) == (["dfe"], ["dfe", "endemic"])
+
+
+def test_reused_parser_restores_default_tolerance(tmp_path):
+    assert main(["simulate", "--config", "table2-dfe", "--out", str(tmp_path / "a"), "--tol", "1e-8"]) == 0
+    assert main(["simulate", "--config", "table2-dfe", "--out", str(tmp_path / "b")]) == 0
+    tols = [
+        json.loads((tmp_path / d / "table2-dfe" / "report.json").read_text())["scenario"]["control"]["abs_tol"]
+        for d in ("a", "b")
+    ]
+    assert tols == [1e-8, hk.SCENARIOS["table2-dfe"].control.abs_tol]
+
+
+@pytest.mark.parametrize("bad", [["simulate"], ["r0", "--config", "table2-dfe", "--tol", "abc"], ["nope"]])
+def test_usage_error_then_valid_call(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["r0", "--config", "table2-dfe"]) == 0
+    assert json.loads(capsys.readouterr().out)["ngm"] == pytest.approx(7.0096e-5, abs=1e-8)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert main(["r0", "--config", "table2-dfe"]) == 0
+        assert main(["r0", "--config", "set1-nonauto"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+# }}}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hbvkit as hk
 from hbvkit.cli import main
-from hbvkit.scenarios import ANALYSES, dumps, scenario_from_dict, scenario_to_dict
+from hbvkit.scenarios import ANALYSES, dumps, load_box, scenario_from_dict, scenario_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -139,6 +139,71 @@ def test_non_finite_knot_time_is_a_config_error(times):
     assert "finite" in str(err.value)
 
 
+def _table(times, values):
+    return {"kind": "piecewise_linear", "times": times, "values": values}
+
+
+# (section or None for the top level, key, JSON value of the wrong type)
+_WRONG_TYPES = [
+    ("control", "h", True),
+    ("control", "h", "0.5"),
+    ("control", "abs_tol", None),
+    ("control", "h_max", True),
+    ("params", "mu1", "2.0"),
+    ("params", "mu1", False),
+    ("params", "beta", [0.2]),
+    ("forcing", "value", "9.8"),
+    (None, "id", 5),
+    (None, "u0", [1.0, True, 1.0]),
+    (None, "u0", [1.0, "1.0", 1.0]),
+    (None, "t_span", [0.0, "15"]),
+    (None, "analyses", ["equilibria", 5]),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _WRONG_TYPES)
+def test_value_of_the_wrong_json_type_is_rejected_by_name(tmp_path, section, key, value):
+    doc = _base_doc()
+    if key == "h":
+        doc["control"] = {"mode": "fixed", "h": 0.01}
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(_write(tmp_path, doc))
+    assert str(err.value).startswith(f"{section + '.' if section else ''}{key}: ")
+
+
+@pytest.mark.parametrize(
+    "times, values, key",
+    [
+        ([0, "5", 20], [9.0, 9.5, 10.0], "forcing.times"),
+        ([0, 5, 20], [9.0, True, 10.0], "forcing.values"),
+        ([0, 5, 20], [9.0, None, 10.0], "forcing.values"),
+    ],
+)
+def test_knot_of_the_wrong_json_type_is_rejected_by_name(times, values, key):
+    doc = _base_doc() | {"forcing": _table(times, values)}
+    with pytest.raises(hk.ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value).startswith(f"{key}: ")
+
+
+def test_integer_too_large_for_a_float_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    doc = _base_doc() | {"control": {"mode": "fixed", "h": 0.01}}
+    path.write_text(json.dumps(doc).replace('"h": 0.01', '"h": 1' + "0" * 400))
+    with pytest.raises(hk.ConfigError) as err:
+        hk.load_config(path)
+    assert str(err.value).startswith("control.h: ")
+
+
+@pytest.mark.parametrize("pair", [[True, 2.0], ["0.1", 2.0], [0.1, None]])
+def test_box_pair_of_the_wrong_json_type_is_rejected_by_name(tmp_path, pair):
+    path = _write(tmp_path, {"mu1": pair}, name="box.json")
+    with pytest.raises(hk.ConfigError) as err:
+        load_box(path)
+    assert "'mu1'" in str(err.value)
+
+
 def test_nan_positivity_tol_in_config_is_a_config_error(tmp_path):
     doc = _base_doc()
     doc["control"]["positivity_tol"] = math.nan  # json.dumps writes NaN, json.loads reads it
@@ -228,6 +293,13 @@ def test_integer_json_number_loads_as_float(tmp_path):
     scenario = hk.load_config(_write(tmp_path, doc))
     assert type(scenario.forcing.value) is float
     assert '"value": 10.0' in dumps(scenario_to_dict(scenario))
+
+
+def test_integer_json_array_elements_load_as_floats(tmp_path):
+    doc = _base_doc() | {"u0": [1, 1, 1], "t_span": [0, 15], "forcing": _table([0, 20], [9, 10])}
+    scenario = hk.load_config(_write(tmp_path, doc))
+    numbers = (*scenario.u0, *scenario.t_span, *scenario.forcing.times, *scenario.forcing.values)
+    assert all(type(v) is float for v in numbers)
 
 
 def test_readme_config_schema_block_loads():

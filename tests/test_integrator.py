@@ -142,6 +142,13 @@ def test_sample_outside_range_raises(clearing_params, clearing_forcing, tight_ct
         traj.sample(1.5)
 
 
+def test_sample_nan_raises(clearing_params, clearing_forcing, tight_ctl):
+    # every comparison with NaN is false, so a two-sided "outside" test passes it
+    traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
+    with pytest.raises(ValueError, match="outside trajectory range"):
+        traj.sample(float("nan"))
+
+
 def test_csv_round_trips_full_precision(tmp_path, clearing_params, clearing_forcing, tight_ctl):
     traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
     path = tmp_path / "traj.csv"
