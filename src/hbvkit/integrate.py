@@ -14,6 +14,16 @@ step the new point is checked against a set of monitors:
 * ``step_floor``: the adaptive controller could not keep the error within
   tolerance above ``h_min``, or a fixed step ``h`` is too small to advance
   the time at all (``t + h`` rounds back to ``t``); terminates.
+* ``step_budget``: ``max_steps`` steps were attempted before ``t_end``;
+  terminates.
+
+Most points fire no monitor. The stepping loops test each new point
+inline against ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z``
+below their ceilings (``_Recorder.quiet``), where hi is
+``blow_up_threshold`` and lo the larger of ``-positivity_tol`` and
+``-blow_up_threshold``. A point that passes is appended to the recorder's
+lists with no call; any other goes through ``_Recorder.push``, which
+records its events.
 
 A trajectory records only the accepted times and states. Dense output
 between them uses cubic Hermite interpolation, whose node slopes are the
@@ -24,7 +34,9 @@ The Dormand-Prince step is written out as scalar float expressions. Each
 stage and error sum adds its tableau row left to right, zero coefficients
 included, and the error norm adds x, y, z in that order. Run files are
 compared byte for byte, so they depend on this order: regrouping a sum
-changes the last bits of the trajectory.
+changes the last bits of the trajectory. The stages call the rhs closure
+from ``make_rhs`` rather than inlining the vector field, so a wrapper
+around ``make_rhs`` sees every evaluation of it.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ __all__ = [
 BOUND_XY_SLACK = 1e-6
 BOUND_Z_SLACK = 1e-3
 
-TERMINAL_EVENT_KINDS = frozenset({"blow_up", "nonfinite", "step_floor"})
+TERMINAL_EVENT_KINDS = frozenset({"blow_up", "nonfinite", "step_floor", "step_budget"})
 
 # Trajectory.to_csv formats and writes this many rows at a time.
 _CSV_BLOCK = 256
@@ -189,7 +201,7 @@ class Trajectory:
 
     @property
     def terminated(self) -> bool:
-        """True when integration ended on a blow_up/nonfinite/step_floor event."""
+        """True when integration ended on a terminating event (``TERMINAL_EVENT_KINDS``)."""
         return any(e.kind in TERMINAL_EVENT_KINDS for e in self.events)
 
     @cached_property
@@ -239,7 +251,11 @@ class Trajectory:
 
 
 class _Recorder:
-    """Accumulates accepted points and applies the monitors."""
+    """Accumulates accepted points and applies the monitors.
+
+    ``quiet_box`` is ``(lo, hi, xy_ceiling, z_ceiling)``, the bounds of
+    ``quiet``; NaN and +-inf fail them.
+    """
 
     def __init__(self, ctl: StepControl, bounds: BoundsReport):
         self.bounds = bounds
@@ -252,6 +268,14 @@ class _Recorder:
         self._negative = -ctl.positivity_tol
         self._xy_ceiling = bounds.M * (1.0 + BOUND_XY_SLACK)
         self._z_ceiling = bounds.z_ceiling * (1.0 + BOUND_Z_SLACK)
+        # below -blow_up_threshold is a blow_up even where positivity_tol is larger
+        lo = max(self._negative, -self._blow_up)
+        self.quiet_box = (lo, self._blow_up, self._xy_ceiling, self._z_ceiling)
+
+    def quiet(self, x: float, y: float, z: float) -> bool:
+        """True when ``push`` of (x, y, z) would fire no monitor; the loops inline this."""
+        lo, hi, xy_ceiling, z_ceiling = self.quiet_box
+        return lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling
 
     def _event(self, kind: str, t: float, component: str, value: float) -> None:
         key = (kind, component)
@@ -315,16 +339,19 @@ def _rk4_step(rhs, t, x, y, z, h):
     )
 
 
-def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
+def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget):
     h = ctl.h
     n_whole = int(math.floor((t_end - t0) / h + 1e-12))
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     rec.push(t0, x, y, z)
+    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
+    append_t, append_u = rec.times.append, rec.states.append
     i = 0
     t = t0
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while not rec.done and t < t_stop:
-        if max_steps is not None and i >= max_steps:
+        if i >= budget:
+            rec.stop("step_budget", t, "steps", float(i))
             break
         if i < n_whole:
             t_next = t0 + (i + 1) * h
@@ -337,9 +364,14 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps):
             x, y, z = _rk4_step(rhs, t, x, y, z, t_next - t)
         except OverflowError:
             x = y = z = math.inf
-        rec.push(t_next, x, y, z)
         t = t_next
         i += 1
+        # _Recorder.quiet, inlined
+        if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
+            append_t(t)
+            append_u((x, y, z))
+        else:
+            rec.push(t, x, y, z)
 
 
 def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):
@@ -403,12 +435,13 @@ def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):
     return x7, y7, z7, k7, err_norm
 
 
-def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
+def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
     # PI controller constants (order-5 error estimator).
     safety = 0.9
     beta_stab = 0.04
     expo = 0.2 - 0.75 * beta_stab
     min_factor, max_factor = 0.2, 10.0
+    inf = math.inf
 
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     h_min, h_max = ctl.h_min, ctl.h_max
@@ -417,14 +450,20 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     k1 = rhs(t, x, y, z)
     rec.push(t, x, y, z)
+    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
+    append_t, append_u = rec.times.append, rec.states.append
     h = min(ctl.h_init, t_end - t0)
     err_prev = 1e-4
     steps = 0
 
+    # The clamps below are min/max written out: "b if b < a else a" is
+    # min(a, b) and "b if b > a else a" is max(a, b), float for float.
     while not rec.done and t < t_stop:
-        if max_steps is not None and steps >= max_steps:
+        if steps >= budget:
+            rec.stop("step_budget", t, "steps", float(steps))
             break
-        h = min(h, t_end - t)
+        span = t_end - t
+        h = span if span < h else h
         if h < h_min:
             rec.stop("step_floor", t, "h", h)
             break
@@ -432,28 +471,33 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps):
         try:
             x_new, y_new, z_new, k7, err_norm = _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol)
         except OverflowError:
-            err_norm = math.inf
-
-        if not math.isfinite(err_norm):
-            h *= 0.5
-            steps += 1
-            continue
+            err_norm = inf
+        steps += 1
 
         if err_norm <= 1.0:
             t = t + h
             x, y, z = x_new, y_new, z_new
             k1 = k7
-            rec.push(t, x, y, z)
+            # _Recorder.quiet, inlined
+            if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
+                append_t(t)
+                append_u((x, y, z))
+            else:
+                rec.push(t, x, y, z)
             if err_norm == 0.0:
                 factor = max_factor
             else:
                 factor = safety * err_norm**-expo * err_prev**beta_stab
-                factor = min(max_factor, max(min_factor, factor))
-            err_prev = max(err_norm, 1e-4)
-            h = min(h * factor, h_max)
-        else:
-            h *= max(min_factor, safety * err_norm**-0.2)
-        steps += 1
+                factor = factor if factor > min_factor else min_factor
+                factor = factor if factor < max_factor else max_factor
+            err_prev = 1e-4 if 1e-4 > err_norm else err_norm
+            h = h * factor
+            h = h_max if h_max < h else h
+        elif err_norm < inf:
+            shrink = safety * err_norm**-0.2
+            h *= shrink if shrink > min_factor else min_factor
+        else:  # NaN or inf: no usable error estimate, halve the step
+            h *= 0.5
 
 
 def integrate(
@@ -470,7 +514,8 @@ def integrate(
     Terminating monitor events produce a partial trajectory rather than an
     exception; inspect ``Trajectory.events``. ``max_steps`` caps the number
     of attempted steps (used by the parameter sweep to bound work on stiff
-    corner cases); hitting the cap simply truncates the trajectory.
+    corner cases); a run that hits the cap before t_end ends on a
+    ``step_budget`` event, so ``Trajectory.terminated`` reports it.
     """
     u0 = as_state(u0, require_nonnegative=True)
     if not t_end > t0:
@@ -478,10 +523,11 @@ def integrate(
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)
     rec = _Recorder(ctl, bounds)
+    budget = math.inf if max_steps is None else max_steps
     if ctl.mode == "fixed":
-        _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, max_steps)
+        _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget)
     else:
-        _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, max_steps)
+        _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget)
     return Trajectory(
         times=np.array(rec.times),
         states=np.array(rec.states),

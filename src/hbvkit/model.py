@@ -250,11 +250,15 @@ def make_rhs(params: Parameters, forcing: Forcing):
             )
 
     else:
+        # SinusoidForcing.__call__ inlined, in its order of operations
+        offset, amplitude = forcing.offset, forcing.amplitude
+        omega, phase = forcing.omega, forcing.phase
+        cos = math.cos
 
         def rhs(t, x, y, z):
             infect = beta_eff * x * z
             return (
-                forcing(t) - mu1 * x - infect + q * y,
+                offset + amplitude * cos(omega * t + phase) - mu1 * x - infect + q * y,
                 infect - loss_y * y,
                 prod_eff * y - mu3 * z,
             )

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hbvkit as hk
-from hbvkit.integrate import TERMINAL_EVENT_KINDS
+from hbvkit.integrate import TERMINAL_EVENT_KINDS, MonitorEvent
+from hbvkit.process import ProcessTerminatedError, require_complete
 
 DFE2 = np.array([4.90675, 0.0, 0.0])
 
@@ -165,14 +166,28 @@ def test_max_steps_truncates(clearing_params, clearing_forcing, tight_ctl):
         clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, tight_ctl, max_steps=20
     )
     assert traj.final_time < 15.0
-    assert not traj.terminated  # truncation is not a numerical event
+    # a run cut short by the budget says so and is not taken as complete
+    assert traj.events[-1] == MonitorEvent("step_budget", traj.final_time, "steps", 20.0)
+    assert traj.terminated
     fixed = hk.integrate(
         clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, hk.FixedStep(h=0.1),
         max_steps=20,
     )
     assert len(fixed.times) == 21
     assert fixed.final_time == 2.0
-    assert not fixed.terminated
+    assert fixed.events[-1] == MonitorEvent("step_budget", 2.0, "steps", 20.0)
+    assert fixed.terminated
+    with pytest.raises(ProcessTerminatedError, match=r"t=2\.0 \(step_budget\)"):
+        require_complete(fixed, "run")
+
+
+def test_max_steps_reached_exactly_at_t_end_is_complete(clearing_params, clearing_forcing):
+    traj = hk.integrate(
+        clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 2.0, hk.FixedStep(h=0.1),
+        max_steps=20,
+    )
+    assert traj.final_time == 2.0
+    assert not traj.events and not traj.terminated
 
 
 def test_terminal_event_kinds_are_final_only(clearing_params, clearing_forcing):
