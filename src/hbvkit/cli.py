@@ -134,6 +134,9 @@ def _cmd_sweep(args) -> int:
     out_path = Path(args.out) / "sweep.csv"
     result = sweep(args.n, args.seed, out_path=out_path, box=box)
     _emit(result.counts)
+    note = result.coverage_note()
+    if note:
+        print(f"note: {note}", file=sys.stderr)
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 

@@ -30,17 +30,21 @@ between them uses cubic Hermite interpolation, whose node slopes are the
 vector field at the accepted points: they are computed once, on the first
 ``sample``, and are the same floats the step already evaluated there.
 
-The Dormand-Prince step is written out as scalar float expressions. Each
-stage and error sum adds its tableau row left to right, zero coefficients
-included, and the error norm adds x, y, z in that order. Run files are
-compared byte for byte, so they depend on this order: regrouping a sum
-changes the last bits of the trajectory. The stages call the rhs closure
-from ``make_rhs`` rather than inlining the vector field, so a wrapper
-around ``make_rhs`` sees every evaluation of it.
+The Dormand-Prince step is generated at import from ``_DP_A``/``_DP_C``/
+``_DP_E``, the one written copy of its tableau. Each stage and error sum
+adds its tableau row left to right, zero coefficients included, and the
+error norm adds x, y, z in that order; run files are compared byte for
+byte, so they depend on this order. The text is compiled as
+``<hbvkit.integrate._dp5_step>`` and kept in ``linecache`` for tracebacks
+and ``inspect.getsource``. The stages call the ``make_rhs`` closure, so a
+wrapper around ``make_rhs`` sees every evaluation. RK4 stays hand-written:
+``x + h/6 * (k1 + 2*(k2 + k3) + k4)`` is not a tableau-row sum, and written
+as one it would move the fixed-step bytes.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -93,17 +97,6 @@ _DP_E = (
     22 / 525,
     -1 / 40,
 )
-# The same coefficients as scalars for the straight-line step.
-_C2, _C3, _C4, _C5, _C6, _C7 = _DP_C[1:]
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _DP_A[1:]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -374,65 +367,40 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget):
             rec.push(t, x, y, z)
 
 
-def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):
-    """One Dormand-Prince 5(4) step from (t, x, y, z) with k1 = rhs there.
+def _dp5_source() -> str:
+    """The text of ``_dp5_step``: one line ``u{i} = u + h * (a1 * k1u + ...)``
+    per stage and component, each coefficient written as its float's repr."""
 
-    Returns the stage-7 point (the 5th-order solution), k7 = rhs at it, and
-    the RMS norm of the local error estimate scaled by atol + rtol * |u|.
-    Every sum runs over its tableau row left to right, zero terms included,
-    so each float equals what a loop over ``_DP_A``/``_DP_E`` would give.
-    """
-    k1x, k1y, k1z = k1
-    k2x, k2y, k2z = rhs(
-        t + _C2 * h,
-        x + h * (_A21 * k1x),
-        y + h * (_A21 * k1y),
-        z + h * (_A21 * k1z),
-    )
-    k3x, k3y, k3z = rhs(
-        t + _C3 * h,
-        x + h * (_A31 * k1x + _A32 * k2x),
-        y + h * (_A31 * k1y + _A32 * k2y),
-        z + h * (_A31 * k1z + _A32 * k2z),
-    )
-    k4x, k4y, k4z = rhs(
-        t + _C4 * h,
-        x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-        y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
-        z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
-    )
-    k5x, k5y, k5z = rhs(
-        t + _C5 * h,
-        x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-        y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-        z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
-    )
-    k6x, k6y, k6z = rhs(
-        t + _C6 * h,
-        x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-        y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
-        z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
-    )
-    x7 = x + h * (_A71 * k1x + _A72 * k2x + _A73 * k3x + _A74 * k4x + _A75 * k5x + _A76 * k6x)
-    y7 = y + h * (_A71 * k1y + _A72 * k2y + _A73 * k3y + _A74 * k4y + _A75 * k5y + _A76 * k6y)
-    z7 = z + h * (_A71 * k1z + _A72 * k2z + _A73 * k3z + _A74 * k4z + _A75 * k5z + _A76 * k6z)
-    k7 = rhs(t + _C7 * h, x7, y7, z7)
-    k7x, k7y, k7z = k7
-    # b if b > a else a is max(a, b) without the call
-    ax, ay, az = abs(x), abs(y), abs(z)
-    bx, by, bz = abs(x7), abs(y7), abs(z7)
-    rx = h * (
-        _E1 * k1x + _E2 * k2x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x
-    ) / (atol + rtol * (bx if bx > ax else ax))
-    ry = h * (
-        _E1 * k1y + _E2 * k2y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y
-    ) / (atol + rtol * (by if by > ay else ay))
-    rz = h * (
-        _E1 * k1z + _E2 * k2z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z
-    ) / (atol + rtol * (bz if bz > az else az))
-    # each r * r is +0.0 or more, so the sum equals 0.0 + rx * rx + ...
-    err_norm = math.sqrt((rx * rx + ry * ry + rz * rz) / 3.0)
-    return x7, y7, z7, k7, err_norm
+    def row_sum(coeffs, u):
+        return " + ".join(f"{a!r} * k{j}{u}" for j, a in enumerate(coeffs, 1))
+
+    lines = [
+        "def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):",
+        '    """One DP5(4) step from t, k1 = rhs there: x7, y7, z7, k7 and the scaled RMS error."""',
+        "    k1x, k1y, k1z = k1",
+    ]
+    for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
+        lines += [f"    {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
+        lines += [f"    k{i} = rhs(t + {c!r} * h, x{i}, y{i}, z{i})", f"    k{i}x, k{i}y, k{i}z = k{i}"]
+    for u in "xyz":  # b if b > a else a is max(a, b) without the call
+        lines += [
+            f"    a{u}, b{u} = abs({u}), abs({u}7)",
+            f"    r{u} = h * ({row_sum(_DP_E, u)}) / (atol + rtol * (b{u} if b{u} > a{u} else a{u}))",
+        ]
+    lines.append("    return x7, y7, z7, k7, sqrt((rx * rx + ry * ry + rz * rz) / 3.0)")
+    return "\n".join(lines) + "\n"
+
+
+def _compile_dp5_step():
+    # linecache keeps an entry whose mtime is None: there is no file to check
+    source, filename = _dp5_source(), "<hbvkit.integrate._dp5_step>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_dp5_step"]
+
+
+_dp5_step = _compile_dp5_step()
 
 
 def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):

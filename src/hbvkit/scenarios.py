@@ -541,6 +541,18 @@ class SweepResult:
     rows: list
     csv_path: Path | None
 
+    def coverage_note(self) -> str | None:
+        """One line on the draws whose run stopped short of the sweep span, or None."""
+        short = [row for row in self.rows if row["t_reached"] < _SWEEP_SPAN]
+        if not short:
+            return None
+        first = min(short, key=lambda row: row["t_reached"])
+        return (
+            f"{len(short)} of {len(self.rows)} draws stopped short of t = {_SWEEP_SPAN:g} "
+            f"on the step budget or a terminal event (smallest t_reached {first['t_reached']:.3g}, "
+            f"draw {first['index']}); their positivity_ok and bounds_ok cover only the part they ran"
+        )
+
 
 def _draw_params(rng, box):
     """Draws the rates in box order, then the fractions; returns (lam, params)."""
@@ -549,8 +561,8 @@ def _draw_params(rng, box):
         if name in Parameters.FRACTIONS:
             continue
         lo, hi = box[name]
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"sweep box for {name} must satisfy 0 < lo <= hi, got {box[name]}")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"sweep box for {name!r} must satisfy 0 < lo <= hi < inf, got {box[name]}")
         drawn = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         # a collapsed interval pins the value exactly (exp/log round-trip
         # would otherwise perturb the last bit); the rng draw is still
@@ -559,7 +571,7 @@ def _draw_params(rng, box):
     for name in Parameters.FRACTIONS:
         lo, hi = box[name]
         if not 0.0 <= lo <= hi < 1.0:
-            raise ValueError(f"sweep box for {name} must sit inside [0, 1), got {box[name]}")
+            raise ValueError(f"sweep box for {name!r} must sit inside [0, 1), got {box[name]}")
         drawn = rng.uniform(lo, hi)
         values[name] = lo if lo == hi else drawn
     lam = values.pop("lam")

@@ -447,7 +447,6 @@ def stability_report(
     forcing: Forcing,
     state,
     margin_sets: tuple[str, ...] = (),
-    b1: float = 0.0,
 ) -> StabilityReport:
     """Assemble the full local-stability picture at a state."""
     eigs = eigenvalues_3x3(jacobian(params, state))
@@ -459,8 +458,7 @@ def stability_report(
     else:
         classification = "unstable"
     margins = tuple(
-        condition_margins(set_id, params, forcing, equilibrium=state, b1=b1)
-        for set_id in margin_sets
+        condition_margins(set_id, params, forcing, equilibrium=state) for set_id in margin_sets
     )
     return StabilityReport(
         eigenvalues=eigs,

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -122,6 +123,22 @@ def test_sweep_command(tmp_path, capsys):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_command_notes_draws_cut_short(tmp_path, capsys):
+    # draw 11 of seed 42 runs out of the step budget at t = 1.870; its
+    # positivity and bounds flags still read ok, so the CLI says so
+    assert main(["sweep", "--n", "12", "--seed", "42", "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    notes = [line for line in err.splitlines() if "stopped short" in line]
+    assert len(notes) == 1
+    assert "1 of 12 draws" in notes[0]
+    assert "smallest t_reached 1.87, draw 11" in notes[0]
+    assert "cover only the part they ran" in notes[0]
+    counts = json.loads(out)
+    assert counts["positivity_violations"] == counts["bound_violations"] == 0
+    assert main(["sweep", "--n", "11", "--seed", "42", "--out", str(tmp_path)]) == 0
+    assert "stopped short" not in capsys.readouterr().err
+
+
 def test_sweep_command_with_box_file(tmp_path, capsys):
     box_path = tmp_path / "box.json"
     box_path.write_text(json.dumps({"lam": [5.0, 5.0], "q": [1.0, 2.0]}))
@@ -142,7 +159,9 @@ def test_sweep_command_rejects_bad_box(tmp_path):
     assert main(["sweep", "--n", "3", "--out", str(tmp_path), "--box", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("entry", ["12", {"0.5": 1, "3": 2}, [1.0], [1.0, 2.0, 3.0], 5.0])
+@pytest.mark.parametrize(
+    "entry", ["12", {"0.5": 1, "3": 2}, [1.0], [1.0, 2.0, 3.0], 5.0, [1.0, math.inf]]
+)
 def test_sweep_box_entry_must_be_a_two_element_array(tmp_path, capsys, entry):
     # a two-character string or a two-key object would unpack into (lo, hi)
     box_path = tmp_path / "box.json"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,3 +189,5 @@ def test_sweep_validates_arguments():
         hk.sweep(1, 42, box={"nope": (1, 2)})
     with pytest.raises(ValueError):
         hk.sweep(1, 42, box={"lam": (0.0, 1.0)})
+    with pytest.raises(ValueError, match="'mu1'"):
+        hk.sweep(2, 1, box={"mu1": (1.0, math.inf)})
