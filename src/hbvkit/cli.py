@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage or config problems, 3 when integration was
 cut short by a numerical event (blow-up, non-finite state or step-size
-floor); partial outputs are still written in that case.
+floor). On exit 3 ``scenario`` and ``simulate`` still write the partial
+trajectory and report; an analysis subcommand prints nothing.
 
 Analysis results go to stdout as JSON; progress and file locations go to
 stderr.

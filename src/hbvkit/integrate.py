@@ -17,6 +17,10 @@ step the new point is checked against a set of monitors:
 * ``step_budget``: ``max_steps`` steps were attempted before ``t_end``;
   terminates.
 
+In both modes the last step goes from t to ``t_end`` and is recorded at
+``t_end``. Its size is ``t_end - t``, less an ulp where t plus it would
+round past ``t_end`` (``_last_step``), so no stage time lies past ``t_end``.
+
 Most points fire no monitor. The stepping loops test each new point
 inline against ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z``
 below their ceilings (``_Recorder.quiet``), where hi is
@@ -332,29 +336,44 @@ def _rk4_step(rhs, t, x, y, z, h):
     )
 
 
+def _last_step(t: float, t_end: float) -> float:
+    """The step from t onto t_end: t_end - t, less the ulps by which t plus it
+    would round past t_end, so that no stage time lies past t_end."""
+    h = t_end - t
+    while t + h > t_end:
+        h = math.nextafter(h, 0.0)
+    return h
+
+
 def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget):
     h = ctl.h
-    n_whole = int(math.floor((t_end - t0) / h + 1e-12))
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    # Whole steps end at t0 + i*h for i = 1..n_whole, all before t_stop; the
+    # step after them lands on t_end (t0 + n*h itself can round past t_end).
+    n_whole = int(math.floor((t_end - t0) / h))
+    if t0 + n_whole * h >= t_stop:
+        n_whole -= 1
     x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     rec.push(t0, x, y, z)
     lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
     append_t, append_u = rec.times.append, rec.states.append
     i = 0
     t = t0
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while not rec.done and t < t_stop:
         if i >= budget:
             rec.stop("step_budget", t, "steps", float(i))
             break
         if i < n_whole:
             t_next = t0 + (i + 1) * h
+            step = t_next - t
         else:
             t_next = t_end
+            step = _last_step(t, t_end)
         if t_next <= t:  # h is below the float spacing at t
             rec.stop("step_floor", t, "h", h)
             break
         try:
-            x, y, z = _rk4_step(rhs, t, x, y, z, t_next - t)
+            x, y, z = _rk4_step(rhs, t, x, y, z, step)
         except OverflowError:
             x = y = z = math.inf
         t = t_next
@@ -420,7 +439,7 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
     rec.push(t, x, y, z)
     lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
     append_t, append_u = rec.times.append, rec.states.append
-    h = min(ctl.h_init, t_end - t0)
+    h = ctl.h_init
     err_prev = 1e-4
     steps = 0
 
@@ -430,8 +449,9 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
         if steps >= budget:
             rec.stop("step_budget", t, "steps", float(steps))
             break
-        span = t_end - t
-        h = span if span < h else h
+        last = t + h >= t_stop  # this step reaches t_end
+        if last:
+            h = _last_step(t, t_end)
         if h < h_min:
             rec.stop("step_floor", t, "h", h)
             break
@@ -443,7 +463,7 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
         steps += 1
 
         if err_norm <= 1.0:
-            t = t + h
+            t = t_end if last else t + h
             x, y, z = x_new, y_new, z_new
             k1 = k7
             # _Recorder.quiet, inlined

@@ -181,6 +181,16 @@ class PiecewiseLinearForcing:
         return _interp(t, self.times, self.values)
 
 
+def _knot_index(t: float, times: tuple[float, ...]) -> int:
+    """The j with times[j] <= t < times[j + 1], or the last index at the last knot.
+
+    A t outside the knot range, NaN included, raises OutOfDomainError.
+    """
+    if not (times[0] <= t <= times[-1]):
+        raise OutOfDomainError(f"t={t!r} outside the tabulated range [{times[0]}, {times[-1]}]")
+    return bisect_right(times, t) - 1
+
+
 def _interp(t: float, times: tuple[float, ...], values: tuple[float, ...]) -> float:
     """Linear interpolation at t through the knots (times, values).
 
@@ -188,9 +198,7 @@ def _interp(t: float, times: tuple[float, ...], values: tuple[float, ...]) -> fl
     of operations are np.interp's, so the result has the same bits. A t
     outside the knot range, NaN included, raises OutOfDomainError.
     """
-    if not (times[0] <= t <= times[-1]):
-        raise OutOfDomainError(f"t={t!r} outside the tabulated range [{times[0]}, {times[-1]}]")
-    j = bisect_right(times, t) - 1
+    j = _knot_index(t, times)
     x0, y0 = times[j], values[j]
     if t == x0:
         return y0
@@ -224,6 +232,13 @@ def make_rhs(params: Parameters, forcing: Forcing):
 
     The closure operates on plain floats, which keeps the inner loop of the
     integrators cheap; `vector_field` is the array-facing wrapper.
+
+    For a piecewise-linear table the closure keeps the knot segment of its
+    last search, with that segment's slope, so a call inside it makes no
+    search and no division; any other time, NaN included, goes through the
+    knot search again. The values are those of `_interp`, bit for bit. The
+    segment lives in the one closure only, and is stored and read as one
+    tuple, so a call always sees a whole segment.
     """
     mu1, mu2, mu3 = params.mu1, params.mu2, params.mu3
     q = params.q
@@ -240,11 +255,21 @@ def make_rhs(params: Parameters, forcing: Forcing):
 
     elif isinstance(forcing, PiecewiseLinearForcing):
         times, values = forcing.times, forcing.values
+        # Segment j is (times[j], its end, values[j], its slope), the division
+        # _interp makes. The last knot is a segment of length zero: a search
+        # seats it only for t == times[-1], and the next call searches again.
+        slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(times, times[1:], values, values[1:])]
+        segments = tuple(zip(times, times[1:] + times[-1:], values, slopes + [0.0]))
+        segment = segments[0]
 
         def rhs(t, x, y, z):
+            nonlocal segment
+            x0, x1, y0, slope = segment
+            if not (x0 <= t < x1):
+                x0, x1, y0, slope = segment = segments[_knot_index(t, times)]
             infect = beta_eff * x * z
             return (
-                _interp(t, times, values) - mu1 * x - infect + q * y,
+                (y0 if t == x0 else slope * (t - x0) + y0) - mu1 * x - infect + q * y,
                 infect - loss_y * y,
                 prod_eff * y - mu3 * z,
             )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hbvkit as hk
 from hbvkit.integrate import TERMINAL_EVENT_KINDS, MonitorEvent
@@ -188,6 +190,48 @@ def test_max_steps_reached_exactly_at_t_end_is_complete(clearing_params, clearin
     )
     assert traj.final_time == 2.0
     assert not traj.events and not traj.terminated
+
+
+def _assert_lands_on_t_end(params, t0, t_end, ctl):
+    """The run ends on t_end, with no recorded time past it, and a table that
+    ends at t_end is never read past its last knot."""
+    table = hk.PiecewiseLinearForcing(times=(t0, t_end), values=(9.0, 11.0))
+    for forcing in (hk.ConstantForcing(10.0), table):
+        traj = hk.integrate(params, forcing, (1.0, 1.0, 1.0), t0, t_end, ctl)
+        assert not traj.terminated, traj.events
+        assert traj.final_time == t_end
+        assert np.all(traj.times <= t_end)
+
+
+@pytest.mark.parametrize(
+    "t0, t_end, h", [(0.0, 0.3, 0.1), (0.0, 0.35, 0.01), (0.0, 0.7, 0.1), (0.0, 0.9, 0.3)]
+)
+def test_fixed_run_lands_on_t_end(clearing_params, t0, t_end, h):
+    # t0 + n*h rounds past t_end for the first three and short of it for the last
+    _assert_lands_on_t_end(clearing_params, t0, t_end, hk.FixedStep(h=h))
+
+
+@pytest.mark.parametrize("t_end", [0.009, 0.01])
+def test_adaptive_step_to_t_end_does_not_round_past_it(clearing_params, t_end):
+    # from t = 0.001 the loose tolerance lets the step reach t_end at once,
+    # and 0.001 + (t_end - 0.001) rounds one ulp above t_end
+    ctl = hk.AdaptiveStep(abs_tol=1e-2, rel_tol=1e-2, h_init=1e-3, h_max=1.0)
+    _assert_lands_on_t_end(clearing_params, 0.0, t_end, ctl)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t0=st.floats(0.0, 10.0),
+    span=st.floats(0.05, 3.0),
+    h=st.floats(1e-3, 0.25),
+    tol=st.sampled_from([1e-2, 1e-6, 1e-10]),
+)
+def test_every_run_lands_on_t_end(clearing_params, t0, span, h, tol):
+    t_end = t0 + span
+    _assert_lands_on_t_end(clearing_params, t0, t_end, hk.FixedStep(h=h))
+    # h_max above the span lets a step reach t_end from anywhere
+    ctl = hk.AdaptiveStep(abs_tol=tol, rel_tol=tol, h_init=min(h, span), h_max=2.0 * span)
+    _assert_lands_on_t_end(clearing_params, t0, t_end, ctl)
 
 
 def test_terminal_event_kinds_are_final_only(clearing_params, clearing_forcing):

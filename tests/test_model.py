@@ -91,6 +91,65 @@ def test_piecewise_linear_matches_np_interp_bit_for_bit(clearing_params, table):
         assert rhs(t, 0.0, 0.0, 0.0)[0] == expected  # dx at the origin is L(t) exactly
 
 
+def _arrangements(points):
+    """Call orders of the points: as drawn, forward, backward, each twice in
+    a row, and forward with a step back after each call, as after a
+    rejected step."""
+    forward = sorted(points)
+    return {
+        "drawn": points,
+        "forward": forward,
+        "backward": forward[::-1],
+        "repeated": [t for t in points for _ in range(2)],
+        "step_back": [t for a, b in zip(forward, forward[1:]) for t in (b, a)],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_and_times())
+def test_table_rhs_matches_np_interp_over_call_sequences(clearing_params, table):
+    times, values, points = table
+    forcing = hk.PiecewiseLinearForcing(times=tuple(times), values=tuple(values))
+    lo, hi = times[0], times[-1]
+    for order, sequence in _arrangements(points).items():
+        rhs = make_rhs(clearing_params, forcing)
+        for t in sequence:
+            assert rhs(t, 0.0, 0.0, 0.0)[0] == float(np.interp(t, times, values)), (order, t)
+    # past either end or NaN, after a call at the last knot or inside a segment,
+    # raises the domain error, and the closure answers the next call correctly
+    rhs = make_rhs(clearing_params, forcing)
+    for before in (hi, points[-1]):
+        for bad in (math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf), math.nan):
+            assert rhs(before, 0.0, 0.0, 0.0)[0] == float(np.interp(before, times, values))
+            with pytest.raises(hk.OutOfDomainError, match="outside the tabulated range"):
+                rhs(bad, 0.0, 0.0, 0.0)
+    assert rhs(points[-1], 0.0, 0.0, 0.0)[0] == float(np.interp(points[-1], times, values))
+
+
+def test_table_rhs_searches_only_on_leaving_its_segment(monkeypatch, clearing_params):
+    """Each closure keeps its own segment: two closures of one forcing, called
+    in turn in different segments, search once each and not on every call."""
+    searches = []
+
+    def counting(t, times):
+        searches.append(t)
+        return knot_index(t, times)
+
+    knot_index = hk.model._knot_index
+    monkeypatch.setattr(hk.model, "_knot_index", counting)
+    forcing = hk.PiecewiseLinearForcing(times=(0.0, 1.0, 2.0, 3.0, 4.0), values=(1.0, 2.0, 4.0, 3.0, 5.0))
+    a, b = make_rhs(clearing_params, forcing), make_rhs(clearing_params, forcing)
+    for k in range(10):
+        ta, tb = 1.25 + 0.05 * k, 3.75 - 0.05 * k
+        assert a(ta, 0.0, 0.0, 0.0)[0] == float(np.interp(ta, forcing.times, forcing.values))
+        assert b(tb, 0.0, 0.0, 0.0)[0] == float(np.interp(tb, forcing.times, forcing.values))
+    assert searches == [1.25, 3.75]
+    a(0.5, 0.0, 0.0, 0.0)  # back one segment, as after a rejected step
+    a(1.0, 0.0, 0.0, 0.0)  # forward onto the next knot
+    a(1.0, 0.0, 0.0, 0.0)
+    assert searches == [1.25, 3.75, 0.5, 1.0]
+
+
 def test_table_forcing_does_not_call_np_interp(monkeypatch, persistent_params):
     def fail(*args, **kwargs):
         raise AssertionError("np.interp called")

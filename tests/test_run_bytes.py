@@ -1,21 +1,37 @@
 """Run-file bytes pinned by sha256: a kernel change that moves one bit fails here.
 
 The registry digests are read from ``bench/golden.json``, which the
-benchmark checks too; this test only reads that file.
+benchmark checks too, and the configs block is built by the configs
+workload's ``make_config``; these tests only read ``bench/``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 import hbvkit as hk
+import hbvkit.cli  # noqa: F401  (the configs block calls hbvkit.cli.main)
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = BENCH / "golden.json"
+
+sys.path.insert(0, str(BENCH))
+
+from workloads import CONFIG_BASES, CONFIG_COMMANDS, CONFIG_MODES, RUN_FILES, make_config  # noqa: E402
 
 # sha256 of the CSV that sweep(200, seed=42) writes.
 SWEEP_200_42_SHA256 = "ca439a9b19aee995741c5f70baba26dac2e82b2748d9294804d97b95e716a775"
+
+# sha256 over the exit code, stdout and run files of one block of configs
+# (every base x command x mode, in that order) drawn from this seed.
+CONFIGS_SEED = 5
+CONFIGS_BLOCK_SHA256 = "099ff84158710f3be255dbc104d0833a4e97da745410bf2fefa6d3dcb11fbd9d"
 
 # A production table whose knots are both exact binary fractions and
 # inexact decimals, so steps land on knots, next to knots and between them.
@@ -65,6 +81,26 @@ def test_registry_run_bytes_match_golden(tmp_path, sid):
 def test_sweep_csv_bytes(tmp_path):
     hk.sweep(200, 42, out_path=tmp_path / "sweep.csv")
     assert _sha256(tmp_path / "sweep.csv") == SWEEP_200_42_SHA256
+
+
+def test_configs_block_bytes(tmp_path):
+    rng = random.Random(CONFIGS_SEED)
+    digest = hashlib.sha256()
+    for base in CONFIG_BASES:
+        for command in CONFIG_COMMANDS:
+            for mode in CONFIG_MODES:
+                cid = f"{base}-{command}-{mode}"
+                path = tmp_path / f"{cid}.json"
+                path.write_text(json.dumps(make_config(hk, rng, cid, base, mode), indent=2), encoding="utf-8")
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = hk.cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                assert code == 0, cid
+                digest.update(f"{cid} {code}\n{stdout.getvalue()}".encode())
+                if command == "simulate":
+                    for name in RUN_FILES:
+                        digest.update((tmp_path / "out" / cid / name).read_bytes())
+    assert digest.hexdigest() == CONFIGS_BLOCK_SHA256
 
 
 @pytest.mark.parametrize("mode", sorted(TABLE_CONTROLS))
