@@ -100,8 +100,8 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     state = np.array([x_bar, y_bar, z_bar])
     feasible = bool(y_bar > 0.0)
 
-    if feasible:
-        state = _newton_best(params, forcing, state)
+    # tol 0: the elimination is accurate to rounding, so the polish stalls at the floor
+    state, res, _ = _damped_newton(params, forcing, state, 0.0, 25 if feasible else 0)
 
     alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
@@ -111,7 +111,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     return EquilibriumReport(
         kind="endemic",
         state=tuple(float(v) for v in state),
-        residual_norm=residual_norm(params, forcing, state),
+        residual_norm=res,
         feasible=feasible,
         alt_state=alt_state,
         alt_residual=residual_norm(params, forcing, alt_state),
@@ -138,51 +138,34 @@ def newton_refine(
         raise ValueError("max_iter must be at least 1")
     constant_rate(forcing, "equilibria")
 
-    u = as_state(guess)
-    res = residual_norm(params, forcing, u)
-    for _ in range(max_iter):
-        if res <= tol:
-            return u
-        u, res, improved = _newton_step(params, forcing, u, res)
-        if not improved:
-            break
+    u, res, singular = _damped_newton(params, forcing, as_state(guess), tol, max_iter)
+    if singular:
+        raise SingularJacobianError(f"singular Jacobian at {tuple(u)}")
     if res <= tol:
         return u
     raise NoConvergenceError(f"residual {res:.3e} above tol {tol:.3e} after {max_iter} iterations")
 
 
-def _newton_step(params, forcing, u, res):
-    """One damped Newton step; returns (state, residual, improved)."""
+def _damped_newton(params, forcing, u, tol: float, max_iter: int):
+    """The iteration of ``newton_refine``, one vector-field call per point:
+    (state, residual, singular), stopped at a residual <= tol, a step that no
+    halving improves, a singular Jacobian (singular=True) or max_iter steps."""
     f = vector_field(params, forcing, 0.0, u)
-    try:
-        step = np.linalg.solve(jacobian(params, u), -f)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError(f"singular Jacobian at {tuple(u)}") from exc
-    scale = 1.0
-    while scale >= 2.0**-20:
-        candidate = u + scale * step
-        cand_res = residual_norm(params, forcing, candidate)
-        if cand_res < res:
-            return candidate, cand_res, True
-        scale *= 0.5
-    return u, res, False
-
-
-def _newton_best(params, forcing, u, max_iter: int = 25) -> np.ndarray:
-    """Newton-polish to the best reachable residual (never raises on stall).
-
-    The elimination formulas are already accurate to rounding, so this
-    typically takes one or two steps and then stalls at the double
-    precision floor, which is exactly the state we want to report.
-    """
-    res = residual_norm(params, forcing, u)
+    res = float(np.max(np.abs(f)))
     for _ in range(max_iter):
-        if res == 0.0:
+        if res <= tol:
             break
         try:
-            u, res, improved = _newton_step(params, forcing, u, res)
-        except SingularJacobianError:
+            step = np.linalg.solve(jacobian(params, u), -f)
+        except np.linalg.LinAlgError:
+            return u, res, True
+        for k in range(21):  # step scales 1, 1/2, ..., 2**-20
+            candidate = u + 0.5**k * step
+            f_cand = vector_field(params, forcing, 0.0, candidate)
+            res_cand = float(np.max(np.abs(f_cand)))
+            if res_cand < res:
+                u, f, res = candidate, f_cand, res_cand
+                break
+        else:
             break
-        if not improved:
-            break
-    return u
+    return u, res, False

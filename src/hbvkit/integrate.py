@@ -295,27 +295,16 @@ class _Recorder:
         self.times.append(t)
         self.states.append((x, y, z))
 
-        isfinite = math.isfinite
-        if not isfinite(x):
-            return self.stop("nonfinite", t, "x", x)
-        if not isfinite(y):
-            return self.stop("nonfinite", t, "y", y)
-        if not isfinite(z):
-            return self.stop("nonfinite", t, "z", z)
-        threshold = self._blow_up
-        if abs(x) > threshold:
-            return self.stop("blow_up", t, "x", x)
-        if abs(y) > threshold:
-            return self.stop("blow_up", t, "y", y)
-        if abs(z) > threshold:
-            return self.stop("blow_up", t, "z", z)
-        negative = self._negative
-        if x < negative:
-            self._event("positivity_violation", t, "x", x)
-        if y < negative:
-            self._event("positivity_violation", t, "y", y)
-        if z < negative:
-            self._event("positivity_violation", t, "z", z)
+        components = (("x", x), ("y", y), ("z", z))
+        for name, value in components:
+            if not math.isfinite(value):
+                return self.stop("nonfinite", t, name, value)
+        for name, value in components:
+            if abs(value) > self._blow_up:
+                return self.stop("blow_up", t, name, value)
+        for name, value in components:
+            if value < self._negative:
+                self._event("positivity_violation", t, name, value)
         if x + y > self._xy_ceiling:
             self._event("bound_violation", t, "x+y", x + y)
         if z > self._z_ceiling:

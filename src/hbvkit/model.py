@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -94,6 +95,7 @@ class Parameters:
 class ConstantForcing:
     """Constant production rate; the autonomous special case."""
 
+    kind: ClassVar[str] = "constant"
     value: float
 
     def __post_init__(self):
@@ -118,6 +120,7 @@ class ConstantForcing:
 class SinusoidForcing:
     """offset + amplitude*cos(omega*t + phase), bounded within offset +- |amplitude|."""
 
+    kind: ClassVar[str] = "sinusoid"
     amplitude: float
     omega: float
     phase: float
@@ -147,6 +150,7 @@ class SinusoidForcing:
 class PiecewiseLinearForcing:
     """Linear interpolation through (time, rate) knots; defined only on the knot range."""
 
+    kind: ClassVar[str] = "piecewise_linear"
     times: tuple[float, ...]
     values: tuple[float, ...]
 

@@ -265,11 +265,7 @@ SCENARIOS = _registry()
 # dataclass; "forcing" adds the "kind" naming its class and "control" the
 # "mode" naming its class.
 
-FORCING_KINDS = {
-    "constant": ConstantForcing,
-    "sinusoid": SinusoidForcing,
-    "piecewise_linear": PiecewiseLinearForcing,
-}
+FORCING_KINDS = {cls.kind: cls for cls in (ConstantForcing, SinusoidForcing, PiecewiseLinearForcing)}
 
 CONTROL_MODES = {cls.mode: cls for cls in (FixedStep, AdaptiveStep)}
 
@@ -352,9 +348,8 @@ def _build(cls, obj, where: str, tag: str | None = None, default=None, **convert
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    kind = next(k for k, cls in FORCING_KINDS.items() if isinstance(s.forcing, cls))
     return asdict(s) | {
-        "forcing": {"kind": kind} | asdict(s.forcing),
+        "forcing": {"kind": s.forcing.kind} | asdict(s.forcing),
         "control": {"mode": s.control.mode} | asdict(s.control),
     }
 

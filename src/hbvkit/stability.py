@@ -124,15 +124,13 @@ def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
     raw = _cubic_roots(c2, c1, c0)
     polished = []
     for r in raw:
+        # polish the upper-half-plane copy: conjugates stay exact, reals real
+        pr = _polish_root(complex(r.real, abs(r.imag)), c2, c1, c0)
         if r.imag > 0:
-            pr = _polish_root(r, c2, c1, c0)
             polished.append(pr)
         elif r.imag < 0:
-            # keep conjugacy exact: mirror the polished upper root
-            pr = _polish_root(r.conjugate(), c2, c1, c0)
             polished.append(pr.conjugate())
         else:
-            pr = _polish_root(complex(r.real, 0.0), c2, c1, c0)
             polished.append(complex(pr.real, 0.0))
     polished.sort(key=lambda lam: (-lam.real, lam.imag))
     return tuple(polished)
