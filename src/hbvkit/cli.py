@@ -74,18 +74,18 @@ _ANALYSIS_FLAGS = {
     "conditions": (
         ("--set", dict(dest="condition_set", choices=stab.CONDITION_SETS,
                        help="evaluate one specific set")),
-        ("--b1", dict(type=float, help="virion bound for the nonauto set (default 0)")),
+        ("--b1", dict(type=float, help="finite virion bound >= 0 for the nonauto set (default 0)")),
     ),
     "contraction": (
         ("--offset", dict(type=_parse_triple, help="partner start = u0 + offset (default 1,1,1)")),
     ),
     "pullback": (
-        ("--t-star", dict(dest="t_star", type=float, help="observation time (default: span start)")),
-        ("--horizons", dict(type=_parse_floats, help="horizon ladder (default 5,10,20,40)")),
+        ("--t-star", dict(dest="t_star", type=float, help="finite observation time (default: span start)")),
+        ("--horizons", dict(type=_parse_floats, help="finite increasing horizons > 0 (default 5,10,20,40)")),
         ("--ptol", dict(type=float, help="convergence tolerance (default 1e-6)")),
     ),
     "absorbing": (
-        ("--slack", dict(type=float, help="ball slack (default 1e-6 * ceiling)")),
+        ("--slack", dict(type=float, help="finite ball slack > 0 (default 1e-6 * ceiling)")),
     ),
 }
 

@@ -100,7 +100,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     state = np.array([x_bar, y_bar, z_bar])
     feasible = bool(y_bar > 0.0)
 
-    # tol 0: the elimination is accurate to rounding, so the polish stalls at the floor
+    # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
     state, res, _ = _damped_newton(params, forcing, state, 0.0, 25 if feasible else 0)
 
     alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))

@@ -495,8 +495,8 @@ def integrate(
     ``step_budget`` event, so ``Trajectory.terminated`` reports it.
     """
     u0 = as_state(u0, require_nonnegative=True)
-    if not t_end > t0:
-        raise ValueError(f"t_end must exceed t0, got [{t0}, {t_end}]")
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
+        raise ValueError(f"t0 and t_end must be finite with t_end > t0, got [{t0}, {t_end}]")
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)
     rec = _Recorder(ctl, bounds)

@@ -12,6 +12,7 @@ on computed trajectories.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,11 @@ def pullback_estimate(
     both the Cauchy property in the horizon and the independence from the
     initial state can be observed.
     """
+    if not math.isfinite(t_star):
+        raise ValueError(f"t_star must be finite, got {t_star}")
     horizons = tuple(float(T) for T in horizons)
+    if not all(map(math.isfinite, horizons)):
+        raise ValueError(f"horizons must be finite, got {horizons}")
     if len(horizons) < 2:
         raise ValueError("need at least two horizons to measure Cauchy gaps")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
@@ -201,7 +206,9 @@ def absorbing_check(
     Applicable only when mu2 > (1-epsilon)*p, which makes the total
     population x+y+z decay toward lambda_max/alpha. ``params`` and
     ``forcing`` must be those ``traj`` was integrated with; alpha and the
-    ceiling are read from ``traj.bounds``.
+    ceiling are read from ``traj.bounds``. ``slack`` must be finite and
+    positive (default 1e-6 * ceiling): an infinite slack holds for any
+    trajectory.
     """
     if traj.params != params or traj.forcing != forcing:
         raise ValueError("trajectory comes from different parameters or forcing")
@@ -212,8 +219,8 @@ def absorbing_check(
         )
     if slack is None:
         slack = 1e-6 * ceiling
-    elif not slack > 0.0:
-        raise ValueError("slack must be positive")
+    elif not (math.isfinite(slack) and slack > 0.0):
+        raise ValueError(f"slack must be finite and positive, got {slack}")
 
     l1 = np.sum(traj.states, axis=1)
     cap = max(float(l1[0]), ceiling)

@@ -83,8 +83,8 @@ class Scenario:
             raise ValueError(f"id must be a single plain path component, got {self.id!r}")
         object.__setattr__(self, "u0", tuple(float(v) for v in as_state(self.u0, True)))
         t0, t1 = (float(t) for t in self.t_span)
-        if not t1 > t0:
-            raise ValueError(f"t_span must be increasing, got {self.t_span}")
+        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+            raise ValueError(f"t_span must be finite and increasing, got {self.t_span}")
         object.__setattr__(self, "t_span", (t0, t1))
         if isinstance(self.forcing, PiecewiseLinearForcing):
             first, last = self.forcing.times[0], self.forcing.times[-1]

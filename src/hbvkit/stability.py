@@ -246,12 +246,17 @@ def condition_margins(
         bound b1 on the comparison trajectory's virion count (0 is the
         conservative default since z >= 0 always).
 
+    ``b1`` must be finite and >= 0, as a bound on z >= 0; the other sets
+    do not read it.
+
     The y-damping display line uses 2*mu2 + q while the nu2 certificate in
     ``aux`` uses mu2 + q; both are evaluated as they stand, the mismatch is
     surfaced rather than resolved.
     """
     if set_id not in CONDITION_SETS:
         raise ValueError(f"unknown condition set {set_id!r}; expected one of {CONDITION_SETS}")
+    if not (math.isfinite(b1) and b1 >= 0.0):
+        raise ValueError(f"b1 must be finite and nonnegative, got {b1}")
 
     mu1, mu2, mu3, q = params.mu1, params.mu2, params.mu3, params.q
     beta_eff = params.beta_eff

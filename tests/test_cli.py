@@ -239,3 +239,43 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
 
 # }}}
+
+
+# {{{ option values outside their domain
+
+
+@pytest.fixture()
+def fixed_step_config(tmp_path):
+    """table2-dfe under fixed steps: a run from -inf fails at once instead of never returning."""
+    doc = scenario_to_dict(hk.SCENARIOS["table2-dfe"])
+    doc["control"] = {"mode": "fixed", "h": 0.05}
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["absorbing", "--config", "set2-nonauto", "--slack", "inf"],
+        ["conditions", "--config", "set2-nonauto", "--b1", "nan"],
+        ["conditions", "--config", "set2-nonauto", "--b1=-100"],
+        ["pullback", "--config", "table2-dfe", "--t-star", "inf"],
+    ],
+    ids=["slack-inf", "b1-nan", "b1-negative", "t-star-inf"],
+)
+def test_option_value_that_makes_a_verdict_vacuous_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_pullback_infinite_horizon_exits_2(fixed_step_config, capsys):
+    assert main(["pullback", "--config", str(fixed_step_config), "--horizons", "5,inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "horizons must be finite" in captured.err
+
+
+# }}}

@@ -26,6 +26,21 @@ def _base_doc():
     return scenario_to_dict(hk.SCENARIOS["table2-dfe"])
 
 
+@pytest.mark.parametrize("span", [[0.0, math.inf], [-math.inf, 5.0]])
+def test_non_finite_t_span_is_a_config_error(tmp_path, span):
+    doc = _base_doc()
+    doc["t_span"] = span  # written as the JSON token Infinity, which Python's reader accepts
+    with pytest.raises(hk.ConfigError, match="t_span must be finite"):
+        hk.load_config(_write(tmp_path, doc))
+
+
+def test_simulate_with_an_infinite_t_span_exits_2(tmp_path):
+    doc = _base_doc()
+    doc["t_span"] = [0.0, math.inf]
+    assert main(["simulate", "--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "runs")]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 # {{{ malformed and unread keys
 
 

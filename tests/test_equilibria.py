@@ -139,6 +139,21 @@ def test_newton_validates_arguments(clearing_params, clearing_forcing):
         hk.newton_refine(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), max_iter=0)
 
 
+def test_newton_evaluates_the_vector_field_once_per_point(simple_endemic_case, monkeypatch):
+    params, forcing = simple_endemic_case
+    field = hk.equilibria.vector_field
+    points = []
+
+    def recording(params, forcing, t, u):
+        points.append(tuple(np.asarray(u, dtype=float).tolist()))
+        return field(params, forcing, t, u)
+
+    monkeypatch.setattr(hk.equilibria, "vector_field", recording)
+    hk.newton_refine(params, forcing, np.array([4.0, 8.0, 8.0]) + 1e-3, tol=1e-12)
+    assert len(points) > 2  # the guess takes steps, so several points are visited
+    assert len(points) == len(set(points))
+
+
 # }}}
 
 

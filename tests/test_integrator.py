@@ -250,6 +250,14 @@ def test_integrate_validates_inputs(clearing_params, clearing_forcing, tight_ctl
         hk.integrate(clearing_params, clearing_forcing, (-1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
 
 
+@pytest.mark.parametrize("t0, t_end", [(0.0, np.inf), (-np.inf, 5.0)])
+@pytest.mark.parametrize("ctl", [hk.FixedStep(h=0.1), hk.AdaptiveStep()], ids=["fixed", "adaptive"])
+def test_non_finite_time_span_is_rejected(clearing_params, clearing_forcing, t0, t_end, ctl):
+    # the step cap keeps an adaptive run from -inf finite should it be started
+    with pytest.raises(ValueError, match="finite"):
+        hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), t0, t_end, ctl, max_steps=50)
+
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         hk.FixedStep(h=-0.1)

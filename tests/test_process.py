@@ -143,6 +143,23 @@ def test_pullback_requires_two_seeds(clearing_params, wave_forcing, tight_ctl):
         )
 
 
+def test_pullback_rejects_a_non_finite_t_star(clearing_params, wave_forcing, tight_ctl):
+    with pytest.raises(ValueError, match="t_star"):
+        hk.pullback_estimate(
+            clearing_params, wave_forcing, np.inf, (5.0, 10.0), [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-6, tight_ctl
+        )
+
+
+@pytest.mark.parametrize("horizons", [(5.0, np.inf), (5.0, np.nan)])
+def test_pullback_rejects_a_non_finite_horizon(clearing_params, clearing_forcing, horizons):
+    # fixed steps: an adaptive run from t_star - inf would not return
+    with pytest.raises(ValueError, match="horizons"):
+        hk.pullback_estimate(
+            clearing_params, clearing_forcing, 0.0, horizons, [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-6,
+            hk.FixedStep(h=0.1),
+        )
+
+
 # }}}
 
 
@@ -193,6 +210,13 @@ def test_absorbing_precondition(clearing_forcing):
     )
     with pytest.raises(ValueError):
         hk.absorbing_check(params, hk.ConstantForcing(1.0), traj)
+
+
+def test_absorbing_rejects_an_infinite_slack(clearing_params, wave_forcing, tight_ctl):
+    # an infinite slack would hold for any trajectory
+    traj = hk.integrate(clearing_params, wave_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
+    with pytest.raises(ValueError, match="slack must be finite"):
+        hk.absorbing_check(clearing_params, wave_forcing, traj, slack=np.inf)
 
 
 # }}}

@@ -190,6 +190,12 @@ def test_nonauto_margins_use_lambda_max(clearing_params, wave_forcing):
     assert cm.aux["lambda"] == 11.0
 
 
+@pytest.mark.parametrize("b1", [math.nan, math.inf, -100.0])
+def test_nonauto_b1_must_be_finite_and_nonnegative(clearing_params, wave_forcing, b1):
+    with pytest.raises(ValueError, match="b1 must be finite and nonnegative"):
+        hk.condition_margins("nonauto", clearing_params, wave_forcing, b1=b1)
+
+
 def test_dominant_rates_satisfy_everything():
     params = hk.Parameters(
         mu1=100.0, mu2=100.0, mu3=100.0, beta=0.01, eta=0.01, epsilon=0.01, p=1.0, q=1.0
