@@ -1,0 +1,271 @@
+"""The model's two exact scaling symmetries, as oracle-free tests.
+
+Population: multiply x, y, z and the production rate by c and divide beta by
+c; the solution is c * u(t). Time: multiply every rate (omega included) by c
+and divide every time by c; the solution is u(c * t). With c a power of two,
+binary floating point keeps both bit for bit, provided the step control
+scales too and no value overflows or goes subnormal: population scaling takes
+abs_tol, positivity_tol and blow_up_threshold times c, time scaling h,
+h_init, h_min and h_max divided by c. So a run and its scaled copy must
+record the same number of points, the scaled times, the scaled states and
+the scaled events, exactly.
+
+The draws keep rates in [0.1, 10] and spans within [1, 4] time units of the
+unscaled run, so no state decays into the subnormals, and c = 2**k with
+|k| <= 10.
+
+One rule of the stepping loop is not homogeneous in time: a run stops once
+t reaches ``t_end - 1e-14 * max(1, |t_end|)``, a window that is absolute
+while |t_end| < 1. On [0, 0.5] with RK4 and h = (0.5 - 2e-14) / 5, for
+example, the fifth step ends 2e-14 short of t_end, outside the window, and
+a last step follows: 7 points. Shrunk by c = 4, the fifth step ends 5e-15
+short of t_end, inside the window, and lands there: 6 points. The
+time-scaling test therefore keeps t_end >= 1 in both runs: it draws a run on
+[0, T] with T >= 1 and compares its copies stretched by 2**max(0, k) and
+then shrunk by c, so neither span ends below T.
+"""
+
+import dataclasses
+from typing import NamedTuple
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hbvkit as hk
+from hbvkit.model import Forcing
+
+_RATES = ("mu1", "mu2", "mu3", "beta", "p", "q")
+# event components that are states, and so scale with the population
+_STATE_COMPONENTS = frozenset({"x", "y", "z", "x+y"})
+
+
+class Run(NamedTuple):
+    params: hk.Parameters
+    forcing: Forcing
+    u0: tuple[float, float, float]
+    t_end: float
+    ctl: hk.StepControl
+    max_steps: int | None
+
+    def integrate(self) -> hk.Trajectory:
+        return hk.integrate(self.params, self.forcing, self.u0, 0.0, self.t_end, self.ctl, self.max_steps)
+
+
+def _scale_forcing_values(forcing, c):
+    if forcing.kind == "constant":
+        return hk.ConstantForcing(forcing.value * c)
+    if forcing.kind == "sinusoid":
+        return dataclasses.replace(forcing, amplitude=forcing.amplitude * c, offset=forcing.offset * c)
+    return dataclasses.replace(forcing, values=tuple(v * c for v in forcing.values))
+
+
+def population_scaled(run: Run, c: float) -> Run:
+    ctl = dataclasses.replace(
+        run.ctl, positivity_tol=run.ctl.positivity_tol * c, blow_up_threshold=run.ctl.blow_up_threshold * c,
+    )
+    if ctl.mode == "adaptive":
+        ctl = dataclasses.replace(ctl, abs_tol=ctl.abs_tol * c)
+    return run._replace(
+        params=dataclasses.replace(run.params, beta=run.params.beta / c),
+        forcing=_scale_forcing_values(run.forcing, c),
+        u0=tuple(v * c for v in run.u0),
+        ctl=ctl,
+    )
+
+
+def time_scaled(run: Run, c: float) -> Run:
+    forcing = _scale_forcing_values(run.forcing, c)  # the production rate is a rate
+    if forcing.kind == "sinusoid":
+        forcing = dataclasses.replace(forcing, omega=forcing.omega * c)
+    elif forcing.kind == "piecewise_linear":
+        forcing = dataclasses.replace(forcing, times=tuple(t / c for t in forcing.times))
+    if run.ctl.mode == "fixed":
+        ctl = dataclasses.replace(run.ctl, h=run.ctl.h / c)
+    else:
+        ctl = dataclasses.replace(
+            run.ctl, h_init=run.ctl.h_init / c, h_min=run.ctl.h_min / c, h_max=run.ctl.h_max / c,
+        )
+    return run._replace(
+        params=dataclasses.replace(run.params, **{name: getattr(run.params, name) * c for name in _RATES}),
+        forcing=forcing,
+        t_end=run.t_end / c,
+        ctl=ctl,
+    )
+
+
+_rate = st.floats(0.1, 10.0)
+_params = st.builds(
+    hk.Parameters,
+    mu1=_rate, mu2=_rate, mu3=_rate, beta=_rate,
+    eta=st.floats(0.0, 0.9), epsilon=st.floats(0.0, 0.9),
+    p=_rate, q=_rate,
+)
+_k = st.integers(-10, 10)
+# zero, or clear of the subnormals after a shrink by 2**-10
+_fraction = st.just(0.0) | st.floats(1e-3, 0.9)
+
+
+@st.composite
+def _forcing(draw, t_end):
+    level = draw(_rate)
+    kind = draw(st.sampled_from(["constant", "sinusoid", "piecewise_linear"]))
+    if kind == "constant":
+        return hk.ConstantForcing(level)
+    if kind == "sinusoid":
+        return hk.SinusoidForcing(
+            amplitude=level * draw(_fraction), omega=draw(st.floats(0.1, 10.0)),
+            phase=draw(st.floats(0.0, 6.3)), offset=level,
+        )
+    inner = draw(st.lists(st.floats(1e-3, 0.999), max_size=5))
+    times = (0.0, *sorted({t_end * s for s in inner}), t_end)
+    values = [level * draw(st.floats(0.5, 2.0)) for _ in times]
+    return hk.PiecewiseLinearForcing(times, tuple(values))
+
+
+@st.composite
+def _control(draw, t_end):
+    tol = st.floats(1e-10, 1e-5)
+    positivity_tol = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    if draw(st.booleans()):
+        return hk.FixedStep(h=t_end / draw(st.floats(5.0, 400.0)), positivity_tol=positivity_tol)
+    h_max = draw(st.floats(0.01, 1.0))
+    return hk.AdaptiveStep(
+        abs_tol=draw(tol), rel_tol=draw(tol), h_init=h_max * draw(st.floats(1e-3, 1.0)),
+        h_min=1e-12, h_max=h_max, positivity_tol=positivity_tol,
+    )
+
+
+@st.composite
+def _runs(draw):
+    t_end = draw(st.floats(1.0, 4.0))
+    return Run(
+        params=draw(_params),
+        forcing=draw(_forcing(t_end)),
+        u0=tuple(draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 10.0)) for _ in range(3)),
+        t_end=t_end,
+        ctl=draw(_control(t_end)),
+        # a budget below the run's step count ends it on a step_budget event
+        max_steps=draw(st.none() | st.integers(1, 200)),
+    )
+
+
+def _assert_population_scaled(run, c):
+    base, scaled = run.integrate(), population_scaled(run, c).integrate()
+    assert len(scaled.times) == len(base.times)
+    assert np.array_equal(scaled.times, base.times)
+    assert np.array_equal(scaled.states, base.states * c, equal_nan=True)
+    assert scaled.events == tuple(
+        dataclasses.replace(e, value=e.value * c) if e.component in _STATE_COMPONENTS else e
+        for e in base.events
+    )
+    return base
+
+
+def _assert_time_scaled(run, c):
+    base, scaled = run.integrate(), time_scaled(run, c).integrate()
+    assert len(scaled.times) == len(base.times)
+    assert np.array_equal(scaled.times, base.times / c)
+    assert np.array_equal(scaled.states, base.states, equal_nan=True)
+    assert scaled.events == tuple(
+        dataclasses.replace(e, time=e.time / c, value=e.value / c if e.component == "h" else e.value)
+        for e in base.events
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_runs(), k=_k)
+def test_population_scaling_is_exact(run, k):
+    _assert_population_scaled(run, 2.0**k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_runs(), k=_k)
+def test_time_scaling_is_exact(run, k):
+    # stretched first, so that t_end >= 1 before and after the shrink by 2**k
+    _assert_time_scaled(time_scaled(run, 2.0 ** -max(0, k)), 2.0**k)
+
+
+def test_scaled_runs_fire_every_kind_of_scaled_event(persistent_params):
+    # the hypothesis draws rarely fire monitors; here each kind fires and scales
+    rate = hk.ConstantForcing(20.0)
+    runs = [
+        Run(persistent_params, rate, (1.0, 1.0, 1.0), 2.0, hk.AdaptiveStep(), 5),  # step_budget
+        Run(persistent_params, rate, (1.0, 1.0, 1.0), 2.0, hk.AdaptiveStep(h_min=0.05, h_init=0.1), None),
+        # RK4 far outside its stability region: positivity, bounds, then blow_up
+        Run(persistent_params, rate, (1.0, 1.0, 1.0), 40.0, hk.FixedStep(h=1.0), None),
+    ]
+    kinds = set()
+    for run in runs:
+        for c in (2.0**-10, 0.5, 4.0, 2.0**10):
+            kinds |= {e.kind for e in _assert_population_scaled(run, c).events}
+            if run.t_end / c >= 1.0:
+                _assert_time_scaled(run, c)
+    assert kinds >= {"step_budget", "step_floor", "positivity_violation", "bound_violation", "blow_up"}
+
+
+# {{{ analyses
+
+
+@st.composite
+def _constant_runs(draw):
+    return Run(draw(_params), hk.ConstantForcing(draw(_rate)), (1.0, 1.0, 1.0), 1.0, hk.FixedStep(), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_constant_runs(), k=_k)
+def test_equilibria_scale_with_the_population(run, k):
+    c = 2.0**k
+    scaled = population_scaled(run, c)
+    for solve in (hk.disease_free, hk.endemic):
+        base, other = solve(run.params, run.forcing), solve(scaled.params, scaled.forcing)
+        assert other.state == tuple(v * c for v in base.state)
+        assert other.residual_norm == base.residual_norm * c
+        assert other.feasible == base.feasible
+
+
+def _assert_lines_scale(base, other, c):
+    assert other.all_satisfied == base.all_satisfied
+    for line, scaled in zip(base.lines, other.lines, strict=True):
+        assert (scaled.lhs, scaled.rhs, scaled.margin) == (line.lhs * c, line.rhs * c, line.margin * c)
+        assert scaled.satisfied == line.satisfied
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_constant_runs(), k=_k, b1=st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 100.0),
+       amplitude=_fraction, omega=st.floats(0.1, 10.0))
+def test_dfe_and_nonauto_lines_scale_with_time(run, k, b1, amplitude, omega):
+    c = 2.0**k
+    lam = run.forcing.value
+    wave = run._replace(forcing=hk.SinusoidForcing(amplitude=lam * amplitude, omega=omega, phase=0.0, offset=lam))
+    cases = [("dfe", run, {}), ("nonauto", run, {"b1": b1}), ("nonauto", wave, {"b1": b1})]
+    for set_id, case, options in cases:
+        scaled = time_scaled(case, c)
+        base = hk.condition_margins(set_id, case.params, case.forcing, **options)
+        other = hk.condition_margins(set_id, scaled.params, scaled.forcing, **options)
+        _assert_lines_scale(base, other, c)
+        for name in ("nu1", "nu2", "nu3", "k"):
+            assert other.aux[name] == base.aux[name] * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_constant_runs(), k=_k.filter(lambda k: k != 0))
+def test_endemic_y_line_does_not_scale_with_time(run, k):
+    # its lhs 2*mu2**2 + mu1*mu2 + p*mu1 + q adds rates squared to the rate q
+    c = 2.0**k
+    scaled = time_scaled(run, c)
+    lines = {
+        line.label: line for line in hk.condition_margins("endemic", run.params, run.forcing).lines
+    }
+    other = {
+        line.label: line for line in hk.condition_margins("endemic", scaled.params, scaled.forcing).lines
+    }
+    y, y_scaled = lines["y-damping"], other["y-damping"]
+    assert y_scaled.lhs not in (y.lhs * c, y.lhs * c * c)
+    # the x-line is homogeneous of degree 3 and the z-line of degree 1
+    for label, degree in (("x-damping", 3), ("z-damping", 1)):
+        line, scaled_line = lines[label], other[label]
+        assert (scaled_line.lhs, scaled_line.rhs) == (line.lhs * c**degree, line.rhs * c**degree)
+
+
+# }}}
