@@ -1,8 +1,10 @@
 """Explicit Runge-Kutta integration with runtime monitors.
 
 Two stepping modes: classical fixed-step RK4 and an adaptive embedded
-Dormand-Prince 5(4) pair with PI step-size control. After every accepted
-step the new point is checked against a set of monitors:
+Dormand-Prince 5(4) pair with PI step-size control. Each mode is a
+generator, ``_rk4_points`` or ``_dp5_points``, that yields the point after
+every accepted step; one recording loop, ``_integrate``, checks each point
+against a set of monitors and records it:
 
 * ``nonfinite`` / ``blow_up``: terminate with a partial trajectory; the
   offending state is kept as the final record so the failure is data,
@@ -21,13 +23,12 @@ In both modes the last step goes from t to ``t_end`` and is recorded at
 ``t_end``. Its size is ``t_end - t``, less an ulp where t plus it would
 round past ``t_end`` (``_last_step``), so no stage time lies past ``t_end``.
 
-Most points fire no monitor. The stepping loops test each new point
-inline against ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z``
-below their ceilings (``_Recorder.quiet``), where hi is
-``blow_up_threshold`` and lo the larger of ``-positivity_tol`` and
-``-blow_up_threshold``. A point that passes is appended to the recorder's
-lists with no call; any other goes through ``_Recorder.push``, which
-records its events.
+Most points fire no monitor. The recording loop tests each point inline
+against ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z`` below their
+ceilings (``_Recorder.quiet``), where hi is ``blow_up_threshold`` and lo the
+larger of ``-positivity_tol`` and ``-blow_up_threshold``. A point that passes
+is appended to the recorder's lists with no call; any other goes through
+``_Recorder.push``, which records its events.
 
 A trajectory records only the accepted times and states. Dense output
 between them uses cubic Hermite interpolation, whose node slopes are the
@@ -255,12 +256,10 @@ class _Recorder:
     """
 
     def __init__(self, ctl: StepControl, bounds: BoundsReport):
-        self.bounds = bounds
         self.times: list[float] = []
         self.states: list[tuple[float, float, float]] = []
         self.events: list[MonitorEvent] = []
         self._seen: set[tuple[str, str]] = set()
-        self.done = False
         self._blow_up = ctl.blow_up_threshold
         self._negative = -ctl.positivity_tol
         self._xy_ceiling = bounds.M * (1.0 + BOUND_XY_SLACK)
@@ -270,7 +269,7 @@ class _Recorder:
         self.quiet_box = (lo, self._blow_up, self._xy_ceiling, self._z_ceiling)
 
     def quiet(self, x: float, y: float, z: float) -> bool:
-        """True when ``push`` of (x, y, z) would fire no monitor; the loops inline this."""
+        """True when ``push`` of (x, y, z) would fire no monitor; ``_integrate`` inlines this."""
         lo, hi, xy_ceiling, z_ceiling = self.quiet_box
         return lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling
 
@@ -280,13 +279,13 @@ class _Recorder:
             self._seen.add(key)
             self.events.append(MonitorEvent(kind, t, component, value))
 
-    def stop(self, kind: str, t: float, component: str, value: float) -> None:
-        """Record a terminating event and set ``done``."""
+    def stop(self, kind: str, t: float, component: str, value: float) -> bool:
+        """Record a terminating event; True, for the run ends here."""
         self.events.append(MonitorEvent(kind, t, component, value))
-        self.done = True
+        return True
 
-    def push(self, t: float, x: float, y: float, z: float) -> None:
-        """Record an accepted point; sets ``done`` on a terminating event.
+    def push(self, t: float, x: float, y: float, z: float) -> bool:
+        """Record an accepted point; True when it fires a terminating event.
 
         Checks run component by component in x, y, z order: nonfinite, then
         blow_up (either stops at the first hit), then positivity, then the
@@ -309,6 +308,7 @@ class _Recorder:
             self._event("bound_violation", t, "x+y", x + y)
         if z > self._z_ceiling:
             self._event("bound_violation", t, "z", z)
+        return False
 
 
 def _rk4_step(rhs, t, x, y, z, h):
@@ -334,24 +334,19 @@ def _last_step(t: float, t_end: float) -> float:
     return h
 
 
-def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget):
+def _rk4_points(rhs, t0, x, y, z, t_end, t_stop, ctl, rec, budget):
+    """RK4 steps from (t0, x, y, z): yields (t, x, y, z) after each one."""
     h = ctl.h
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     # Whole steps end at t0 + i*h for i = 1..n_whole, all before t_stop; the
     # step after them lands on t_end (t0 + n*h itself can round past t_end).
     n_whole = int(math.floor((t_end - t0) / h))
     if t0 + n_whole * h >= t_stop:
         n_whole -= 1
-    x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
-    rec.push(t0, x, y, z)
-    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
-    append_t, append_u = rec.times.append, rec.states.append
     i = 0
     t = t0
-    while not rec.done and t < t_stop:
+    while t < t_stop:
         if i >= budget:
-            rec.stop("step_budget", t, "steps", float(i))
-            break
+            return rec.stop("step_budget", t, "steps", float(i))
         if i < n_whole:
             t_next = t0 + (i + 1) * h
             step = t_next - t
@@ -359,20 +354,14 @@ def _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget):
             t_next = t_end
             step = _last_step(t, t_end)
         if t_next <= t:  # h is below the float spacing at t
-            rec.stop("step_floor", t, "h", h)
-            break
+            return rec.stop("step_floor", t, "h", h)
         try:
             x, y, z = _rk4_step(rhs, t, x, y, z, step)
         except OverflowError:
             x = y = z = math.inf
         t = t_next
         i += 1
-        # _Recorder.quiet, inlined
-        if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
-            append_t(t)
-            append_u((x, y, z))
-        else:
-            rec.push(t, x, y, z)
+        yield t, x, y, z
 
 
 def _dp5_source() -> str:
@@ -411,7 +400,9 @@ def _compile_dp5_step():
 _dp5_step = _compile_dp5_step()
 
 
-def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
+def _dp5_points(rhs, t, x, y, z, t_end, t_stop, ctl, rec, budget):
+    """DP5 steps from (t, x, y, z) under PI control: yields (t, x, y, z) after
+    each accepted one; a rejected one is tried again with a smaller h."""
     # PI controller constants (order-5 error estimator).
     safety = 0.9
     beta_stab = 0.04
@@ -421,29 +412,21 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
 
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     h_min, h_max = ctl.h_min, ctl.h_max
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
-    t = t0
-    x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
     k1 = rhs(t, x, y, z)
-    rec.push(t, x, y, z)
-    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
-    append_t, append_u = rec.times.append, rec.states.append
     h = ctl.h_init
     err_prev = 1e-4
     steps = 0
 
     # The clamps below are min/max written out: "b if b < a else a" is
     # min(a, b) and "b if b > a else a" is max(a, b), float for float.
-    while not rec.done and t < t_stop:
+    while t < t_stop:
         if steps >= budget:
-            rec.stop("step_budget", t, "steps", float(steps))
-            break
+            return rec.stop("step_budget", t, "steps", float(steps))
         last = t + h >= t_stop  # this step reaches t_end
         if last:
             h = _last_step(t, t_end)
         if h < h_min:
-            rec.stop("step_floor", t, "h", h)
-            break
+            return rec.stop("step_floor", t, "h", h)
 
         try:
             x_new, y_new, z_new, k7, err_norm = _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol)
@@ -455,12 +438,7 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
             t = t_end if last else t + h
             x, y, z = x_new, y_new, z_new
             k1 = k7
-            # _Recorder.quiet, inlined
-            if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
-                append_t(t)
-                append_u((x, y, z))
-            else:
-                rec.push(t, x, y, z)
+            yield t, x, y, z
             if err_norm == 0.0:
                 factor = max_factor
             else:
@@ -475,6 +453,25 @@ def _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget):
             h *= shrink if shrink > min_factor else min_factor
         else:  # NaN or inf: no usable error estimate, halve the step
             h *= 0.5
+
+
+def _integrate(rhs, u0, t0, t_end, ctl, rec, budget):
+    """Record (t0, u0) and each point the mode's step generator yields, until
+    a push or a stop ends the run or the generator reaches t_end."""
+    x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
+    if rec.push(t0, x, y, z):
+        return
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    points = _rk4_points if ctl.mode == "fixed" else _dp5_points
+    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
+    append_t, append_u = rec.times.append, rec.states.append
+    for t, x, y, z in points(rhs, t0, x, y, z, t_end, t_stop, ctl, rec, budget):
+        # _Recorder.quiet, inlined
+        if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
+            append_t(t)
+            append_u((x, y, z))
+        elif rec.push(t, x, y, z):
+            return
 
 
 def integrate(
@@ -500,11 +497,7 @@ def integrate(
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)
     rec = _Recorder(ctl, bounds)
-    budget = math.inf if max_steps is None else max_steps
-    if ctl.mode == "fixed":
-        _integrate_fixed(rhs, u0, t0, t_end, ctl, rec, budget)
-    else:
-        _integrate_adaptive(rhs, u0, t0, t_end, ctl, rec, budget)
+    _integrate(rhs, u0, t0, t_end, ctl, rec, math.inf if max_steps is None else max_steps)
     return Trajectory(
         times=np.array(rec.times),
         states=np.array(rec.states),

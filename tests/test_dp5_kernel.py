@@ -121,5 +121,5 @@ def test_monitors_match_per_component_loops(persistent_params, x, y, z, positivi
     bounds = analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0))
     ctl = hk.AdaptiveStep(positivity_tol=positivity_tol)
     rec = _Recorder(ctl, bounds)
-    rec.push(0.5, x, y, z)
-    assert (rec.events, rec.done) == _reference_events(ctl, bounds, 0.5, x, y, z)
+    done = rec.push(0.5, x, y, z)
+    assert (rec.events, done) == _reference_events(ctl, bounds, 0.5, x, y, z)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_dp5_kernel import _component, _forcing, _params
 
 import hbvkit as hk
-from hbvkit.integrate import _integrate_adaptive, _integrate_fixed, _Recorder
+from hbvkit.integrate import _integrate, _Recorder
 from hbvkit.model import BoundsReport, analytic_bounds, make_rhs, vector_field
 
 PARAMS = hk.Parameters(mu1=6.0, mu2=7.0, mu3=0.1, beta=0.3, eta=0.5, epsilon=0.1, p=5.0, q=10.0)
@@ -47,8 +47,7 @@ _value = st.one_of(
 
 def _fires_nothing(positivity_tol, x, y, z):
     rec = _recorder(positivity_tol)
-    rec.push(0.5, x, y, z)
-    return not rec.events and not rec.done
+    return not rec.push(0.5, x, y, z) and not rec.events
 
 
 @settings(max_examples=1000, deadline=None)
@@ -87,13 +86,13 @@ class _PushEveryPoint(_Recorder):
         self.quiet_box = (math.nan,) * 4
 
 
-_LOOPS = {
-    "fixed": (_integrate_fixed, hk.FixedStep(h=0.1)),
-    "adaptive": (_integrate_adaptive, hk.AdaptiveStep(h_init=0.1, h_max=0.1)),
+_CONTROLS = {
+    "fixed": hk.FixedStep(h=0.1),
+    "adaptive": hk.AdaptiveStep(h_init=0.1, h_max=0.1),
 }
 
 
-@pytest.mark.parametrize("mode", list(_LOOPS))
+@pytest.mark.parametrize("mode", list(_CONTROLS))
 @pytest.mark.parametrize(
     "velocity, positivity_tol, ceiling",
     [
@@ -112,8 +111,7 @@ _LOOPS = {
 )
 def test_loops_record_what_push_records(mode, velocity, positivity_tol, ceiling):
     # a constant vector field moves the state along a line through the monitors
-    loop, ctl = _LOOPS[mode]
-    ctl = dataclasses.replace(ctl, positivity_tol=positivity_tol)
+    ctl = dataclasses.replace(_CONTROLS[mode], positivity_tol=positivity_tol)
     bounds = BoundsReport(M=ceiling, z_ceiling=ceiling, l1_alpha=None, l1_ceiling=None)
 
     def rhs(t, x, y, z):
@@ -122,8 +120,8 @@ def test_loops_record_what_push_records(mode, velocity, positivity_tol, ceiling)
     runs = []
     for recorder in (_Recorder, _PushEveryPoint):
         rec = recorder(ctl, bounds)
-        loop(rhs, (1.0, 1.0, 1.0), 0.0, 4.0, ctl, rec, 1000)
-        runs.append((rec.times, rec.states, rec.events, rec.done))
+        _integrate(rhs, (1.0, 1.0, 1.0), 0.0, 4.0, ctl, rec, 1000)
+        runs.append((rec.times, rec.states, rec.events))
     assert runs[0] == runs[1]
     assert runs[0][2], "the run fired no monitor"
 
