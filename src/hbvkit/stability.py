@@ -103,35 +103,70 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> tuple[complex, complex, com
     return tuple((r - shift) * scale for r in roots)
 
 
-def _polish_root(lam: complex, c2: float, c1: float, c0: float) -> complex:
-    """A couple of Newton steps on the cubic to push the residual to rounding."""
+def _polish_root(lam: complex, c2: float, c1: float, c0: float) -> tuple[complex, bool]:
+    """A couple of Newton steps on the cubic to push the residual to rounding:
+    (root, refused). A step that raises |p(lam)| more than 16-fold is refused
+    and ends the polish: near a multiple root the derivative is almost 0, and
+    the step jumps far off."""
+    val = ((lam + c2) * lam + c1) * lam + c0
     for _ in range(2):
-        val = ((lam + c2) * lam + c1) * lam + c0
         der = (3.0 * lam + 2.0 * c2) * lam + c1
         if der == 0:
             break
         step = val / der
         if not (cmath.isfinite(step)):
             break
-        lam = lam - step
-    return lam
+        new = lam - step
+        new_val = ((new + c2) * new + c1) * new + c0
+        if abs(new_val) > 16.0 * abs(val):
+            return lam, True
+        lam, val = new, new_val
+    return lam, False
+
+
+def _deflated_roots(r1: float, c1: float, c0: float) -> tuple[complex, complex, complex]:
+    """r1 and the roots of lam^2 + B lam + C, the cubic divided by (lam - r1).
+
+    C = -c0/r1 and B = (C - c1)/r1; the form c2 + r1 of B cancels when r1 is
+    the dominant root. The quadratic is solved by the cancellation-free
+    formula (Kahan, "To solve a real cubic equation", 1986).
+    """
+    C = -c0 / r1
+    B = (C - c1) / r1
+    disc = B * B - 4.0 * C
+    if disc < 0.0:
+        re, im = -0.5 * B, 0.5 * math.sqrt(-disc)
+        return (complex(r1, 0.0), complex(re, im), complex(re, -im))
+    big = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    return (complex(r1, 0.0), complex(big, 0.0), complex(C / big if big else 0.0, 0.0))
 
 
 def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
     """Eigenvalues as roots of the characteristic cubic, sorted by real part
-    (descending). Complex eigenvalues come in exact conjugate pairs."""
+    (descending). Complex eigenvalues come in exact conjugate pairs.
+
+    When the polish of a root is refused, the closed-form roots were too
+    coarse for Newton: on a stiff matrix the small roots merge at the scale
+    of the large one. The dominant real root, accurate at that scale, is then
+    divided out, and the other two come from the quadratic left.
+    """
     c2, c1, c0 = characteristic_coefficients(J)
     raw = _cubic_roots(c2, c1, c0)
     polished = []
+    refused = False
     for r in raw:
         # polish the upper-half-plane copy: conjugates stay exact, reals real
-        pr = _polish_root(complex(r.real, abs(r.imag)), c2, c1, c0)
+        pr, refused_here = _polish_root(complex(r.real, abs(r.imag)), c2, c1, c0)
+        refused = refused or refused_here
         if r.imag > 0:
             polished.append(pr)
         elif r.imag < 0:
             polished.append(pr.conjugate())
         else:
             polished.append(complex(pr.real, 0.0))
+    r1 = max((lam.real for lam in polished if lam.imag == 0.0), key=abs, default=0.0)
+    if refused and r1 != 0.0:
+        polished = list(_deflated_roots(r1, c1, c0))
     polished.sort(key=lambda lam: (-lam.real, lam.imag))
     return tuple(polished)
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hbvkit as hk
-from hbvkit.stability import characteristic_coefficients, characteristic_residual
+from hbvkit.scenarios import DEFAULT_SWEEP_BOX, _draw_params
+from hbvkit.stability import MARGINAL_BAND, characteristic_coefficients, characteristic_residual
 
 DFE2 = np.array([4.90675, 0.0, 0.0])
 
@@ -56,6 +59,81 @@ def test_eigenvalues_against_lapack_oracle():
         scale = max(1.0, float(np.abs(ref).max()))
         for lam in mine:
             assert min(abs(lam - r) for r in ref) <= 1e-8 * scale
+
+
+def _sweep_draws(n):
+    """The first n (lam, params) draws of a sweep with seed 42 over the default box."""
+    rng = np.random.default_rng(42)
+    return [_draw_params(rng, DEFAULT_SWEEP_BOX) for _ in range(n)]
+
+
+# Draws of _sweep_draws whose endemic Jacobian has eigenvalues spread up to
+# max|lam|/min|lam| ~ 1e9; the closed-form roots once merged the two small
+# ones, and a Newton polish from there jumped far off (797: +10659.6 against
+# -0.01054). The first nine are those it classified as unstable.
+STIFF_ENDEMIC_DRAWS = (797, 1655, 4286, 6361, 7402, 8265, 17398, 18120, 19219)
+STIFF_ENDEMIC_WRONG_RATE_DRAWS = (6237, 11327, 13689, 14114, 19084, 19183)
+
+
+@pytest.fixture(scope="module")
+def sweep_draws():
+    return _sweep_draws(1 + max(STIFF_ENDEMIC_DRAWS + STIFF_ENDEMIC_WRONG_RATE_DRAWS))
+
+
+def _endemic_jacobian(lam, params):
+    end = hk.endemic(params, hk.ConstantForcing(lam))
+    return hk.jacobian(params, end.state) if end.feasible else None
+
+
+def test_endemic_jacobians_against_lapack_oracle(sweep_draws):
+    indices = list(range(3000)) + list(STIFF_ENDEMIC_DRAWS + STIFF_ENDEMIC_WRONG_RATE_DRAWS)
+    checked = 0
+    for i in indices:
+        J = _endemic_jacobian(*sweep_draws[i])
+        if J is None:
+            continue
+        checked += 1
+        mine = hk.eigenvalues_3x3(J)
+        ref = np.linalg.eigvals(J)
+        scale = float(np.abs(ref).max())
+        for lam in mine:
+            assert min(abs(lam - r) for r in ref) <= 1e-8 * scale, i
+        for r in ref:
+            assert min(abs(lam - r) for lam in mine) <= 1e-8 * scale, i
+    assert checked > 900
+
+
+@pytest.mark.parametrize("index", STIFF_ENDEMIC_DRAWS)
+def test_stiff_endemic_states_classify_stable(sweep_draws, index):
+    lam, params = sweep_draws[index]
+    forcing = hk.ConstantForcing(lam)
+    end = hk.endemic(params, forcing)
+    assert end.feasible
+    assert hk.routh_hurwitz_stable(hk.jacobian(params, end.state))
+    assert hk.stability_report(params, forcing, end.state).classification == "stable"
+
+
+_log_rate = st.floats(math.log(1e-2), math.log(1e2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    log_rates=st.tuples(*[_log_rate] * 7),
+    fractions=st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.9)),
+)
+def test_classification_agrees_with_routh_hurwitz(log_rates, fractions):
+    lam, mu1, mu2, mu3, beta, p, q = map(math.exp, log_rates)
+    eta, epsilon = fractions
+    params = hk.Parameters(mu1=mu1, mu2=mu2, mu3=mu3, beta=beta, eta=eta, epsilon=epsilon, p=p, q=q)
+    forcing = hk.ConstantForcing(lam)
+    end = hk.endemic(params, forcing)
+    states = [hk.disease_free(params, forcing).state] + ([end.state] if end.feasible else [])
+    for state in states:
+        report = hk.stability_report(params, forcing, state)
+        if abs(report.max_real_part) < MARGINAL_BAND:
+            continue
+        stable = hk.routh_hurwitz_stable(hk.jacobian(params, state))
+        assert (report.classification == "stable") == stable
 
 
 def test_eigenvalues_conjugate_pairs_exact():
