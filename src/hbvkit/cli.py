@@ -74,7 +74,7 @@ _ANALYSIS_FLAGS = {
     "conditions": (
         ("--set", dict(dest="condition_set", choices=stab.CONDITION_SETS,
                        help="evaluate one specific set")),
-        ("--b1", dict(type=float, help="finite virion bound >= 0 for the nonauto set (default 0)")),
+        ("--b1", dict(type=float, help="finite virion bound >= 0, read by the nonauto set only (default 0)")),
     ),
     "contraction": (
         ("--offset", dict(type=_parse_triple, help="partner start = u0 + offset (default 1,1,1)")),
@@ -90,6 +90,9 @@ _ANALYSIS_FLAGS = {
 }
 
 _COMMON_ARGS = ("command", "func", "config", "out", "tol")
+
+# The analysis subcommands that integrate, and so take --tol.
+_INTEGRATING_ANALYSES = ("lyapunov", "contraction", "pullback", "absorbing")
 
 
 # {{{ subcommand handlers
@@ -153,10 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help="output directory (default: runs)"):
+    def common(p, out_help="output directory (default: runs)", tol=True):
         p.add_argument("--config", required=True, help="scenario id or JSON config path")
         p.add_argument("--out", default="runs", help=out_help)
-        p.add_argument("--tol", type=float, default=None, help="override adaptive abs/rel tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="override adaptive abs/rel tolerance")
 
     p = sub.add_parser("scenario", help="run a registered benchmark scenario end to end")
     p.add_argument("id", help=f"one of: {', '.join(sorted(SCENARIOS))}")
@@ -170,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (fn, _) in ANALYSES.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        common(p, out_help="ignored: analysis subcommands write no files")
+        common(p, out_help="ignored: analysis subcommands write no files", tol=name in _INTEGRATING_ANALYSES)
         for flag, kwargs in _ANALYSIS_FLAGS.get(name, ()):
             p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
-        p.set_defaults(func=_cmd_analysis)
+        p.set_defaults(func=_cmd_analysis, tol=None)
 
     p = sub.add_parser("sweep", help="randomized property sweep over a parameter box")
     p.add_argument("--n", type=int, default=1000, help="number of draws (default 1000)")

@@ -136,7 +136,7 @@ def _stability(scenario: Scenario, traj) -> dict:
     return out
 
 
-def _conditions(scenario: Scenario, traj, condition_set=None, b1=0.0) -> list:
+def _conditions(scenario: Scenario, traj, condition_set=None, b1=None) -> list:
     """numeric margins of the stability condition sets"""
     params, forcing = scenario.params, scenario.forcing
     if condition_set is not None:
@@ -145,6 +145,10 @@ def _conditions(scenario: Scenario, traj, condition_set=None, b1=0.0) -> list:
         sets = ("dfe", "endemic")
     else:
         sets = ("nonauto",)
+    if b1 is None:
+        b1 = 0.0
+    elif "nonauto" not in sets:
+        raise ValueError(f"b1 is read by the nonauto set only; the sets evaluated are {', '.join(sets)}")
     out = []
     for set_id in sets:
         equilibrium = None

@@ -271,6 +271,35 @@ def test_option_value_that_makes_a_verdict_vacuous_exits_2(argv, capsys):
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, sets",
+    [
+        (["--config", "table2-dfe", "--set", "dfe"], "dfe"),
+        (["--config", "table2-dfe"], "dfe, endemic"),  # the sets of a constant rate
+    ],
+    ids=["set-dfe", "constant-default-sets"],
+)
+def test_b1_without_the_nonauto_set_exits_2(argv, sets, capsys):
+    assert main(["conditions", *argv, "--b1", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the sets evaluated are {sets}" in captured.err
+
+
+def test_b1_with_the_nonauto_set_is_read(capsys):
+    assert main(["conditions", "--config", "table2-dfe", "--set", "nonauto", "--b1", "5"]) == 0
+    [margins] = json.loads(capsys.readouterr().out)
+    assert margins["aux"]["b1"] == 5.0
+
+
+@pytest.mark.parametrize("command", ["equilibria", "stability", "conditions", "r0"])
+def test_tol_on_a_subcommand_that_does_not_integrate_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "table2-dfe", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_pullback_infinite_horizon_exits_2(fixed_step_config, capsys):
     assert main(["pullback", "--config", str(fixed_step_config), "--horizons", "5,inf"]) == 2
     captured = capsys.readouterr()

@@ -107,9 +107,9 @@ def test_unread_key_is_rejected_by_name(tmp_path, edit):
 def test_tol_on_fixed_step_scenario_is_a_usage_error(tmp_path, capsys):
     doc = _base_doc() | {"control": {"mode": "fixed", "h": 0.01}}
     path = _write(tmp_path, doc)
-    assert main(["r0", "--config", str(path)]) == 0
+    assert main(["lyapunov", "--config", str(path)]) == 0
     capsys.readouterr()
-    assert main(["r0", "--config", str(path), "--tol", "1e-3"]) == 2
+    assert main(["lyapunov", "--config", str(path), "--tol", "1e-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err

@@ -27,6 +27,9 @@ from workloads import CONFIG_BASES, CONFIG_COMMANDS, CONFIG_MODES, RUN_FILES, ma
 
 # sha256 of the CSV that sweep(200, seed=42) writes.
 SWEEP_200_42_SHA256 = "ca439a9b19aee995741c5f70baba26dac2e82b2748d9294804d97b95e716a775"
+# sha256 of the CSV that sweep(1000, seed=42) writes; it holds the seven
+# draws that the step budget cuts short (11, 254, 278, 670, 797, 843, 845).
+SWEEP_1000_42_SHA256 = "3116755c8545f95e8805ee238522bfbf808f405dd3bc83ac04c46810c7b2fda2"
 
 # sha256 over the exit code, stdout and run files of one block of configs
 # (every base x command x mode, in that order) drawn from this seed.
@@ -81,6 +84,11 @@ def test_registry_run_bytes_match_golden(tmp_path, sid):
 def test_sweep_csv_bytes(tmp_path):
     hk.sweep(200, 42, out_path=tmp_path / "sweep.csv")
     assert _sha256(tmp_path / "sweep.csv") == SWEEP_200_42_SHA256
+
+
+def test_sweep_1000_csv_bytes(tmp_path):
+    hk.sweep(1000, 42, out_path=tmp_path / "sweep.csv")
+    assert _sha256(tmp_path / "sweep.csv") == SWEEP_1000_42_SHA256
 
 
 def test_configs_block_bytes(tmp_path):
