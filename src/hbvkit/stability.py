@@ -145,19 +145,16 @@ def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
     """Eigenvalues as roots of the characteristic cubic, sorted by real part
     (descending). Complex eigenvalues come in exact conjugate pairs.
 
-    When the polish of a root is refused, the closed-form roots were too
-    coarse for Newton: on a stiff matrix the small roots merge at the scale
-    of the large one. The dominant real root, accurate at that scale, is then
-    divided out, and the other two come from the quadratic left.
+    A refused polish means the closed-form roots were too coarse: on a stiff
+    matrix the small roots merge at the scale of the large one. Then the
+    dominant real root is divided out, and the quadratic left gives the rest.
     """
     c2, c1, c0 = characteristic_coefficients(J)
-    raw = _cubic_roots(c2, c1, c0)
-    polished = []
-    refused = False
-    for r in raw:
+    polished, refused = [], False
+    for r in _cubic_roots(c2, c1, c0):
         # polish the upper-half-plane copy: conjugates stay exact, reals real
         pr, refused_here = _polish_root(complex(r.real, abs(r.imag)), c2, c1, c0)
-        refused = refused or refused_here
+        refused |= refused_here
         if r.imag > 0:
             polished.append(pr)
         elif r.imag < 0:
