@@ -124,21 +124,25 @@ def _polish_root(lam: complex, c2: float, c1: float, c0: float) -> tuple[complex
     return lam, False
 
 
-def _deflated_roots(r1: float, c1: float, c0: float) -> tuple[complex, complex, complex]:
-    """r1 and the roots of lam^2 + B lam + C, the cubic divided by (lam - r1).
+def _deflated(roots, c1: float, c0: float):
+    """The dominant real root r1 of ``roots``, and the roots of
+    lam^2 + B lam + C, the cubic divided by (lam - r1), for the other two.
 
     C = -c0/r1 and B = (C - c1)/r1; the form c2 + r1 of B cancels when r1 is
     the dominant root. The quadratic is solved by the cancellation-free
     formula (Kahan, "To solve a real cubic equation", 1986).
     """
+    r1 = max((lam.real for lam in roots if lam.imag == 0.0), key=abs)
+    if r1 == 0.0:  # every real root is 0: there is nothing to divide by
+        return roots
     C = -c0 / r1
     B = (C - c1) / r1
     disc = B * B - 4.0 * C
     if disc < 0.0:
         re, im = -0.5 * B, 0.5 * math.sqrt(-disc)
-        return (complex(r1, 0.0), complex(re, im), complex(re, -im))
+        return [complex(r1, 0.0), complex(re, im), complex(re, -im)]
     big = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-    return (complex(r1, 0.0), complex(big, 0.0), complex(C / big if big else 0.0, 0.0))
+    return [complex(r1, 0.0), complex(big, 0.0), complex(C / big if big else 0.0, 0.0)]
 
 
 def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
@@ -161,9 +165,8 @@ def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
             polished.append(pr.conjugate())
         else:
             polished.append(complex(pr.real, 0.0))
-    r1 = max((lam.real for lam in polished if lam.imag == 0.0), key=abs, default=0.0)
-    if refused and r1 != 0.0:
-        polished = list(_deflated_roots(r1, c1, c0))
+    if refused:
+        polished = _deflated(polished, c1, c0)
     polished.sort(key=lambda lam: (-lam.real, lam.imag))
     return tuple(polished)
 
