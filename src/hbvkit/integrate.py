@@ -1,10 +1,10 @@
 """Explicit Runge-Kutta integration with runtime monitors.
 
 Two stepping modes: classical fixed-step RK4 and an adaptive embedded
-Dormand-Prince 5(4) pair with PI step-size control. Each mode is a
-generator, ``_rk4_points`` or ``_dp5_points``, that yields the point after
-every accepted step; one recording loop, ``_integrate``, checks each point
-against a set of monitors and records it:
+Dormand-Prince 5(4) pair with PI step-size control. Each run goes through one
+generated run kernel, the whole stepping loop with no call per step: the
+step, the step-size control, the landing on ``t_end``, the budget and step
+floor stops, and the monitors on each accepted point:
 
 * ``nonfinite`` / ``blow_up``: terminate with a partial trajectory; the
   offending state is kept as the final record so the failure is data,
@@ -22,12 +22,15 @@ against a set of monitors and records it:
 In both modes the last step goes from t to ``t_end`` and is recorded at
 ``t_end``. Its size is ``t_end - t``, less an ulp where t plus it would
 round past ``t_end`` (``_last_step``), so no stage time lies past ``t_end``.
+A run counts as there once t reaches ``t_end - 1e-14 * (t_end - t0)``, a
+window relative to the span, so a run and its copy with every time divided
+by a power of two stop at the same step.
 
-Most points fire no monitor. The recording loop tests each point inline
-against ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z`` below their
-ceilings (``_Recorder.quiet``), where hi is ``blow_up_threshold`` and lo the
-larger of ``-positivity_tol`` and ``-blow_up_threshold``. A point that passes
-is appended to the recorder's lists with no call; any other goes through
+Most points fire no monitor. The kernel tests each point inline against
+``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z`` below their ceilings
+(``_Recorder.quiet``), where hi is ``blow_up_threshold`` and lo the larger
+of ``-positivity_tol`` and ``-blow_up_threshold``. A point that passes is
+appended to the recorder's lists with no call; any other goes through
 ``_Recorder.push``, which records its events.
 
 A trajectory records only the accepted times and states. Dense output
@@ -35,29 +38,49 @@ between them uses cubic Hermite interpolation, whose node slopes are the
 vector field at the accepted points: they are computed once, on the first
 ``sample``, and are the same floats the step already evaluated there.
 
-The Dormand-Prince step is generated at import from ``_DP_A``/``_DP_C``/
-``_DP_E``, the one written copy of its tableau. Each stage and error sum
-adds its tableau row left to right, zero coefficients included, and the
-error norm adds x, y, z in that order; run files are compared byte for
-byte, so they depend on this order. The text is compiled as
-``<hbvkit.integrate._dp5_step>`` and kept in ``linecache`` for tracebacks
-and ``inspect.getsource``. The stages call the ``make_rhs`` closure, so a
-wrapper around ``make_rhs`` sees every evaluation. RK4 stays hand-written:
-``x + h/6 * (k1 + 2*(k2 + k3) + k4)`` is not a tableau-row sum, and written
-as one it would move the fixed-step bytes.
+Each method has one text template, ``_RK4`` or ``_DP5``, under a head and a
+recording block both share (``_HEAD``, ``_RECORD``), so each rule is written
+once. A template is filled per stage evaluation, one of two kinds:
+
+* a call ``rhs(t + c*h, ...)``: the kernel for table forcing, whose knot
+  segment stays in its ``make_rhs`` closure, and for any callable that is
+  not a ``make_rhs`` closure, such as a wrapper that counts calls, so such a
+  wrapper sees every evaluation;
+* the field lines of ``constant`` or ``sinusoid`` production written into
+  the stage (``model.field_lines``, the text ``make_rhs`` compiles too),
+  reading the values the closure carries in ``rhs.field``.
+
+``_integrate`` picks the kernel from the rhs object, and ``_kernel``
+compiles it on first use, once per process, as
+``<hbvkit.integrate._dp5_constant>`` and so on, kept in ``linecache`` for
+tracebacks and ``inspect.getsource``. The DP5 stage and error sums are
+generated from ``_DP_A``/``_DP_C``/``_DP_E``, the one written copy of its
+tableau: each adds its tableau row left to right, zero coefficients
+included, and the error norm adds x, y, z in that order. RK4 keeps
+``x + h/6 * (k1 + 2*(k2 + k3) + k4)`` and the grid ``t0 + (i+1)*h``. Run
+files are compared byte for byte, so they depend on this arithmetic.
 """
 
 from __future__ import annotations
 
-import linecache
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .model import BoundsReport, Forcing, Parameters, analytic_bounds, as_state, make_rhs
+from .model import (
+    BoundsReport,
+    Forcing,
+    Parameters,
+    analytic_bounds,
+    as_state,
+    compile_function,
+    field_lines,
+    field_names,
+    make_rhs,
+)
 
 __all__ = [
     "StepControl",
@@ -269,7 +292,7 @@ class _Recorder:
         self.quiet_box = (lo, self._blow_up, self._xy_ceiling, self._z_ceiling)
 
     def quiet(self, x: float, y: float, z: float) -> bool:
-        """True when ``push`` of (x, y, z) would fire no monitor; ``_integrate`` inlines this."""
+        """True when ``push`` of (x, y, z) would fire no monitor; the run kernels inline this."""
         lo, hi, xy_ceiling, z_ceiling = self.quiet_box
         return lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling
 
@@ -311,20 +334,6 @@ class _Recorder:
         return False
 
 
-def _rk4_step(rhs, t, x, y, z, h):
-    k1x, k1y, k1z = rhs(t, x, y, z)
-    h2 = 0.5 * h
-    k2x, k2y, k2z = rhs(t + h2, x + h2 * k1x, y + h2 * k1y, z + h2 * k1z)
-    k3x, k3y, k3z = rhs(t + h2, x + h2 * k2x, y + h2 * k2y, z + h2 * k2z)
-    k4x, k4y, k4z = rhs(t + h, x + h * k3x, y + h * k3y, z + h * k3z)
-    s = h / 6.0
-    return (
-        x + s * (k1x + 2.0 * (k2x + k3x) + k4x),
-        y + s * (k1y + 2.0 * (k2y + k3y) + k4y),
-        z + s * (k1z + 2.0 * (k2z + k3z) + k4z),
-    )
-
-
 def _last_step(t: float, t_end: float) -> float:
     """The step from t onto t_end: t_end - t, less the ulps by which t plus it
     would round past t_end, so that no stage time lies past t_end."""
@@ -334,21 +343,49 @@ def _last_step(t: float, t_end: float) -> float:
     return h
 
 
-def _rk4_points(rhs, t0, x, y, z, t_end, t_stop, ctl, rec, budget):
-    """RK4 steps from (t0, x, y, z): yields (t, x, y, z) after each one."""
+# The run kernels' text. Each method has one template, _RK4 or _DP5, under
+# _HEAD; {loop} and {record} are the loop head and the recording block both
+# share, and {k1}.. or {stages} are filled per stage evaluation by _stage. A
+# kernel records (t0, u0) and each accepted point until a push or a stop
+# ends the run or it lands on t_end.
+_HEAD = """\
+def {name}(rhs, field, u0, t0, t_end, ctl, rec, budget):
+    \"\"\"{doc}\"\"\"
+{bind}    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
+    append_t, append_u, push = rec.times.append, rec.states.append, rec.push
+    x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
+    if push(t0, x, y, z):
+        return
+    t_stop = t_end - 1e-14 * (t_end - t0)
+    t, steps = t0, 0
+"""
+
+# steps counts attempts: only DP5 makes an attempt it rejects
+_LOOP = """\
+    while t < t_stop:
+        if steps >= budget:
+            return rec.stop("step_budget", t, "steps", float(steps))"""
+
+# _Recorder.quiet, inlined: a quiet point is appended with no call
+_RECORD = """\
+        if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
+            append_t(t)
+            append_u((x, y, z))
+        elif push(t, x, y, z):
+            return"""
+
+# x + h/6 * (k1 + 2*(k2 + k3) + k4) is not a tableau-row sum, and written as
+# one it would move the fixed-step bytes, so RK4 is written out.
+_RK4 = """\
     h = ctl.h
     # Whole steps end at t0 + i*h for i = 1..n_whole, all before t_stop; the
     # step after them lands on t_end (t0 + n*h itself can round past t_end).
-    n_whole = int(math.floor((t_end - t0) / h))
+    n_whole = int(floor((t_end - t0) / h))
     if t0 + n_whole * h >= t_stop:
         n_whole -= 1
-    i = 0
-    t = t0
-    while t < t_stop:
-        if i >= budget:
-            return rec.stop("step_budget", t, "steps", float(i))
-        if i < n_whole:
-            t_next = t0 + (i + 1) * h
+{loop}
+        if steps < n_whole:
+            t_next = t0 + (steps + 1) * h
             step = t_next - t
         else:
             t_next = t_end
@@ -356,122 +393,150 @@ def _rk4_points(rhs, t0, x, y, z, t_end, t_stop, ctl, rec, budget):
         if t_next <= t:  # h is below the float spacing at t
             return rec.stop("step_floor", t, "h", h)
         try:
-            x, y, z = _rk4_step(rhs, t, x, y, z, step)
+{k1}
+            h2 = 0.5 * step
+            x2, y2, z2 = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z
+{k2}
+            x3, y3, z3 = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z
+{k3}
+            x4, y4, z4 = x + step * k3x, y + step * k3y, z + step * k3z
+{k4}
+            s = step / 6.0
+            x, y, z = (
+                x + s * (k1x + 2.0 * (k2x + k3x) + k4x),
+                y + s * (k1y + 2.0 * (k2y + k3y) + k4y),
+                z + s * (k1z + 2.0 * (k2z + k3z) + k4z),
+            )
         except OverflowError:
-            x = y = z = math.inf
+            x = y = z = inf
         t = t_next
-        i += 1
-        yield t, x, y, z
+        steps += 1
+{record}
+"""
 
-
-def _dp5_source() -> str:
-    """The text of ``_dp5_step``: one line ``u{i} = u + h * (a1 * k1u + ...)``
-    per stage and component, each coefficient written as its float's repr."""
-
-    def row_sum(coeffs, u):
-        return " + ".join(f"{a!r} * k{j}{u}" for j, a in enumerate(coeffs, 1))
-
-    lines = [
-        "def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):",
-        '    """One DP5(4) step from t, k1 = rhs there: x7, y7, z7, k7 and the scaled RMS error."""',
-        "    k1x, k1y, k1z = k1",
-    ]
-    for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
-        lines += [f"    {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
-        lines += [f"    k{i} = rhs(t + {c!r} * h, x{i}, y{i}, z{i})", f"    k{i}x, k{i}y, k{i}z = k{i}"]
-    for u in "xyz":  # b if b > a else a is max(a, b) without the call
-        lines += [
-            f"    a{u}, b{u} = abs({u}), abs({u}7)",
-            f"    r{u} = h * ({row_sum(_DP_E, u)}) / (atol + rtol * (b{u} if b{u} > a{u} else a{u}))",
-        ]
-    lines.append("    return x7, y7, z7, k7, sqrt((rx * rx + ry * ry + rz * rz) / 3.0)")
-    return "\n".join(lines) + "\n"
-
-
-def _compile_dp5_step():
-    # linecache keeps an entry whose mtime is None: there is no file to check
-    source, filename = _dp5_source(), "<hbvkit.integrate._dp5_step>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__, "sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["_dp5_step"]
-
-
-_dp5_step = _compile_dp5_step()
-
-
-def _dp5_points(rhs, t, x, y, z, t_end, t_stop, ctl, rec, budget):
-    """DP5 steps from (t, x, y, z) under PI control: yields (t, x, y, z) after
-    each accepted one; a rejected one is tried again with a smaller h."""
+_DP5 = """\
     # PI controller constants (order-5 error estimator).
     safety = 0.9
     beta_stab = 0.04
     expo = 0.2 - 0.75 * beta_stab
     min_factor, max_factor = 0.2, 10.0
-    inf = math.inf
-
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     h_min, h_max = ctl.h_min, ctl.h_max
-    k1 = rhs(t, x, y, z)
+{k1}
     h = ctl.h_init
     err_prev = 1e-4
-    steps = 0
-
     # The clamps below are min/max written out: "b if b < a else a" is
     # min(a, b) and "b if b > a else a" is max(a, b), float for float.
-    while t < t_stop:
-        if steps >= budget:
-            return rec.stop("step_budget", t, "steps", float(steps))
+{loop}
         last = t + h >= t_stop  # this step reaches t_end
         if last:
             h = _last_step(t, t_end)
         if h < h_min:
             return rec.stop("step_floor", t, "h", h)
-
         try:
-            x_new, y_new, z_new, k7, err_norm = _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol)
+{stages}
+            err_norm = sqrt((rx * rx + ry * ry + rz * rz) / 3.0)
         except OverflowError:
             err_norm = inf
         steps += 1
+        if not err_norm <= 1.0:  # rejected: try again with a smaller h
+            if err_norm < inf:
+                shrink = safety * err_norm**-0.2
+                h *= shrink if shrink > min_factor else min_factor
+            else:  # NaN or inf: no usable error estimate, halve the step
+                h *= 0.5
+            continue
+        t = t_end if last else t + h
+        x, y, z, k1x, k1y, k1z = x7, y7, z7, k7x, k7y, k7z
+{record}
+        if err_norm == 0.0:
+            factor = max_factor
+        else:
+            factor = safety * err_norm**-expo * err_prev**beta_stab
+            factor = factor if factor > min_factor else min_factor
+            factor = factor if factor < max_factor else max_factor
+        err_prev = 1e-4 if 1e-4 > err_norm else err_norm
+        h = h * factor
+        h = h_max if h_max < h else h
+"""
 
-        if err_norm <= 1.0:
-            t = t_end if last else t + h
-            x, y, z = x_new, y_new, z_new
-            k1 = k7
-            yield t, x, y, z
-            if err_norm == 0.0:
-                factor = max_factor
-            else:
-                factor = safety * err_norm**-expo * err_prev**beta_stab
-                factor = factor if factor > min_factor else min_factor
-                factor = factor if factor < max_factor else max_factor
-            err_prev = 1e-4 if 1e-4 > err_norm else err_norm
-            h = h * factor
-            h = h_max if h_max < h else h
-        elif err_norm < inf:
-            shrink = safety * err_norm**-0.2
-            h *= shrink if shrink > min_factor else min_factor
-        else:  # NaN or inf: no usable error estimate, halve the step
-            h *= 0.5
+# The forcing kinds whose field a kernel writes into its stages; a kernel
+# for any other rhs calls it.
+_INLINED = ("constant", "sinusoid")
+
+
+def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 12) -> str:
+    """Lines that set k{i}x, k{i}y, k{i}z to the vector field at (t, x, y, z),
+    by default at the indentation of a step: a call of ``rhs``, or under an
+    inlined forcing kind the field lines."""
+    out = f"k{i}x, k{i}y, k{i}z = "
+    lines = [f"{out}rhs({t}, {x}, {y}, {z})"] if stages == "call" else field_lines(stages, t, x, y, z, out)
+    return "\n".join(" " * indent + line for line in lines)
+
+
+def _rk4_stages(stages: str) -> dict:
+    times = ("t", "t + h2", "t + h2", "t + step")
+    points = (("x", "y", "z"), ("x2", "y2", "z2"), ("x3", "y3", "z3"), ("x4", "y4", "z4"))
+    return {f"k{i}": _stage(stages, i, t, *u) for i, (t, u) in enumerate(zip(times, points), 1)}
+
+
+def _dp5_stages(stages: str) -> dict:
+    # Per stage and component one line u{i} = u + h * (a1 * k1u + ...), each
+    # coefficient written as its float's repr.
+    def row_sum(coeffs, u):
+        return " + ".join(f"{a!r} * k{j}{u}" for j, a in enumerate(coeffs, 1))
+
+    lines = []
+    for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
+        lines += [f"            {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
+        lines.append(_stage(stages, i, f"t + {c!r} * h", f"x{i}", f"y{i}", f"z{i}"))
+    for u in "xyz":  # b if b > a else a is max(a, b) without the call
+        lines += [
+            f"            a{u}, b{u} = abs({u}), abs({u}7)",
+            f"            r{u} = h * ({row_sum(_DP_E, u)}) / (atol + rtol * (b{u} if b{u} > a{u} else a{u}))",
+        ]
+    return {"k1": _stage(stages, 1, "t", "x", "y", "z", indent=4), "stages": "\n".join(lines)}
+
+
+# stepping mode -> kernel name prefix, docstring, template, stage lines
+_METHODS = {
+    "fixed": ("_rk4", "Classical RK4 steps of h from (t0, u0) to t_end", _RK4, _rk4_stages),
+    "adaptive": ("_dp5", "DP5(4) steps under PI control from (t0, u0) to t_end", _DP5, _dp5_stages),
+}
+
+
+@cache
+def _kernel(mode: str, stages: str):
+    """The run kernel of a stepping mode and a stage evaluation, ``"call"`` or
+    a forcing kind in ``_INLINED``, generated and compiled on first use."""
+    prefix, doc, template, stage_lines = _METHODS[mode]
+    name = f"{prefix}_{stages}"
+    doc += "; each stage calls rhs." if stages == "call" else f"; the {stages} field is written into each stage."
+    bind = "" if stages == "call" else f"    {', '.join(field_names(stages))} = field\n"
+    source = (_HEAD + template).format(
+        name=name, doc=doc, bind=bind, loop=_LOOP, record=_RECORD, **stage_lines(stages)
+    )
+    namespace = {
+        "__name__": __name__,
+        "_last_step": _last_step,
+        "cos": math.cos,
+        "floor": math.floor,
+        "inf": math.inf,
+        "sqrt": math.sqrt,
+    }
+    return compile_function(source, f"<hbvkit.integrate.{name}>", namespace)
 
 
 def _integrate(rhs, u0, t0, t_end, ctl, rec, budget):
-    """Record (t0, u0) and each point the mode's step generator yields, until
-    a push or a stop ends the run or the generator reaches t_end."""
-    x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
-    if rec.push(t0, x, y, z):
-        return
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
-    points = _rk4_points if ctl.mode == "fixed" else _dp5_points
-    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
-    append_t, append_u = rec.times.append, rec.states.append
-    for t, x, y, z in points(rhs, t0, x, y, z, t_end, t_stop, ctl, rec, budget):
-        # _Recorder.quiet, inlined
-        if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
-            append_t(t)
-            append_u((x, y, z))
-        elif rec.push(t, x, y, z):
-            return
+    """Run the kernel of ``ctl.mode`` that fits ``rhs``: the field of a
+    ``make_rhs`` closure of a kind in ``_INLINED`` is written into the stages;
+    any other callable is called at every stage, a wrapper of such a closure
+    too (``functools.wraps`` copies the ``field`` attribute, and sets
+    ``__wrapped__``)."""
+    kind, values = getattr(rhs, "field", ("call", None))
+    if kind not in _INLINED or hasattr(rhs, "__wrapped__"):
+        kind = "call"
+    _kernel(ctl.mode, kind)(rhs, values, u0, t0, t_end, ctl, rec, budget)
 
 
 def integrate(

@@ -17,9 +17,12 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import linecache
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import cache
+from math import cos  # read by the sinusoid closures
 from typing import ClassVar
 
 import numpy as np
@@ -231,11 +234,89 @@ def as_state(u, require_nonnegative: bool = False) -> np.ndarray:
     return arr
 
 
+# The vector field, written once as text: make_rhs compiles its closures from
+# it, and the run kernels of hbvkit.integrate write it into their stages.
+# {x}, {y}, {z} name the state; the second line's three expressions are dx,
+# dy and dz, with {production} the production rate.
+_FIELD = (
+    "infect = beta_eff * {x} * {z}",
+    "{production} - mu1 * {x} - infect + q * {y}, infect - loss_y * {y}, prod_eff * {y} - mu3 * {z}",
+)
+# The derived rates the field reads, in make_rhs's order.
+_RATES = ("mu1", "mu3", "q", "beta_eff", "prod_eff", "loss_y")
+# Per forcing kind: the names its production rate reads, and that rate at time {t}.
+_PRODUCTION = {
+    "constant": (("lam",), "lam"),
+    # SinusoidForcing.__call__, in its order of operations
+    "sinusoid": (("offset", "amplitude", "omega", "phase"), "offset + amplitude * cos(omega * {t} + phase)"),
+    # the knot segment (x0, x1, y0, slope) the closure keeps; _interp's bits
+    "piecewise_linear": (("times", "segments"), "(y0 if {t} == x0 else slope * ({t} - x0) + y0)"),
+}
+# A table closure first seats the segment that holds t, searching only when t
+# has left the last one; the segment is stored and read as one tuple.
+_SEAT_SEGMENT = (
+    "nonlocal segment",
+    "x0, x1, y0, slope = segment",
+    "if not (x0 <= t < x1):",
+    "    x0, x1, y0, slope = segment = segments[_knot_index(t, times)]",
+)
+
+
+def field_names(kind: str) -> tuple[str, ...]:
+    """The names the vector field reads under a forcing kind, in the order of
+    the values a ``make_rhs`` closure carries in its ``field`` attribute."""
+    return _RATES + _PRODUCTION[kind][0]
+
+
+def field_lines(kind: str, t: str, x: str, y: str, z: str, out: str) -> list[str]:
+    """The vector field's text under a forcing kind at time ``t`` and state
+    ``x, y, z``: the infection term, then ``out`` (``"return "`` or an
+    assignment) followed by dx, dy, dz. ``t`` may be an expression: it goes
+    in parentheses, so its value is the float a call would be passed."""
+    production = _PRODUCTION[kind][1].format(t=t if t.isidentifier() else f"({t})")
+    infect, derivative = _FIELD
+    return [infect.format(x=x, z=z), out + derivative.format(production=production, x=x, y=y, z=z)]
+
+
+def compile_function(source: str, filename: str, namespace: dict):
+    """The one function that generated ``source`` defines, compiled with
+    ``namespace`` as its globals.
+
+    The text goes into ``linecache`` under ``filename`` with mtime None, an
+    entry that is kept since there is no file to check it against, so
+    tracebacks and ``inspect.getsource`` show the generated lines.
+    """
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    defined = {}
+    exec(compile(source, filename, "exec"), namespace, defined)
+    (function,) = defined.values()
+    return function
+
+
+@cache
+def _rhs_factory(kind: str):
+    """The factory of a forcing kind's rhs closures, compiled from the field
+    text on first use: it takes the values of ``field_names(kind)``."""
+    body = ["def rhs(t, x, y, z):"]
+    if kind == "piecewise_linear":
+        body = ["segment = segments[0]", *body, *("    " + s for s in _SEAT_SEGMENT)]
+    body += ["    " + s for s in field_lines(kind, "t", "x", "y", "z", "return ")]
+    source = f"def {kind}_rhs({', '.join(field_names(kind))}):\n"
+    source += "".join(f"    {s}\n" for s in [*body, "return rhs"])
+    return compile_function(source, f"<hbvkit.model.make_rhs[{kind}]>", globals())
+
+
 def make_rhs(params: Parameters, forcing: Forcing):
     """Return a scalar-argument rhs(t, x, y, z) -> (dx, dy, dz) closure.
 
     The closure operates on plain floats, which keeps the inner loop of the
-    integrators cheap; `vector_field` is the array-facing wrapper.
+    integrators cheap; `vector_field` is the array-facing wrapper. It is
+    compiled from ``_FIELD``, the one written copy of the vector field, and
+    carries ``rhs.field = (forcing.kind, values)``: the values of
+    ``field_names(forcing.kind)``, the derived rates computed once. The run
+    kernels of ``hbvkit.integrate`` read that attribute to write the same
+    field into their stages; any other callable, a wrapper around this
+    closure included, is called at every stage.
 
     For a piecewise-linear table the closure keeps the knot segment of its
     last search, with that segment's slope, so a call inside it makes no
@@ -244,54 +325,20 @@ def make_rhs(params: Parameters, forcing: Forcing):
     segment lives in the one closure only, and is stored and read as one
     tuple, so a call always sees a whole segment.
     """
-    mu1, mu2, mu3 = params.mu1, params.mu2, params.mu3
-    q = params.q
-    beta_eff = params.beta_eff
-    prod_eff = params.prod_eff
-    loss_y = mu2 + q
-
-    if forcing.is_constant:
-        lam = forcing.value
-
-        def rhs(t, x, y, z):
-            infect = beta_eff * x * z
-            return (lam - mu1 * x - infect + q * y, infect - loss_y * y, prod_eff * y - mu3 * z)
-
-    elif isinstance(forcing, PiecewiseLinearForcing):
+    rates = (params.mu1, params.mu3, params.q, params.beta_eff, params.prod_eff, params.mu2 + params.q)
+    if forcing.kind == "constant":
+        production = (forcing.value,)
+    elif forcing.kind == "sinusoid":
+        production = (forcing.offset, forcing.amplitude, forcing.omega, forcing.phase)
+    else:
         times, values = forcing.times, forcing.values
         # Segment j is (times[j], its end, values[j], its slope), the division
         # _interp makes. The last knot is a segment of length zero: a search
         # seats it only for t == times[-1], and the next call searches again.
         slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(times, times[1:], values, values[1:])]
-        segments = tuple(zip(times, times[1:] + times[-1:], values, slopes + [0.0]))
-        segment = segments[0]
-
-        def rhs(t, x, y, z):
-            nonlocal segment
-            x0, x1, y0, slope = segment
-            if not (x0 <= t < x1):
-                x0, x1, y0, slope = segment = segments[_knot_index(t, times)]
-            infect = beta_eff * x * z
-            return (
-                (y0 if t == x0 else slope * (t - x0) + y0) - mu1 * x - infect + q * y,
-                infect - loss_y * y,
-                prod_eff * y - mu3 * z,
-            )
-
-    else:
-        # SinusoidForcing.__call__ inlined, in its order of operations
-        offset, amplitude = forcing.offset, forcing.amplitude
-        omega, phase = forcing.omega, forcing.phase
-        cos = math.cos
-
-        def rhs(t, x, y, z):
-            infect = beta_eff * x * z
-            return (
-                offset + amplitude * cos(omega * t + phase) - mu1 * x - infect + q * y,
-                infect - loss_y * y,
-                prod_eff * y - mu3 * z,
-            )
-
+        production = (times, tuple(zip(times, times[1:] + times[-1:], values, slopes + [0.0])))
+    rhs = _rhs_factory(forcing.kind)(*rates, *production)
+    rhs.field = (forcing.kind, rates + production)
     return rhs
 
 

@@ -1,9 +1,10 @@
-"""The Dormand-Prince step that ``hbvkit.integrate`` generates from its tableau.
+"""The run kernels that ``hbvkit.integrate`` generates from its templates.
 
-``tests/test_dp5_kernel.py`` checks the step's floats against a generic
+``tests/test_dp5_kernel.py`` checks the kernels' floats against a generic
 tableau loop; these tests check the generated text itself: that it is the
-source Python reports for the step, that each line carries its tableau row
-in order, and that a traceback through the step points at a stage line.
+source Python reports for each kernel, that each DP5 line carries its
+tableau row in order, that an inlined stage is the field text ``make_rhs``
+compiles, and that a traceback through a stage points at its line.
 """
 
 import inspect
@@ -15,15 +16,27 @@ import traceback
 import pytest
 
 import hbvkit as hk
-from hbvkit.integrate import _DP_A, _DP_C, _DP_E, _dp5_source, _dp5_step
-from hbvkit.model import make_rhs
+from hbvkit.integrate import _DP_A, _DP_C, _DP_E, _INLINED, _kernel, _Recorder
+from hbvkit.model import _rhs_factory, analytic_bounds, field_lines, make_rhs
 
-FILENAME = "<hbvkit.integrate._dp5_step>"
 _TERM = re.compile(r"(-?[0-9][0-9.e+-]*) \* k(\d)([xyz])")
+STAGES = ("call", *_INLINED)
+KERNELS = [(mode, stages) for mode in ("fixed", "adaptive") for stages in STAGES]
+# RK4 stage i, its time and state, and the line it follows
+RK4_STAGES = (
+    (1, "t", ("x", "y", "z"), "try:"),
+    (2, "t + h2", ("x2", "y2", "z2"), "x2, y2, z2 = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z"),
+    (3, "t + h2", ("x3", "y3", "z3"), "x3, y3, z3 = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z"),
+    (4, "t + step", ("x4", "y4", "z4"), "x4, y4, z4 = x + step * k3x, y + step * k3y, z + step * k3z"),
+)
 
 
-def _line(source, prefix):
-    (line,) = [s.strip() for s in source.splitlines() if s.strip().startswith(prefix)]
+def _lines(kernel):
+    return [s.strip() for s in inspect.getsource(kernel).splitlines()]
+
+
+def _line(lines, prefix):
+    (line,) = [s for s in lines if s.startswith(prefix)]
     return line
 
 
@@ -31,44 +44,106 @@ def _terms(line):
     return [(float(a), int(j), u) for a, j, u in _TERM.findall(line)]
 
 
+def _stage(stages, i, t, u):
+    """The lines a kernel writes for stage i at time t and state u."""
+    out = f"k{i}x, k{i}y, k{i}z = "
+    if stages == "call":
+        return [f"{out}rhs({t}, {', '.join(u)})"]
+    return field_lines(stages, t, *u, out)
+
+
+def _assert_stage_follows(lines, before, stage):
+    start = lines.index(before) + 1
+    assert lines[start:start + len(stage)] == stage
+
+
 def test_getsource_returns_the_generated_text():
-    source = _dp5_source()
-    assert _dp5_step.__code__.co_filename == FILENAME
-    linecache.checkcache()  # an entry with mtime None is kept, not checked against a file
-    assert inspect.getsource(_dp5_step) == source
-    assert source.startswith("def _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):\n")
+    for mode, stages in KERNELS:
+        kernel = _kernel(mode, stages)
+        filename = kernel.__code__.co_filename
+        assert filename == f"<hbvkit.integrate._{'rk4' if mode == 'fixed' else 'dp5'}_{stages}>"
+        linecache.checkcache()  # an entry with mtime None is kept, not checked against a file
+        source = "".join(linecache.getlines(filename))
+        assert inspect.getsource(kernel) == source
+        assert source.startswith(f"def {kernel.__name__}(rhs, field, u0, t0, t_end, ctl, rec, budget):\n")
+        assert _kernel(mode, stages) is kernel  # compiled once per process
     # the tableau is written once, in _DP_A/_DP_C/_DP_E: no scalar copies remain
     assert not any(re.fullmatch(r"_[ACE]\d+", name) for name in vars(sys.modules["hbvkit.integrate"]))
 
 
 @pytest.mark.parametrize("u", "xyz")
 def test_each_sum_is_its_tableau_row_in_order(u):
-    source = inspect.getsource(_dp5_step)
-    for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
-        line = _line(source, f"{u}{i} = {u} + h * (")
-        assert _terms(line) == [(a, j, u) for j, a in enumerate(row, 1)]
-        assert f"k{i} = rhs(t + {c!r} * h, x{i}, y{i}, z{i})" in source
-    line = _line(source, f"r{u} = h * (")
-    assert _terms(line) == [(e, j, u) for j, e in enumerate(_DP_E, 1)]
-    assert line.endswith(f"/ (atol + rtol * (b{u} if b{u} > a{u} else a{u}))")
+    for stages in STAGES:
+        lines = _lines(_kernel("adaptive", stages))
+        k1 = _stage(stages, 1, "t", ("x", "y", "z"))
+        end = lines.index("h = ctl.h_init")
+        assert lines[end - len(k1):end] == k1
+        for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
+            line = _line(lines, f"{u}{i} = {u} + h * (")
+            assert _terms(line) == [(a, j, u) for j, a in enumerate(row, 1)]
+            # the stage follows its last component's sum
+            stage = _stage(stages, i, f"t + {c!r} * h", (f"x{i}", f"y{i}", f"z{i}"))
+            _assert_stage_follows(lines, _line(lines, f"z{i} = z + h * ("), stage)
+        line = _line(lines, f"r{u} = h * (")
+        assert _terms(line) == [(e, j, u) for j, e in enumerate(_DP_E, 1)]
+        assert line.endswith(f"/ (atol + rtol * (b{u} if b{u} > a{u} else a{u}))")
+
+
+@pytest.mark.parametrize("stages", STAGES)
+def test_rk4_stages_keep_their_update(stages):
+    lines = _lines(_kernel("fixed", stages))
+    for i, t, u, before in RK4_STAGES:
+        _assert_stage_follows(lines, before, _stage(stages, i, t, u))
+    for u in "xyz":
+        assert f"{u} + s * (k1{u} + 2.0 * (k2{u} + k3{u}) + k4{u})," in lines
+    assert "t_next = t0 + (steps + 1) * h" in lines
+
+
+@pytest.mark.parametrize("kind", _INLINED)
+def test_inlined_stages_are_the_field_make_rhs_compiles(kind):
+    closure = "".join(linecache.getlines(_rhs_factory(kind).__code__.co_filename))
+    for line in field_lines(kind, "t", "x", "y", "z", "return "):
+        assert f"        {line}\n" in closure
+
+
+def _frames(info, filename):
+    return [f for f in traceback.extract_tb(info.value.__traceback__) if f.filename == filename]
 
 
 def test_traceback_points_at_the_generated_stage(persistent_params):
-    base = make_rhs(persistent_params, hk.ConstantForcing(20.0))
-    calls = 0
+    forcing = hk.ConstantForcing(20.0)
+    base = make_rhs(persistent_params, forcing)
+    for mode, ctl, line in (
+        ("adaptive", hk.AdaptiveStep(h_init=0.01), "k4x, k4y, k4z = rhs(t + 0.8 * h, x4, y4, z4)"),
+        ("fixed", hk.FixedStep(h=0.01), "k4x, k4y, k4z = rhs(t + step, x4, y4, z4)"),
+    ):
+        calls = 0
 
-    def rhs(t, x, y, z):
-        nonlocal calls
-        calls += 1
-        if calls == 3:  # k2, k3, then k4
-            raise RuntimeError("stage rhs failed")
-        return base(t, x, y, z)
+        def rhs(t, x, y, z):
+            nonlocal calls
+            calls += 1
+            if calls == 4:  # k1, k2, k3, then k4
+                raise RuntimeError("stage rhs failed")
+            return base(t, x, y, z)
 
-    k1 = base(0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(RuntimeError) as info:
-        _dp5_step(rhs, 0.0, 0.01, 1.0, 1.0, 1.0, k1, 1e-10, 1e-8)
-    frames = [f for f in traceback.extract_tb(info.value.__traceback__) if f.filename == FILENAME]
-    assert len(frames) == 1
-    assert frames[0].name == "_dp5_step"
-    assert frames[0].line == "k4 = rhs(t + 0.8 * h, x4, y4, z4)"
-    assert "k4 = rhs(t + 0.8 * h, x4, y4, z4)" in "".join(traceback.format_exception(info.value))
+        rec = _Recorder(ctl, analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0)))
+        with pytest.raises(RuntimeError) as info:
+            _kernel(mode, "call")(rhs, None, (1.0, 1.0, 1.0), 0.0, 1.0, ctl, rec, 100)
+        (frame,) = _frames(info, _kernel(mode, "call").__code__.co_filename)
+        assert frame.name == _kernel(mode, "call").__name__
+        assert frame.line == line
+        assert line in "".join(traceback.format_exception(info.value))
+
+
+def test_traceback_points_at_the_inlined_stage(persistent_params):
+    # omega * t overflows first at k4's time, t + 0.8 * h = 1.8, and cos(inf)
+    # raises: the traceback shows the field line written into stage 4
+    forcing = hk.SinusoidForcing(amplitude=1.0, omega=1e308, phase=0.0, offset=20.0)
+    ctl = hk.AdaptiveStep(h_init=1.0, h_max=1.0)
+    rec = _Recorder(ctl, analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0)))
+    rhs = make_rhs(persistent_params, forcing)
+    with pytest.raises(ValueError, match="math domain error") as info:
+        _kernel("adaptive", "sinusoid")(rhs, rhs.field[1], (1.0, 1.0, 1.0), 1.0, 3.0, ctl, rec, 100)
+    (frame,) = _frames(info, _kernel("adaptive", "sinusoid").__code__.co_filename)
+    assert frame.line == _stage("sinusoid", 4, "t + 0.8 * h", ("x4", "y4", "z4"))[1]
+    assert "cos(omega * (t + 0.8 * h) + phase)" in frame.line

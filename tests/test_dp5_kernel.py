@@ -1,16 +1,17 @@
-"""The straight-line Dormand-Prince step and monitors against generic references.
+"""The generated run kernels and monitors against generic references.
 
-The references below are the tableau-driven step and the per-component
-monitor loops that the unrolled code in ``hbvkit.integrate`` replaced. Run
-files are compared byte for byte, so the two must agree on every float,
-not merely to a tolerance.
+The references below are the tableau-driven DP5 step, the RK4 step and the
+stepping loop written plainly around them, and the per-component monitor
+loops that the unrolled code in ``hbvkit.integrate`` replaced. Run files
+are compared byte for byte, so each kernel must agree with them on every
+float, not merely to a tolerance.
 """
 
 import functools
 import math
 import operator
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
@@ -21,16 +22,18 @@ from hbvkit.integrate import (
     _DP_C,
     _DP_E,
     MonitorEvent,
-    _dp5_step,
+    _integrate,
+    _last_step,
     _Recorder,
 )
 from hbvkit.model import analytic_bounds, make_rhs
 
 
 def _lsum(terms):
-    # Plain left-to-right addition from 0, as the builtin sum() did up to
-    # Python 3.11; from 3.12 on, sum() of floats is compensated.
-    return functools.reduce(operator.add, terms, 0)
+    # Plain left-to-right addition from the first term, as the kernels write
+    # it; the builtin sum() starts from 0, and from Python 3.12 on it
+    # compensates a sum of floats.
+    return functools.reduce(operator.add, terms)
 
 
 def _reference_error_norm(err, y_old, y_new, atol, rtol):
@@ -52,6 +55,71 @@ def _reference_dp5_step(rhs, t, h, x, y, z, k1, atol, rtol):
     err = tuple(h * _lsum(e * k[j] for e, k in zip(_DP_E, ks)) for j in range(3))
     err_norm = _reference_error_norm(err, (x, y, z), (xs, ys, zs), atol, rtol)
     return xs, ys, zs, ks[6], err_norm
+
+
+def _reference_rk4_step(rhs, t, h, x, y, z):
+    k1 = rhs(t, x, y, z)
+    h2 = 0.5 * h
+    k2 = rhs(t + h2, *(u + h2 * k for u, k in zip((x, y, z), k1)))
+    k3 = rhs(t + h2, *(u + h2 * k for u, k in zip((x, y, z), k2)))
+    k4 = rhs(t + h, *(u + h * k for u, k in zip((x, y, z), k3)))
+    s = h / 6.0
+    return tuple(u + s * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip((x, y, z), k1, k2, k3, k4))
+
+
+def _reference_run(rhs, u0, t0, t_end, ctl, rec, budget):
+    """The stepping loop written plainly around the reference steps, with
+    min/max for the clamps: what every kernel must record."""
+    x, y, z = u0
+    if rec.push(t0, x, y, z):
+        return
+    t_stop = t_end - 1e-14 * (t_end - t0)
+    t, steps = t0, 0
+    if ctl.mode == "fixed":
+        n_whole = math.floor((t_end - t0) / ctl.h)
+        if t0 + n_whole * ctl.h >= t_stop:
+            n_whole -= 1
+        while t < t_stop:
+            if steps >= budget:
+                return rec.stop("step_budget", t, "steps", float(steps))
+            t_next = t0 + (steps + 1) * ctl.h if steps < n_whole else t_end
+            if t_next <= t:
+                return rec.stop("step_floor", t, "h", ctl.h)
+            h = t_next - t if steps < n_whole else _last_step(t, t_end)
+            x, y, z = _reference_rk4_step(rhs, t, h, x, y, z)
+            t, steps = t_next, steps + 1
+            if rec.push(t, x, y, z):
+                return
+        return
+    k1 = rhs(t, x, y, z)
+    h, err_prev = ctl.h_init, 1e-4
+    while t < t_stop:
+        if steps >= budget:
+            return rec.stop("step_budget", t, "steps", float(steps))
+        last = t + h >= t_stop
+        if last:
+            h = _last_step(t, t_end)
+        if h < ctl.h_min:
+            return rec.stop("step_floor", t, "h", h)
+        x7, y7, z7, k7, err = _reference_dp5_step(rhs, t, h, x, y, z, k1, ctl.abs_tol, ctl.rel_tol)
+        steps += 1
+        if err <= 1.0:
+            t = t_end if last else t + h
+            x, y, z, k1 = x7, y7, z7, k7
+            if rec.push(t, x, y, z):
+                return
+            factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -(0.2 - 0.75 * 0.04) * err_prev**0.04))
+            err_prev = max(1e-4, err)
+            h = min(ctl.h_max, h * factor)
+        elif math.isfinite(err):
+            h *= max(0.2, 0.9 * err**-0.2)
+        else:
+            h *= 0.5
+
+
+def recorded(rec):
+    """What a run recorded, as text: repr tells -0.0 from 0.0 and matches NaN."""
+    return repr(rec.times), repr(rec.states), repr(rec.events)
 
 
 def _reference_events(ctl, bounds, t, x, y, z):
@@ -92,19 +160,43 @@ _forcing = st.one_of(
 _component = st.floats(0.0, 1e3)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     params=_params, forcing=_forcing,
-    t=st.floats(0.0, 50.0), h=st.floats(1e-8, 0.5),
+    t=st.floats(0.0, 50.0), span=st.floats(1e-3, 2.0), h=st.floats(1e-8, 0.5),
     x=_component, y=_component, z=_component,
-    atol=st.floats(1e-14, 1e-3), rtol=st.floats(1e-14, 1e-3),
+    atol=st.floats(1e-14, 1e-3), rtol=st.floats(1e-14, 1e-3), max_steps=st.integers(1, 40),
 )
-def test_step_matches_generic_tableau(params, forcing, t, h, x, y, z, atol, rtol):
+def test_step_matches_generic_tableau(params, forcing, t, span, h, x, y, z, atol, rtol, max_steps):
+    # the inlined DP5 kernel, and the calling one around a plain wrapper
+    ctl = hk.AdaptiveStep(abs_tol=atol, rel_tol=rtol, h_init=h, h_max=0.5, blow_up_threshold=1e300)
+    bounds = analytic_bounds(params, forcing, (x, y, z))
     rhs = make_rhs(params, forcing)
-    k1 = rhs(t, x, y, z)
-    expected = _reference_dp5_step(rhs, t, h, x, y, z, k1, atol, rtol)
-    assume(all(map(math.isfinite, expected[:3] + expected[3] + expected[4:])))
-    assert _dp5_step(rhs, t, h, x, y, z, k1, atol, rtol) == expected
+    runs = []
+    for stepping in (_integrate, _reference_run):
+        for f in (rhs, lambda t, x, y, z: rhs(t, x, y, z)):
+            rec = _Recorder(ctl, bounds)
+            stepping(f, (x, y, z), t, t + span, ctl, rec, max_steps)
+            runs.append(recorded(rec))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=_params, forcing=_forcing,
+    t=st.floats(0.0, 50.0), span=st.floats(1e-3, 2.0), h=st.floats(1e-3, 0.5),
+    x=_component, y=_component, z=_component, max_steps=st.integers(1, 40),
+)
+def test_rk4_matches_the_reference_step(params, forcing, t, span, h, x, y, z, max_steps):
+    ctl = hk.FixedStep(h=h, blow_up_threshold=1e300)
+    bounds = analytic_bounds(params, forcing, (x, y, z))
+    rhs = make_rhs(params, forcing)
+    runs = []
+    for stepping in (_integrate, _reference_run):
+        rec = _Recorder(ctl, bounds)
+        stepping(rhs, (x, y, z), t, t + span, ctl, rec, max_steps)
+        runs.append(recorded(rec))
+    assert runs[0] == runs[1]
 
 
 _monitored = st.one_of(

@@ -87,8 +87,11 @@ def test_sweep_csv_bytes(tmp_path):
 
 
 def test_sweep_1000_csv_bytes(tmp_path):
-    hk.sweep(1000, 42, out_path=tmp_path / "sweep.csv")
+    result = hk.sweep(1000, 42, out_path=tmp_path / "sweep.csv")
     assert _sha256(tmp_path / "sweep.csv") == SWEEP_1000_42_SHA256
+    # the sweep workload's check: every count but draws and feasible is 0,
+    # the seven budget-cut draws included
+    assert {k: v for k, v in result.counts.items() if k not in ("draws", "feasible") and v} == {}
 
 
 def test_configs_block_bytes(tmp_path):

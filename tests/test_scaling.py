@@ -14,15 +14,10 @@ The draws keep rates in [0.1, 10] and spans within [1, 4] time units of the
 unscaled run, so no state decays into the subnormals, and c = 2**k with
 |k| <= 10.
 
-One rule of the stepping loop is not homogeneous in time: a run stops once
-t reaches ``t_end - 1e-14 * max(1, |t_end|)``, a window that is absolute
-while |t_end| < 1. On [0, 0.5] with RK4 and h = (0.5 - 2e-14) / 5, for
-example, the fifth step ends 2e-14 short of t_end, outside the window, and
-a last step follows: 7 points. Shrunk by c = 4, the fifth step ends 5e-15
-short of t_end, inside the window, and lands there: 6 points. The
-time-scaling test therefore keeps t_end >= 1 in both runs: it draws a run on
-[0, T] with T >= 1 and compares its copies stretched by 2**max(0, k) and
-then shrunk by c, so neither span ends below T.
+A run stops once t reaches ``t_end - 1e-14 * (t_end - t0)``, a window
+relative to the span, so it scales with time too; the time-scaling test
+shrinks and stretches runs by c = 2**k as drawn, spans below one time unit
+included.
 """
 
 import dataclasses
@@ -182,8 +177,16 @@ def test_population_scaling_is_exact(run, k):
 @settings(max_examples=150, deadline=None)
 @given(run=_runs(), k=_k)
 def test_time_scaling_is_exact(run, k):
-    # stretched first, so that t_end >= 1 before and after the shrink by 2**k
-    _assert_time_scaled(time_scaled(run, 2.0 ** -max(0, k)), 2.0**k)
+    _assert_time_scaled(run, 2.0**k)
+
+
+def test_time_scaling_holds_below_a_unit_span(persistent_params):
+    # The fifth step ends 2e-14 short of t_end = 0.5; shrunk by 4, 5e-15 short.
+    # A window of 1e-14 * max(1, |t_end|) took a sixth step of 2e-14 in the
+    # first run only; a window relative to the span takes it in both.
+    run = Run(persistent_params, hk.ConstantForcing(20.0), (1.0, 1.0, 1.0), 0.5,
+              hk.FixedStep(h=(0.5 - 2e-14) / 5), None)
+    _assert_time_scaled(run, 4.0)
 
 
 def test_scaled_runs_fire_every_kind_of_scaled_event(persistent_params):
@@ -199,8 +202,7 @@ def test_scaled_runs_fire_every_kind_of_scaled_event(persistent_params):
     for run in runs:
         for c in (2.0**-10, 0.5, 4.0, 2.0**10):
             kinds |= {e.kind for e in _assert_population_scaled(run, c).events}
-            if run.t_end / c >= 1.0:
-                _assert_time_scaled(run, c)
+            _assert_time_scaled(run, c)
     assert kinds >= {"step_budget", "step_floor", "positivity_violation", "bound_violation", "blow_up"}
 
 
