@@ -15,6 +15,8 @@ The arbiter is always the residual of the vector field.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,10 @@ __all__ = [
     "newton_refine",
     "residual_norm",
 ]
+
+
+# The max-norm residual that certifies a feasible persistent-infection state.
+ENDEMIC_RESIDUAL_CAP = 1e-10
 
 
 class SingularJacobianError(RuntimeError):
@@ -88,7 +94,9 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
 
     Infeasibility (y_bar <= 0, including the boundary tie where the state
     collapses onto the infection-free one) is a reported outcome, not an
-    error. Feasible states are Newton-polished before certification.
+    error. Feasible states are Newton-polished before certification; one
+    whose residual stays above ``ENDEMIC_RESIDUAL_CAP`` then moves ulp by ulp
+    to the neighbouring float state of least residual.
     """
     lam = constant_rate(forcing, "equilibria")
     beta_eff = params.beta_eff
@@ -102,6 +110,10 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
 
     # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
     state, res, _ = _damped_newton(params, forcing, state, 0.0, 25 if feasible else 0)
+    if feasible and res > ENDEMIC_RESIDUAL_CAP:
+        # Newton stalls where one ulp of the field's largest terms exceeds the
+        # cap (states of 1e5 and more), while a neighbouring float may meet it.
+        state, res = _ulp_descent(params, forcing, state, res)
 
     alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
@@ -144,6 +156,21 @@ def newton_refine(
     if res <= tol:
         return u
     raise NoConvergenceError(f"residual {res:.3e} above tol {tol:.3e} after {max_iter} iterations")
+
+
+def _ulp_descent(params, forcing, u, res: float, max_moves: int = 64):
+    """Move u by one ulp or none per component to its neighbour of least
+    residual while that is below ``res``: (state, residual)."""
+    for _ in range(max_moves):
+        neighbours = (
+            [c if d == 0 else math.nextafter(c, d * math.inf) for c, d in zip(u, dirs)]
+            for dirs in itertools.product((-1, 0, 1), repeat=3)
+        )
+        best_res, best = min((residual_norm(params, forcing, v), tuple(v)) for v in neighbours)
+        if not best_res < res:
+            break
+        res, u = best_res, np.array(best)
+    return u, res
 
 
 def _damped_newton(params, forcing, u, tol: float, max_iter: int):

@@ -499,7 +499,6 @@ DEFAULT_SWEEP_BOX = {"lam": (1e-2, 1e2)} | {
 R0_FEASIBILITY_BAND = 1e-6
 R0_EIGENVALUE_BAND = 1e-3
 DFE_RESIDUAL_CAP_FACTOR = 1e-14
-ENDEMIC_RESIDUAL_CAP = 1e-10
 
 # count key -> (row flag, the flag value it counts)
 _SWEEP_COUNTS = {
@@ -588,7 +587,7 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
 
     dfe_ok = dfe.residual_norm <= DFE_RESIDUAL_CAP_FACTOR * max(1.0, lam)
     endemic_residual = end.residual_norm if end.feasible else None
-    endemic_ok = (not end.feasible) or end.residual_norm <= ENDEMIC_RESIDUAL_CAP
+    endemic_ok = (not end.feasible) or end.residual_norm <= eq.ENDEMIC_RESIDUAL_CAP
 
     j_dfe = jacobian(params, dfe.state)
     max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))

@@ -186,3 +186,21 @@ def test_residuals_certified_over_random_draws():
 
 
 # }}}
+
+
+def test_large_endemic_state_is_polished_below_the_cap():
+    """A state near (0.6, 7.9e3, 1.3e5): Newton stalls at 2**-33, one ulp of
+    the field's terms near 7.7e5, above the 1e-10 cap; a neighbouring float
+    state has residual 0. The sweep draw with this seed counted an endemic
+    residual failure."""
+    params = hk.Parameters(
+        mu1=0.14236798200971487, mu2=0.010903243901851363, mu3=1.0074419167322932,
+        beta=9.696062007981375, eta=0.03641508778536923, epsilon=0.3521624805176904,
+        p=25.84824357537588, q=96.86598848758774,
+    )
+    forcing = hk.ConstantForcing(86.50047256537356)
+    rep = hk.endemic(params, forcing)
+    assert rep.feasible and rep.residual_norm <= hk.equilibria.ENDEMIC_RESIDUAL_CAP
+    assert rep.residual_norm == hk.residual_norm(params, forcing, rep.state)
+    counts = hk.sweep(1, 405945837807097956).counts
+    assert {k: v for k, v in counts.items() if k not in ("draws", "feasible") and v} == {}
