@@ -82,7 +82,7 @@ _ANALYSIS_FLAGS = {
     "pullback": (
         ("--t-star", dict(dest="t_star", type=float, help="finite observation time (default: span start)")),
         ("--horizons", dict(type=_parse_floats, help="finite increasing horizons > 0 (default 5,10,20,40)")),
-        ("--ptol", dict(type=float, help="convergence tolerance (default 1e-6)")),
+        ("--ptol", dict(type=float, help="finite convergence tolerance > 0 (default 1e-6)")),
     ),
     "absorbing": (
         ("--slack", dict(type=float, help="finite ball slack > 0 (default 1e-6 * ceiling)")),

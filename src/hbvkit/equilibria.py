@@ -28,7 +28,7 @@ from .model import (
     as_state,
     constant_rate,
     jacobian,
-    vector_field,
+    make_rhs,
 )
 
 __all__ = [
@@ -75,7 +75,13 @@ class EquilibriumReport:
 
 def residual_norm(params: Parameters, forcing: Forcing, state) -> float:
     """Max-norm of the vector field at a candidate steady state."""
-    return float(np.max(np.abs(vector_field(params, forcing, 0.0, state))))
+    return _residual(make_rhs(params, forcing), as_state(state).tolist())[1]
+
+
+def _residual(rhs, u) -> tuple[np.ndarray, float]:
+    """The field ``rhs`` at time 0 and state u, three floats, and its max-norm."""
+    f = np.array(rhs(0.0, *u))
+    return f, float(np.max(np.abs(f)))
 
 
 def disease_free(params: Parameters, forcing: Forcing) -> EquilibriumReport:
@@ -99,21 +105,22 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     to the neighbouring float state of least residual.
     """
     lam = constant_rate(forcing, "equilibria")
+    rhs = make_rhs(params, forcing)
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
 
     x_bar = params.mu3 * (params.mu2 + params.q) / (beta_eff * prod_eff)
     y_bar = (lam - params.mu1 * x_bar) / params.mu2
     z_bar = prod_eff * y_bar / params.mu3
-    state = np.array([x_bar, y_bar, z_bar])
+    state = as_state((x_bar, y_bar, z_bar))
     feasible = bool(y_bar > 0.0)
 
     # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
-    state, res, _ = _damped_newton(params, forcing, state, 0.0, 25 if feasible else 0)
+    state, res, _ = _damped_newton(rhs, params, state, 0.0, 25 if feasible else 0)
     if feasible and res > ENDEMIC_RESIDUAL_CAP:
         # Newton stalls where one ulp of the field's largest terms exceeds the
         # cap (states of 1e5 and more), while a neighbouring float may meet it.
-        state, res = _ulp_descent(params, forcing, state, res)
+        state, res = _ulp_descent(rhs, state, res)
 
     alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
@@ -126,7 +133,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
         residual_norm=res,
         feasible=feasible,
         alt_state=alt_state,
-        alt_residual=residual_norm(params, forcing, alt_state),
+        alt_residual=_residual(rhs, as_state(alt_state).tolist())[1],
     )
 
 
@@ -150,7 +157,7 @@ def newton_refine(
         raise ValueError("max_iter must be at least 1")
     constant_rate(forcing, "equilibria")
 
-    u, res, singular = _damped_newton(params, forcing, as_state(guess), tol, max_iter)
+    u, res, singular = _damped_newton(make_rhs(params, forcing), params, as_state(guess), tol, max_iter)
     if singular:
         raise SingularJacobianError(f"singular Jacobian at {tuple(u)}")
     if res <= tol:
@@ -158,7 +165,7 @@ def newton_refine(
     raise NoConvergenceError(f"residual {res:.3e} above tol {tol:.3e} after {max_iter} iterations")
 
 
-def _ulp_descent(params, forcing, u, res: float, max_moves: int = 64):
+def _ulp_descent(rhs, u, res: float, max_moves: int = 64):
     """Move u by one ulp or none per component to its neighbour of least
     residual while that is below ``res``: (state, residual)."""
     for _ in range(max_moves):
@@ -166,19 +173,19 @@ def _ulp_descent(params, forcing, u, res: float, max_moves: int = 64):
             [c if d == 0 else math.nextafter(c, d * math.inf) for c, d in zip(u, dirs)]
             for dirs in itertools.product((-1, 0, 1), repeat=3)
         )
-        best_res, best = min((residual_norm(params, forcing, v), tuple(v)) for v in neighbours)
+        best_res, best = min((_residual(rhs, v)[1], tuple(v)) for v in neighbours)
         if not best_res < res:
             break
         res, u = best_res, np.array(best)
     return u, res
 
 
-def _damped_newton(params, forcing, u, tol: float, max_iter: int):
-    """The iteration of ``newton_refine``, one vector-field call per point:
-    (state, residual, singular), stopped at a residual <= tol, a step that no
-    halving improves, a singular Jacobian (singular=True) or max_iter steps."""
-    f = vector_field(params, forcing, 0.0, u)
-    res = float(np.max(np.abs(f)))
+def _damped_newton(rhs, params, u, tol: float, max_iter: int):
+    """The iteration of ``newton_refine`` on the field ``rhs``, one call per
+    point: (state, residual, singular), stopped at a residual <= tol, a step
+    that no halving improves, a singular Jacobian (singular=True) or max_iter
+    steps. A non-finite candidate counts as no improvement."""
+    f, res = _residual(rhs, u.tolist())
     for _ in range(max_iter):
         if res <= tol:
             break
@@ -188,8 +195,7 @@ def _damped_newton(params, forcing, u, tol: float, max_iter: int):
             return u, res, True
         for k in range(21):  # step scales 1, 1/2, ..., 2**-20
             candidate = u + 0.5**k * step
-            f_cand = vector_field(params, forcing, 0.0, candidate)
-            res_cand = float(np.max(np.abs(f_cand)))
+            f_cand, res_cand = _residual(rhs, candidate.tolist())
             if res_cand < res:
                 u, f, res = candidate, f_cand, res_cand
                 break

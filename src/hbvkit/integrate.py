@@ -28,8 +28,8 @@ by a power of two stop at the same step.
 
 Most points fire no monitor. The kernel tests each point inline against
 ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z`` below their ceilings
-(``_Recorder.quiet``), where hi is ``blow_up_threshold`` and lo the larger
-of ``-positivity_tol`` and ``-blow_up_threshold``. A point that passes is
+(``_QUIET``), where hi is ``blow_up_threshold`` and lo the larger of
+``-positivity_tol`` and ``-blow_up_threshold``. A point that passes is
 appended to the recorder's lists with no call; any other goes through
 ``_Recorder.push``, which records its events.
 
@@ -40,19 +40,17 @@ vector field at the accepted points: they are computed once, on the first
 
 Each method has one text template, ``_RK4`` or ``_DP5``, under a head and a
 recording block both share (``_HEAD``, ``_RECORD``), so each rule is written
-once. A template is filled per stage evaluation, one of two kinds:
-
-* a call ``rhs(t + c*h, ...)``: the kernel for table forcing, whose knot
-  segment stays in its ``make_rhs`` closure, and for any callable that is
-  not a ``make_rhs`` closure, such as a wrapper that counts calls, so such a
-  wrapper sees every evaluation;
-* the field lines of ``constant`` or ``sinusoid`` production written into
-  the stage (``model.field_lines``, the text ``make_rhs`` compiles too),
-  reading the values the closure carries in ``rhs.field``.
+once. One stage rule holds for every forcing kind: the field of a
+``make_rhs`` closure is written into the stages (``model.field_lines``, the
+text the closure runs too), reading the values the closure carries in
+``rhs.field``; any other callable is called at every stage, so a wrapper
+that counts calls sees every evaluation. A field's setup lines
+(``model.field_setup``) run once per run, so what they seat, such as a knot
+segment, lives in kernel locals for the run.
 
 ``_integrate`` picks the kernel from the rhs object, and ``_kernel``
 compiles it on first use, once per process, as
-``<hbvkit.integrate._dp5_constant>`` and so on, kept in ``linecache`` for
+``<hbvkit.integrate._dp5_call>`` and so on, kept in ``linecache`` for
 tracebacks and ``inspect.getsource``. The DP5 stage and error sums are
 generated from ``_DP_A``/``_DP_C``/``_DP_E``, the one written copy of its
 tableau: each adds its tableau row left to right, zero coefficients
@@ -71,6 +69,7 @@ from typing import ClassVar
 import numpy as np
 
 from .model import (
+    FIELD_GLOBALS,
     BoundsReport,
     Forcing,
     Parameters,
@@ -79,6 +78,7 @@ from .model import (
     compile_function,
     field_lines,
     field_names,
+    field_setup,
     make_rhs,
 )
 
@@ -271,11 +271,16 @@ class Trajectory:
                 fh.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
 
 
+# True when _Recorder.push of (x, y, z) would fire no monitor, under the
+# bounds of _Recorder.quiet_box; the run kernels inline it.
+_QUIET = "lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling"
+
+
 class _Recorder:
     """Accumulates accepted points and applies the monitors.
 
     ``quiet_box`` is ``(lo, hi, xy_ceiling, z_ceiling)``, the bounds of
-    ``quiet``; NaN and +-inf fail them.
+    ``_QUIET``; NaN and +-inf fail them.
     """
 
     def __init__(self, ctl: StepControl, bounds: BoundsReport):
@@ -290,11 +295,6 @@ class _Recorder:
         # below -blow_up_threshold is a blow_up even where positivity_tol is larger
         lo = max(self._negative, -self._blow_up)
         self.quiet_box = (lo, self._blow_up, self._xy_ceiling, self._z_ceiling)
-
-    def quiet(self, x: float, y: float, z: float) -> bool:
-        """True when ``push`` of (x, y, z) would fire no monitor; the run kernels inline this."""
-        lo, hi, xy_ceiling, z_ceiling = self.quiet_box
-        return lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling
 
     def _event(self, kind: str, t: float, component: str, value: float) -> None:
         key = (kind, component)
@@ -366,9 +366,9 @@ _LOOP = """\
         if steps >= budget:
             return rec.stop("step_budget", t, "steps", float(steps))"""
 
-# _Recorder.quiet, inlined: a quiet point is appended with no call
-_RECORD = """\
-        if lo <= x <= hi and lo <= y <= hi and lo <= z <= hi and x + y <= xy_ceiling and z <= z_ceiling:
+# _QUIET, inlined: a quiet point is appended with no call
+_RECORD = f"""\
+        if {_QUIET}:
             append_t(t)
             append_u((x, y, z))
         elif push(t, x, y, z):
@@ -460,15 +460,10 @@ _DP5 = """\
         h = h_max if h_max < h else h
 """
 
-# The forcing kinds whose field a kernel writes into its stages; a kernel
-# for any other rhs calls it.
-_INLINED = ("constant", "sinusoid")
-
-
 def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 12) -> str:
     """Lines that set k{i}x, k{i}y, k{i}z to the vector field at (t, x, y, z),
-    by default at the indentation of a step: a call of ``rhs``, or under an
-    inlined forcing kind the field lines."""
+    by default at the indentation of a step: a call of ``rhs``, or under a
+    forcing kind the field lines."""
     out = f"k{i}x, k{i}y, k{i}z = "
     lines = [f"{out}rhs({t}, {x}, {y}, {z})"] if stages == "call" else field_lines(stages, t, x, y, z, out)
     return "\n".join(" " * indent + line for line in lines)
@@ -508,18 +503,20 @@ _METHODS = {
 @cache
 def _kernel(mode: str, stages: str):
     """The run kernel of a stepping mode and a stage evaluation, ``"call"`` or
-    a forcing kind in ``_INLINED``, generated and compiled on first use."""
+    a forcing kind, generated and compiled on first use."""
     prefix, doc, template, stage_lines = _METHODS[mode]
     name = f"{prefix}_{stages}"
     doc += "; each stage calls rhs." if stages == "call" else f"; the {stages} field is written into each stage."
-    bind = "" if stages == "call" else f"    {', '.join(field_names(stages))} = field\n"
+    # a field kernel binds the closure's values, then runs the field's setup once
+    bind = [] if stages == "call" else [f"{', '.join(field_names(stages))} = field", *field_setup(stages)]
     source = (_HEAD + template).format(
-        name=name, doc=doc, bind=bind, loop=_LOOP, record=_RECORD, **stage_lines(stages)
+        name=name, doc=doc, bind="".join(f"    {s}\n" for s in bind), loop=_LOOP, record=_RECORD,
+        **stage_lines(stages),
     )
     namespace = {
+        **FIELD_GLOBALS,
         "__name__": __name__,
         "_last_step": _last_step,
-        "cos": math.cos,
         "floor": math.floor,
         "inf": math.inf,
         "sqrt": math.sqrt,
@@ -529,13 +526,11 @@ def _kernel(mode: str, stages: str):
 
 def _integrate(rhs, u0, t0, t_end, ctl, rec, budget):
     """Run the kernel of ``ctl.mode`` that fits ``rhs``: the field of a
-    ``make_rhs`` closure of a kind in ``_INLINED`` is written into the stages;
-    any other callable is called at every stage, a wrapper of such a closure
-    too (``functools.wraps`` copies the ``field`` attribute, and sets
+    ``make_rhs`` closure is written into the stages; any other callable is
+    called at every stage, a wrapper of such a closure too
+    (``functools.wraps`` copies the ``field`` attribute, and sets
     ``__wrapped__``)."""
-    kind, values = getattr(rhs, "field", ("call", None))
-    if kind not in _INLINED or hasattr(rhs, "__wrapped__"):
-        kind = "call"
+    kind, values = ("call", None) if hasattr(rhs, "__wrapped__") else getattr(rhs, "field", ("call", None))
     _kernel(ctl.mode, kind)(rhs, values, u0, t0, t_end, ctl, rec, budget)
 
 

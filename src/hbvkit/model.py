@@ -22,7 +22,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cache
-from math import cos  # read by the sinusoid closures
 from typing import ClassVar
 
 import numpy as np
@@ -173,6 +172,11 @@ class PiecewiseLinearForcing:
             raise ValueError("knot times must span a finite range")
         if min(values) <= 0.0 or not all(map(math.isfinite, values)):
             raise ValueError("knot values must be finite and strictly positive")
+        # Segment j is (times[j], its end, values[j], its slope), the division
+        # np.interp makes; an attribute, not a field. The last knot is a
+        # segment of length zero: a search seats it only for t == times[-1].
+        slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(times, times[1:], values, values[1:])]
+        object.__setattr__(self, "segments", tuple(zip(times, times[1:] + times[-1:], values, slopes + [0.0])))
 
     is_constant = False
 
@@ -185,7 +189,10 @@ class PiecewiseLinearForcing:
         return (min(self.values), self.lambda_max)
 
     def __call__(self, t: float) -> float:
-        return _interp(t, self.times, self.values)
+        """The rate at t: a knot value at a knot, elsewhere np.interp's
+        expression in its order of operations, so the same bits."""
+        x0, _, y0, slope = self.segments[_knot_index(t, self.times)]
+        return y0 if t == x0 else slope * (t - x0) + y0
 
 
 def _knot_index(t: float, times: tuple[float, ...]) -> int:
@@ -196,20 +203,6 @@ def _knot_index(t: float, times: tuple[float, ...]) -> int:
     if not (times[0] <= t <= times[-1]):
         raise OutOfDomainError(f"t={t!r} outside the tabulated range [{times[0]}, {times[-1]}]")
     return bisect_right(times, t) - 1
-
-
-def _interp(t: float, times: tuple[float, ...], values: tuple[float, ...]) -> float:
-    """Linear interpolation at t through the knots (times, values).
-
-    A knot hit returns the knot value; elsewhere the expression and its order
-    of operations are np.interp's, so the result has the same bits. A t
-    outside the knot range, NaN included, raises OutOfDomainError.
-    """
-    j = _knot_index(t, times)
-    x0, y0 = times[j], values[j]
-    if t == x0:
-        return y0
-    return (values[j + 1] - y0) / (times[j + 1] - x0) * (t - x0) + y0
 
 
 Forcing = ConstantForcing | SinusoidForcing | PiecewiseLinearForcing
@@ -244,22 +237,26 @@ _FIELD = (
 )
 # The derived rates the field reads, in make_rhs's order.
 _RATES = ("mu1", "mu3", "q", "beta_eff", "prod_eff", "loss_y")
-# Per forcing kind: the names its production rate reads, and that rate at time {t}.
+# Per forcing kind: the names its production rate reads, each an attribute of
+# the forcing; the lines a run kernel runs once before its first stage and a
+# closure at each call; the lines a stage at time {t} runs first; and the rate
+# at {t}.
 _PRODUCTION = {
-    "constant": (("lam",), "lam"),
+    "constant": (("value",), (), (), "value"),
     # SinusoidForcing.__call__, in its order of operations
-    "sinusoid": (("offset", "amplitude", "omega", "phase"), "offset + amplitude * cos(omega * {t} + phase)"),
-    # the knot segment (x0, x1, y0, slope) the closure keeps; _interp's bits
-    "piecewise_linear": (("times", "segments"), "(y0 if {t} == x0 else slope * ({t} - x0) + y0)"),
+    "sinusoid": (("offset", "amplitude", "omega", "phase"), (), (), "offset + amplitude * cos(omega * {t} + phase)"),
+    # A stage seats the knot segment (x0, x1, y0, slope) that holds its time
+    # ts, searching only when ts has left the segment seated last, so a run
+    # searches once per segment it enters; PiecewiseLinearForcing.__call__.
+    "piecewise_linear": (
+        ("times", "segments"),
+        ("x0, x1, y0, slope = segments[0]",),
+        ("ts = {t}", "if not (x0 <= ts < x1): x0, x1, y0, slope = segments[_knot_index(ts, times)]"),
+        "(y0 if ts == x0 else slope * (ts - x0) + y0)",
+    ),
 }
-# A table closure first seats the segment that holds t, searching only when t
-# has left the last one; the segment is stored and read as one tuple.
-_SEAT_SEGMENT = (
-    "nonlocal segment",
-    "x0, x1, y0, slope = segment",
-    "if not (x0 <= t < x1):",
-    "    x0, x1, y0, slope = segment = segments[_knot_index(t, times)]",
-)
+# The functions the field text calls.
+FIELD_GLOBALS = {"cos": math.cos, "_knot_index": _knot_index}
 
 
 def field_names(kind: str) -> tuple[str, ...]:
@@ -268,14 +265,27 @@ def field_names(kind: str) -> tuple[str, ...]:
     return _RATES + _PRODUCTION[kind][0]
 
 
+def field_setup(kind: str) -> tuple[str, ...]:
+    """The lines of the vector field under a forcing kind that run once before
+    the stages ``field_lines`` writes: once per run in a run kernel, at each
+    call in a ``make_rhs`` closure."""
+    return _PRODUCTION[kind][1]
+
+
 def field_lines(kind: str, t: str, x: str, y: str, z: str, out: str) -> list[str]:
     """The vector field's text under a forcing kind at time ``t`` and state
-    ``x, y, z``: the infection term, then ``out`` (``"return "`` or an
-    assignment) followed by dx, dy, dz. ``t`` may be an expression: it goes
-    in parentheses, so its value is the float a call would be passed."""
-    production = _PRODUCTION[kind][1].format(t=t if t.isidentifier() else f"({t})")
+    ``x, y, z``: the lines the production rate needs first, the infection
+    term, then ``out`` (``"return "`` or an assignment) followed by dx, dy,
+    dz. ``t`` may be an expression: it goes in parentheses, so its value is
+    the float a call would be passed."""
+    _, _, seat, production = _PRODUCTION[kind]
+    t = t if t.isidentifier() else f"({t})"
     infect, derivative = _FIELD
-    return [infect.format(x=x, z=z), out + derivative.format(production=production, x=x, y=y, z=z)]
+    return [
+        *(s.format(t=t) for s in seat),
+        infect.format(x=x, z=z),
+        out + derivative.format(production=production.format(t=t), x=x, y=y, z=z),
+    ]
 
 
 def compile_function(source: str, filename: str, namespace: dict):
@@ -297,48 +307,31 @@ def compile_function(source: str, filename: str, namespace: dict):
 def _rhs_factory(kind: str):
     """The factory of a forcing kind's rhs closures, compiled from the field
     text on first use: it takes the values of ``field_names(kind)``."""
-    body = ["def rhs(t, x, y, z):"]
-    if kind == "piecewise_linear":
-        body = ["segment = segments[0]", *body, *("    " + s for s in _SEAT_SEGMENT)]
-    body += ["    " + s for s in field_lines(kind, "t", "x", "y", "z", "return ")]
-    source = f"def {kind}_rhs({', '.join(field_names(kind))}):\n"
-    source += "".join(f"    {s}\n" for s in [*body, "return rhs"])
-    return compile_function(source, f"<hbvkit.model.make_rhs[{kind}]>", globals())
+    body = [*field_setup(kind), *field_lines(kind, "t", "x", "y", "z", "return ")]
+    source = f"def {kind}_rhs({', '.join(field_names(kind))}):\n    def rhs(t, x, y, z):\n"
+    source += "".join(f"        {s}\n" for s in body) + "    return rhs\n"
+    return compile_function(source, f"<hbvkit.model.make_rhs[{kind}]>", dict(FIELD_GLOBALS, __name__=__name__))
 
 
 def make_rhs(params: Parameters, forcing: Forcing):
     """Return a scalar-argument rhs(t, x, y, z) -> (dx, dy, dz) closure.
 
-    The closure operates on plain floats, which keeps the inner loop of the
-    integrators cheap; `vector_field` is the array-facing wrapper. It is
-    compiled from ``_FIELD``, the one written copy of the vector field, and
-    carries ``rhs.field = (forcing.kind, values)``: the values of
-    ``field_names(forcing.kind)``, the derived rates computed once. The run
-    kernels of ``hbvkit.integrate`` read that attribute to write the same
-    field into their stages; any other callable, a wrapper around this
+    The closure operates on plain floats and holds no state between calls,
+    so it is safe to call concurrently; `vector_field` is the array-facing
+    wrapper. It is compiled from ``_FIELD``, the one written copy of the
+    vector field, and carries ``rhs.field = (forcing.kind, values)``: the
+    values of ``field_names(forcing.kind)``, the derived rates computed once.
+    The run kernels of ``hbvkit.integrate`` read that attribute to write the
+    same field into their stages; any other callable, a wrapper around this
     closure included, is called at every stage.
 
-    For a piecewise-linear table the closure keeps the knot segment of its
-    last search, with that segment's slope, so a call inside it makes no
-    search and no division; any other time, NaN included, goes through the
-    knot search again. The values are those of `_interp`, bit for bit. The
-    segment lives in the one closure only, and is stored and read as one
-    tuple, so a call always sees a whole segment.
+    For a piecewise-linear table a call searches the knots unless t lies in
+    the first segment; the values are those of ``forcing(t)``, bit for bit.
     """
     rates = (params.mu1, params.mu3, params.q, params.beta_eff, params.prod_eff, params.mu2 + params.q)
-    if forcing.kind == "constant":
-        production = (forcing.value,)
-    elif forcing.kind == "sinusoid":
-        production = (forcing.offset, forcing.amplitude, forcing.omega, forcing.phase)
-    else:
-        times, values = forcing.times, forcing.values
-        # Segment j is (times[j], its end, values[j], its slope), the division
-        # _interp makes. The last knot is a segment of length zero: a search
-        # seats it only for t == times[-1], and the next call searches again.
-        slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(times, times[1:], values, values[1:])]
-        production = (times, tuple(zip(times, times[1:] + times[-1:], values, slopes + [0.0])))
-    rhs = _rhs_factory(forcing.kind)(*rates, *production)
-    rhs.field = (forcing.kind, rates + production)
+    values = rates + tuple(getattr(forcing, name) for name in _PRODUCTION[forcing.kind][0])
+    rhs = _rhs_factory(forcing.kind)(*values)
+    rhs.field = (forcing.kind, values)
     return rhs
 
 

@@ -144,7 +144,8 @@ def pullback_estimate(
 
     Needs at least two strictly increasing horizons and two seeds so that
     both the Cauchy property in the horizon and the independence from the
-    initial state can be observed.
+    initial state can be observed. ``tol`` must be finite and positive: an
+    infinite tol would report any ladder as converged.
     """
     if not math.isfinite(t_star):
         raise ValueError(f"t_star must be finite, got {t_star}")
@@ -160,8 +161,8 @@ def pullback_estimate(
     seed_states = [as_state(s, require_nonnegative=True) for s in seeds]
     if len(seed_states) < 2:
         raise ValueError("need at least two seeds to measure seed independence")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     endpoints = []
     for seed in seed_states:

@@ -261,8 +261,11 @@ def fixed_step_config(tmp_path):
         ["conditions", "--config", "set2-nonauto", "--b1", "nan"],
         ["conditions", "--config", "set2-nonauto", "--b1=-100"],
         ["pullback", "--config", "table2-dfe", "--t-star", "inf"],
+        # an infinite tol reports any horizon ladder as converged
+        ["pullback", "--config", "set2-nonauto", "--ptol", "inf", "--horizons", "0.01,0.02"],
+        ["pullback", "--config", "set2-nonauto", "--ptol", "nan", "--horizons", "0.01,0.02"],
     ],
-    ids=["slack-inf", "b1-nan", "b1-negative", "t-star-inf"],
+    ids=["slack-inf", "b1-nan", "b1-negative", "t-star-inf", "ptol-inf", "ptol-nan"],
 )
 def test_option_value_that_makes_a_verdict_vacuous_exits_2(argv, capsys):
     assert main(argv) == 2

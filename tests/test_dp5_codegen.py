@@ -16,11 +16,12 @@ import traceback
 import pytest
 
 import hbvkit as hk
-from hbvkit.integrate import _DP_A, _DP_C, _DP_E, _INLINED, _kernel, _Recorder
+from hbvkit.integrate import _DP_A, _DP_C, _DP_E, _QUIET, _kernel, _Recorder
 from hbvkit.model import _rhs_factory, analytic_bounds, field_lines, make_rhs
+from hbvkit.scenarios import FORCING_KINDS
 
 _TERM = re.compile(r"(-?[0-9][0-9.e+-]*) \* k(\d)([xyz])")
-STAGES = ("call", *_INLINED)
+STAGES = ("call", *FORCING_KINDS)
 KERNELS = [(mode, stages) for mode in ("fixed", "adaptive") for stages in STAGES]
 # RK4 stage i, its time and state, and the line it follows
 RK4_STAGES = (
@@ -67,6 +68,7 @@ def test_getsource_returns_the_generated_text():
         assert inspect.getsource(kernel) == source
         assert source.startswith(f"def {kernel.__name__}(rhs, field, u0, t0, t_end, ctl, rec, budget):\n")
         assert _kernel(mode, stages) is kernel  # compiled once per process
+        assert f"        if {_QUIET}:\n" in source  # the one written quiet test
     # the tableau is written once, in _DP_A/_DP_C/_DP_E: no scalar copies remain
     assert not any(re.fullmatch(r"_[ACE]\d+", name) for name in vars(sys.modules["hbvkit.integrate"]))
 
@@ -99,7 +101,7 @@ def test_rk4_stages_keep_their_update(stages):
     assert "t_next = t0 + (steps + 1) * h" in lines
 
 
-@pytest.mark.parametrize("kind", _INLINED)
+@pytest.mark.parametrize("kind", FORCING_KINDS)
 def test_inlined_stages_are_the_field_make_rhs_compiles(kind):
     closure = "".join(linecache.getlines(_rhs_factory(kind).__code__.co_filename))
     for line in field_lines(kind, "t", "x", "y", "z", "return "):

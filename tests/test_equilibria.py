@@ -139,19 +139,43 @@ def test_newton_validates_arguments(clearing_params, clearing_forcing):
         hk.newton_refine(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), max_iter=0)
 
 
+def _recording_make_rhs(monkeypatch):
+    """Points at which equilibria evaluates the field, per closure it builds."""
+    closures = []
+    make_rhs = hk.equilibria.make_rhs
+
+    def recording(params, forcing):
+        rhs, points = make_rhs(params, forcing), []
+        closures.append(points)
+
+        def field(t, x, y, z):
+            points.append((x, y, z))
+            return rhs(t, x, y, z)
+
+        return field
+
+    monkeypatch.setattr(hk.equilibria, "make_rhs", recording)
+    return closures
+
+
 def test_newton_evaluates_the_vector_field_once_per_point(simple_endemic_case, monkeypatch):
     params, forcing = simple_endemic_case
-    field = hk.equilibria.vector_field
-    points = []
-
-    def recording(params, forcing, t, u):
-        points.append(tuple(np.asarray(u, dtype=float).tolist()))
-        return field(params, forcing, t, u)
-
-    monkeypatch.setattr(hk.equilibria, "vector_field", recording)
+    closures = _recording_make_rhs(monkeypatch)
     hk.newton_refine(params, forcing, np.array([4.0, 8.0, 8.0]) + 1e-3, tol=1e-12)
+    (points,) = closures  # one closure per call
     assert len(points) > 2  # the guess takes steps, so several points are visited
     assert len(points) == len(set(points))
+
+
+def test_endemic_builds_one_closure(simple_endemic_case, monkeypatch):
+    """The Newton polish, the ulp descent and the diagnostic residual share one
+    rhs closure; no residual builds its own."""
+    params, forcing = simple_endemic_case
+    closures = _recording_make_rhs(monkeypatch)
+    rep = hk.endemic(params, forcing)
+    (points,) = closures
+    assert points[-1] == rep.alt_state
+    assert hk.residual_norm(params, forcing, rep.state) == rep.residual_norm
 
 
 # }}}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
-from hbvkit.model import as_state, make_rhs
+from hbvkit.model import as_state, field_names, make_rhs
 
 
 def _random_params(rng):
@@ -126,28 +127,20 @@ def test_table_rhs_matches_np_interp_over_call_sequences(clearing_params, table)
     assert rhs(points[-1], 0.0, 0.0, 0.0)[0] == float(np.interp(points[-1], times, values))
 
 
-def test_table_rhs_searches_only_on_leaving_its_segment(monkeypatch, clearing_params):
-    """Each closure keeps its own segment: two closures of one forcing, called
-    in turn in different segments, search once each and not on every call."""
-    searches = []
-
-    def counting(t, times):
-        searches.append(t)
-        return knot_index(t, times)
-
-    knot_index = hk.model._knot_index
-    monkeypatch.setattr(hk.model, "_knot_index", counting)
-    forcing = hk.PiecewiseLinearForcing(times=(0.0, 1.0, 2.0, 3.0, 4.0), values=(1.0, 2.0, 4.0, 3.0, 5.0))
-    a, b = make_rhs(clearing_params, forcing), make_rhs(clearing_params, forcing)
-    for k in range(10):
-        ta, tb = 1.25 + 0.05 * k, 3.75 - 0.05 * k
-        assert a(ta, 0.0, 0.0, 0.0)[0] == float(np.interp(ta, forcing.times, forcing.values))
-        assert b(tb, 0.0, 0.0, 0.0)[0] == float(np.interp(tb, forcing.times, forcing.values))
-    assert searches == [1.25, 3.75]
-    a(0.5, 0.0, 0.0, 0.0)  # back one segment, as after a rejected step
-    a(1.0, 0.0, 0.0, 0.0)  # forward onto the next knot
-    a(1.0, 0.0, 0.0, 0.0)
-    assert searches == [1.25, 3.75, 0.5, 1.0]
+def test_rhs_closures_hold_no_state(clearing_params, wave_forcing):
+    """A closure reads only the field values it was built with, and no call
+    rebinds them: a call leaves nothing behind for the next one."""
+    table = hk.PiecewiseLinearForcing(times=(0.0, 1.0, 2.0, 3.0), values=(1.0, 2.0, 4.0, 3.0))
+    assert [f.name for f in dataclasses.fields(table)] == ["times", "values"]  # segments is no field
+    for forcing in (hk.ConstantForcing(2.0), wave_forcing, table):
+        rhs = make_rhs(clearing_params, forcing)
+        kind, values = rhs.field
+        expected = dict(zip(field_names(kind), values))
+        for t in (2.5, 0.5, 3.0, 1.0, 0.0):
+            rhs(t, 1.0, 2.0, 3.0)
+            cells = {name: cell.cell_contents for name, cell in zip(rhs.__code__.co_freevars, rhs.__closure__)}
+            assert cells == {name: expected[name] for name in cells}
+            assert rhs(t, 0.0, 0.0, 0.0)[0] == forcing(t)
 
 
 def test_table_forcing_does_not_call_np_interp(monkeypatch, persistent_params):
