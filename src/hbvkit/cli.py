@@ -80,8 +80,10 @@ _ANALYSIS_FLAGS = {
         ("--offset", dict(type=_parse_triple, help="partner start = u0 + offset (default 1,1,1)")),
     ),
     "pullback": (
-        ("--t-star", dict(dest="t_star", type=float, help="finite observation time (default: span start)")),
-        ("--horizons", dict(type=_parse_floats, help="finite increasing horizons > 0 (default 5,10,20,40)")),
+        ("--t-star", dict(dest="t_star", type=float, help="finite observation time; each start time t_star - T "
+                          "must round below the one before, t_star first (default: span start)")),
+        ("--horizons", dict(type=_parse_floats, help="finite increasing horizons T > 0, each giving its own "
+                            "start time t_star - T (default 5,10,20,40)")),
         ("--ptol", dict(type=float, help="finite convergence tolerance > 0 (default 1e-6)")),
     ),
     "absorbing": (
@@ -90,9 +92,6 @@ _ANALYSIS_FLAGS = {
 }
 
 _COMMON_ARGS = ("command", "func", "config", "out", "tol")
-
-# The analysis subcommands that integrate, and so take --tol.
-_INTEGRATING_ANALYSES = ("lyapunov", "contraction", "pullback", "absorbing")
 
 
 # {{{ subcommand handlers
@@ -121,13 +120,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analysis(args) -> int:
-    fn, needs_trajectory = ANALYSES[args.command]
+    fn, integrates = ANALYSES[args.command]
     scenario = _load(args)
     traj = None
-    if needs_trajectory:
+    if integrates == "trajectory":
         traj = integrate(
             scenario.params, scenario.forcing, scenario.u0, *scenario.t_span, scenario.control
         )
+        proc.require_complete(traj, "scenario run")
     options = {k: v for k, v in vars(args).items() if k not in _COMMON_ARGS}
     _emit(fn(scenario, traj, **options))
     return 0
@@ -172,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    for name, (fn, _) in ANALYSES.items():
+    for name, (fn, integrates) in ANALYSES.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        common(p, out_help="ignored: analysis subcommands write no files", tol=name in _INTEGRATING_ANALYSES)
+        common(p, out_help="ignored: analysis subcommands write no files", tol=integrates is not None)
         for flag, kwargs in _ANALYSIS_FLAGS.get(name, ()):
             p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
         p.set_defaults(func=_cmd_analysis, tol=None)

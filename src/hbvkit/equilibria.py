@@ -109,7 +109,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
 
-    x_bar = params.mu3 * (params.mu2 + params.q) / (beta_eff * prod_eff)
+    x_bar = params.mu3 * params.loss_y / (beta_eff * prod_eff)
     y_bar = (lam - params.mu1 * x_bar) / params.mu2
     z_bar = prod_eff * y_bar / params.mu3
     state = as_state((x_bar, y_bar, z_bar))

@@ -91,6 +91,8 @@ __all__ = [
     "integrate",
     "richardson_order",
     "TERMINAL_EVENT_KINDS",
+    "ProcessTerminatedError",
+    "require_complete",
 ]
 
 # Slack factors applied to the analytic ceilings before flagging a violation.
@@ -98,6 +100,20 @@ BOUND_XY_SLACK = 1e-6
 BOUND_Z_SLACK = 1e-3
 
 TERMINAL_EVENT_KINDS = frozenset({"blow_up", "nonfinite", "step_floor", "step_budget"})
+
+
+class ProcessTerminatedError(RuntimeError):
+    """The underlying integration ended on a terminating monitor event."""
+
+
+def require_complete(traj: Trajectory, what: str) -> None:
+    """Raise ProcessTerminatedError, naming the final time and the sorted
+    event kinds, when ``traj`` ended on a terminating monitor event; a
+    verdict on the part that ran would claim more than was integrated."""
+    if traj.terminated:
+        kinds = ", ".join(sorted({e.kind for e in traj.events}))
+        raise ProcessTerminatedError(f"{what} terminated at t={traj.final_time} ({kinds})")
+
 
 # Trajectory.to_csv formats and writes this many rows at a time.
 _CSV_BLOCK = 256
@@ -586,9 +602,7 @@ def richardson_order(
     finals = []
     for step in (h, h / 2.0, h / 8.0):
         traj = integrate(params, forcing, u0, t0, t_end, FixedStep(h=step))
-        if traj.terminated:
-            kinds = ", ".join(e.kind for e in traj.events if e.kind in TERMINAL_EVENT_KINDS)
-            raise RuntimeError(f"run with h={step} terminated early ({kinds})")
+        require_complete(traj, f"run with h={step}")
         finals.append(traj.final_state)
     err_h = float(np.max(np.abs(finals[0] - finals[2])))
     err_h2 = float(np.max(np.abs(finals[1] - finals[2])))

@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cache
+from operator import attrgetter
 from typing import ClassVar
 
 import numpy as np
@@ -91,6 +92,11 @@ class Parameters:
     def prod_eff(self) -> float:
         """Virion production rate under treatment, (1-epsilon)*p."""
         return (1.0 - self.epsilon) * self.p
+
+    @property
+    def loss_y(self) -> float:
+        """Loss rate of infected cells, death plus cure, mu2 + q."""
+        return self.mu2 + self.q
 
 
 @dataclass(frozen=True)
@@ -235,7 +241,7 @@ _FIELD = (
     "infect = beta_eff * {x} * {z}",
     "{production} - mu1 * {x} - infect + q * {y}, infect - loss_y * {y}, prod_eff * {y} - mu3 * {z}",
 )
-# The derived rates the field reads, in make_rhs's order.
+# The rates the field reads, each a field or property of Parameters.
 _RATES = ("mu1", "mu3", "q", "beta_eff", "prod_eff", "loss_y")
 # Per forcing kind: the names its production rate reads, each an attribute of
 # the forcing; the lines a run kernel runs once before its first stage and a
@@ -328,8 +334,8 @@ def make_rhs(params: Parameters, forcing: Forcing):
     For a piecewise-linear table a call searches the knots unless t lies in
     the first segment; the values are those of ``forcing(t)``, bit for bit.
     """
-    rates = (params.mu1, params.mu3, params.q, params.beta_eff, params.prod_eff, params.mu2 + params.q)
-    values = rates + tuple(getattr(forcing, name) for name in _PRODUCTION[forcing.kind][0])
+    values = attrgetter(*_RATES)(params)
+    values += tuple(getattr(forcing, name) for name in _PRODUCTION[forcing.kind][0])
     rhs = _rhs_factory(forcing.kind)(*values)
     rhs.field = (forcing.kind, values)
     return rhs
@@ -353,7 +359,7 @@ def jacobian(params: Parameters, u) -> np.ndarray:
     return np.array(
         [
             [-params.mu1 - beta_eff * z, params.q, -beta_eff * x],
-            [beta_eff * z, -(params.mu2 + params.q), beta_eff * x],
+            [beta_eff * z, -params.loss_y, beta_eff * x],
             [0.0, prod_eff, -params.mu3],
         ]
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import StepControl, Trajectory, integrate
+from .integrate import ProcessTerminatedError, StepControl, Trajectory, integrate, require_complete
 from .model import Forcing, Parameters, as_state
 
 __all__ = [
@@ -30,19 +30,6 @@ __all__ = [
     "pullback_estimate",
     "absorbing_check",
 ]
-
-
-class ProcessTerminatedError(RuntimeError):
-    """The underlying integration ended on a terminating monitor event."""
-
-
-def require_complete(traj: Trajectory, what: str) -> None:
-    """Raise ProcessTerminatedError, naming the final time and the sorted
-    event kinds, when ``traj`` ended on a terminating monitor event; a
-    verdict on the part that ran would claim more than was integrated."""
-    if traj.terminated:
-        kinds = ", ".join(sorted({e.kind for e in traj.events}))
-        raise ProcessTerminatedError(f"{what} terminated at t={traj.final_time} ({kinds})")
 
 
 @dataclass(frozen=True)
@@ -131,6 +118,11 @@ def semigroup_check(
     return float(np.max(np.abs(direct - relayed)))
 
 
+def _gap(u, v) -> float:
+    """Max-norm distance between two endpoints given as float tuples."""
+    return max(abs(a - b) for a, b in zip(u, v))
+
+
 def pullback_estimate(
     params: Parameters,
     forcing: Forcing,
@@ -142,10 +134,12 @@ def pullback_estimate(
 ) -> PullbackEstimate:
     """Estimate the pullback limit at t_star from a horizon ladder.
 
-    Needs at least two strictly increasing horizons and two seeds so that
-    both the Cauchy property in the horizon and the independence from the
-    initial state can be observed. ``tol`` must be finite and positive: an
-    infinite tol would report any ladder as converged.
+    Needs at least two horizons T and two distinct seeds so that both the
+    Cauchy property in the horizon and the independence from the initial
+    state can be observed. Each start time t_star - T must round strictly
+    below the one before, t_star first, so the horizons are positive and
+    strictly increasing and none rounds away. ``tol`` must be finite and
+    positive: an infinite tol would report any ladder as converged.
     """
     if not math.isfinite(t_star):
         raise ValueError(f"t_star must be finite, got {t_star}")
@@ -154,36 +148,24 @@ def pullback_estimate(
         raise ValueError(f"horizons must be finite, got {horizons}")
     if len(horizons) < 2:
         raise ValueError("need at least two horizons to measure Cauchy gaps")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    if not horizons[0] > 0.0:
-        raise ValueError(f"horizons must be positive, got {horizons[0]}")
+    starts = [t_star - T for T in horizons]
+    if any(b >= a for a, b in zip([t_star, *starts], starts)):
+        raise ValueError(f"horizons must be positive and strictly increasing, each start time t_star - T "
+                         f"strictly below the last; at t_star={t_star} horizons {horizons} give {tuple(starts)}")
     seed_states = [as_state(s, require_nonnegative=True) for s in seeds]
     if len(seed_states) < 2:
         raise ValueError("need at least two seeds to measure seed independence")
+    if len({tuple(s.tolist()) for s in seed_states}) < len(seed_states):
+        raise ValueError("seeds must be pairwise distinct to measure seed independence")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
-    endpoints = []
-    for seed in seed_states:
-        row = []
-        for T in horizons:
-            end = process_solve(params, forcing, seed, t_star - T, t_star, ctl)
-            row.append(tuple(float(v) for v in end))
-        endpoints.append(tuple(row))
-    endpoints = tuple(endpoints)
-
-    cauchy = []
-    for j in range(len(horizons) - 1):
-        gap = max(
-            float(np.max(np.abs(np.array(row[j + 1]) - np.array(row[j]))))
-            for row in endpoints
-        )
-        cauchy.append(gap)
-    cross = max(
-        float(np.max(np.abs(np.array(a[-1]) - np.array(b[-1]))))
-        for a, b in itertools.combinations(endpoints, 2)
+    endpoints = tuple(
+        tuple(tuple(process_solve(params, forcing, seed, t0, t_star, ctl).tolist()) for t0 in starts)
+        for seed in seed_states
     )
+    cauchy = [max(_gap(row[j + 1], row[j]) for row in endpoints) for j in range(len(horizons) - 1)]
+    cross = max(_gap(a[-1], b[-1]) for a, b in itertools.combinations(endpoints, 2))
     converged = cauchy[-1] <= tol and cross <= tol
     return PullbackEstimate(
         t_star=t_star,

@@ -19,13 +19,14 @@ import math
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import equilibria as eq
 from . import process as proc
 from . import stability as stab
-from .integrate import AdaptiveStep, FixedStep, StepControl, Trajectory, integrate
+from .integrate import AdaptiveStep, StepControl, Trajectory, integrate
 from .model import (
     ConstantForcing,
     Forcing,
@@ -101,9 +102,9 @@ class Scenario:
 # {{{ analyses
 #
 # Each entry maps an analysis name to fn(scenario, traj, **options) -> dict
-# and whether fn reads the scenario's trajectory. run_scenario calls fn with
-# the defaults below; each CLI subcommand passes its flags as the options,
-# and takes its help text from fn's docstring.
+# and what fn integrates: "trajectory", the scenario run; "own", runs of its
+# own; None, nothing. run_scenario calls fn with the defaults below; each CLI
+# subcommand passes its flags as the options and fn's docstring as its help.
 
 
 def _equilibria(scenario: Scenario, traj) -> dict:
@@ -170,7 +171,6 @@ def _r0(scenario: Scenario, traj) -> dict:
 
 def _lyapunov(scenario: Scenario, traj: Trajectory) -> dict:
     """decay-rate fit of the squared distance to the infection-free state"""
-    proc.require_complete(traj, "scenario run")
     reference = eq.disease_free(scenario.params, scenario.forcing).state
     trace = stab.lyapunov_fit(traj, reference)
     return {
@@ -185,7 +185,6 @@ def _lyapunov(scenario: Scenario, traj: Trajectory) -> dict:
 
 def _contraction(scenario: Scenario, traj: Trajectory, offset=(1.0, 1.0, 1.0)) -> dict:
     """empirical contraction fit between two runs"""
-    proc.require_complete(traj, "scenario run")
     partner_u0 = tuple(v + d for v, d in zip(scenario.u0, offset))
     partner = integrate(
         scenario.params, scenario.forcing, partner_u0, *scenario.t_span, scenario.control
@@ -207,19 +206,18 @@ def _pullback(
 
 def _absorbing(scenario: Scenario, traj: Trajectory, slack=None) -> dict:
     """l1 absorbing-ball check on a scenario trajectory"""
-    proc.require_complete(traj, "scenario run")
     return asdict(proc.absorbing_check(scenario.params, scenario.forcing, traj, slack=slack))
 
 
 ANALYSES = {
-    "equilibria": (_equilibria, False),
-    "stability": (_stability, False),
-    "conditions": (_conditions, False),
-    "r0": (_r0, False),
-    "lyapunov": (_lyapunov, True),
-    "contraction": (_contraction, True),
-    "pullback": (_pullback, False),
-    "absorbing": (_absorbing, True),
+    "equilibria": (_equilibria, None),
+    "stability": (_stability, None),
+    "conditions": (_conditions, None),
+    "r0": (_r0, None),
+    "lyapunov": (_lyapunov, "trajectory"),
+    "contraction": (_contraction, "trajectory"),
+    "pullback": (_pullback, "own"),
+    "absorbing": (_absorbing, "trajectory"),
 }
 
 
@@ -269,9 +267,9 @@ SCENARIOS = _registry()
 # dataclass; "forcing" adds the "kind" naming its class and "control" the
 # "mode" naming its class.
 
-FORCING_KINDS = {cls.kind: cls for cls in (ConstantForcing, SinusoidForcing, PiecewiseLinearForcing)}
+FORCING_KINDS = {cls.kind: cls for cls in get_args(Forcing)}
 
-CONTROL_MODES = {cls.mode: cls for cls in (FixedStep, AdaptiveStep)}
+CONTROL_MODES = {cls.mode: cls for cls in get_args(StepControl)}
 
 
 def _number(value) -> float:
@@ -450,8 +448,10 @@ def run_scenario(ref, out_dir) -> RunReport:
     analyses: dict = {}
     skipped: dict = {}
     for name in scenario.analyses:
-        fn, _ = ANALYSES[name]
+        fn, integrates = ANALYSES[name]
         try:
+            if integrates == "trajectory":
+                proc.require_complete(traj, "scenario run")
             analyses[name] = fn(scenario, traj)
         except (ValueError, proc.ProcessTerminatedError) as exc:
             skipped[name] = str(exc)

@@ -218,12 +218,12 @@ def r0_all(params: Parameters, forcing: Forcing) -> R0Variants:
     lam = constant_rate(forcing, "reproduction numbers")
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
-    simple = beta_eff * (lam / params.mu1) / (params.mu2 + params.q)
+    simple = beta_eff * (lam / params.mu1) / params.loss_y
     alt = (
         lam * params.beta * params.p * (1.0 - params.epsilon) * (1.0 - params.eta)
         / (params.mu1 * params.mu2 * (params.mu1 + prod_eff))
     )
-    ngm = beta_eff * prod_eff * lam / (params.mu1 * params.mu3 * (params.mu2 + params.q))
+    ngm = beta_eff * prod_eff * lam / (params.mu1 * params.mu3 * params.loss_y)
     return R0Variants(simple=simple, alt=alt, ngm=ngm)
 
 
@@ -305,23 +305,9 @@ def condition_margins(
     load = beta_eff * lam / mu_star  # (1-eta)*beta*Lambda/mu*
     aux = {"mu_star": mu_star, "lambda": lam}
 
-    if set_id in ("equilibrium", "dfe"):
-        if set_id == "equilibrium":
-            if equilibrium is None:
-                raise ValueError("the 'equilibrium' set needs the equilibrium state for z_bar")
-            z_bar = float(as_state(equilibrium)[2])
-        else:
-            z_bar = 0.0
-        lines = (
-            _line("x-damping", 2.0 * mu1 + beta_eff * z_bar, load + q),
-            _line("y-damping", 2.0 * mu2 + q, beta_eff * z_bar + load + prod_eff),
-            _line("z-damping", 2.0 * mu3, prod_eff + load),
-        )
-        nu1 = 2.0 * mu1 + beta_eff * z_bar - load - q
-        nu2 = mu2 + q - beta_eff * z_bar - load - prod_eff
-        nu3 = 2.0 * mu3 - prod_eff - load
-        aux.update(z_bar=z_bar, nu1=nu1, nu2=nu2, nu3=nu3, k=min(nu1, nu2, nu3))
-    elif set_id == "endemic":
+    z_line = _line("z-damping", 2.0 * mu3, prod_eff + load)
+
+    if set_id == "endemic":
         lines = (
             _line(
                 "x-damping",
@@ -335,18 +321,28 @@ def condition_margins(
                 2.0 * mu2 * mu2 + mu1 * mu2 + params.p * mu1 + q,
                 (1.0 - params.eta) * (1.0 - params.epsilon) * params.beta * lam * q / mu3 + load,
             ),
-            _line("z-damping", 2.0 * mu3, prod_eff + load),
+            z_line,
         )
-    else:  # nonauto
+    else:  # one set under a bound on z: 0 at the DFE, z_bar of the state, or b1
+        if set_id == "nonauto":
+            key, bound = "b1", b1
+        elif set_id == "dfe":
+            key, bound = "z_bar", 0.0
+        elif equilibrium is None:
+            raise ValueError("the 'equilibrium' set needs the equilibrium state for z_bar")
+        else:
+            key, bound = "z_bar", float(as_state(equilibrium)[2])
+        # nonauto's y-load as printed, which rounds unlike beta_eff * b1 + load
+        y_load = beta_eff * (b1 + lam / mu_star) if set_id == "nonauto" else beta_eff * bound + load
         lines = (
-            _line("x-damping", 2.0 * mu1 + beta_eff * b1, load + q),
-            _line("y-damping", 2.0 * mu2 + q, beta_eff * (b1 + lam / mu_star) + prod_eff),
-            _line("z-damping", 2.0 * mu3, prod_eff + load),
+            _line("x-damping", 2.0 * mu1 + beta_eff * bound, load + q),
+            _line("y-damping", 2.0 * mu2 + q, y_load + prod_eff),
+            z_line,
         )
-        nu1 = 2.0 * mu1 + beta_eff * b1 - load - q
-        nu2 = mu2 + q - beta_eff * b1 - load - prod_eff
+        nu1 = 2.0 * mu1 + beta_eff * bound - load - q
+        nu2 = params.loss_y - beta_eff * bound - load - prod_eff
         nu3 = 2.0 * mu3 - prod_eff - load
-        aux.update(b1=b1, nu1=nu1, nu2=nu2, nu3=nu3, k=min(nu1, nu2, nu3))
+        aux.update({key: bound}, nu1=nu1, nu2=nu2, nu3=nu3, k=min(nu1, nu2, nu3))
 
     return ConditionMargins(
         condition_set=set_id,
@@ -393,7 +389,10 @@ class ContractionFit:
 
 
 def _fit_log_decay(times, values):
-    """Least-squares slope of log(values); returns (rate, r_squared) or None."""
+    """Least-squares slope of log(values) over the post-transient second half;
+    returns (rate, r_squared) or None."""
+    half = len(times) // 2
+    times, values = times[half:], values[half:]
     mask = values > 0.0
     if int(mask.sum()) < 2:
         return None
@@ -417,8 +416,7 @@ def lyapunov_fit(traj: Trajectory, reference) -> LyapunovTrace:
     values = np.sum((traj.states - ref) ** 2, axis=1)
     if float(values.max(initial=0.0)) < 1e-300:
         return LyapunovTrace(traj.times, values, 0.0, 0.0, True)
-    half = len(traj.times) // 2
-    fit = _fit_log_decay(traj.times[half:], values[half:])
+    fit = _fit_log_decay(traj.times, values)
     if fit is None:
         return LyapunovTrace(traj.times, values, 0.0, 0.0, True)
     rate, r2 = fit
@@ -456,8 +454,7 @@ def contraction_fit(traj1: Trajectory, traj2: Trajectory) -> ContractionFit:
     d0 = dist_sq[0]
     if math.sqrt(d0) < 1e-14:
         return ContractionFit(0.0, 0.0, 0.0, True)
-    half = len(times) // 2
-    fit = _fit_log_decay(times[half:], dist_sq[half:])
+    fit = _fit_log_decay(times, dist_sq)
     if fit is None:
         return ContractionFit(0.0, 0.0, 0.0, True)
     alpha, r2 = fit

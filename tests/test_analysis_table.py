@@ -52,8 +52,8 @@ def test_cli_integrates_only_analyses_that_need_a_trajectory(name, monkeypatch, 
 
     monkeypatch.setattr(cli, "integrate", counting)
     assert main([name, "--config", APPLICABLE[name]]) == 0
-    _, needs_trajectory = ANALYSES[name]
-    assert len(calls) == int(needs_trajectory)
+    _, integrates = ANALYSES[name]
+    assert len(calls) == int(integrates == "trajectory")
 
 
 def test_seed_is_accepted_by_sweep_only(capsys):

@@ -8,7 +8,7 @@ import pytest
 import hbvkit as hk
 from hbvkit import cli
 from hbvkit.cli import build_parser, main
-from hbvkit.scenarios import scenario_to_dict
+from hbvkit.scenarios import ANALYSES, scenario_to_dict
 
 
 @pytest.fixture()
@@ -295,12 +295,36 @@ def test_b1_with_the_nonauto_set_is_read(capsys):
     assert margins["aux"]["b1"] == 5.0
 
 
-@pytest.mark.parametrize("command", ["equilibria", "stability", "conditions", "r0"])
+@pytest.mark.parametrize("command", [name for name, (_, integrates) in ANALYSES.items() if integrates is None])
 def test_tol_on_a_subcommand_that_does_not_integrate_is_a_usage_error(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", "table2-dfe", "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--t-star", "1e300", "--horizons", "0.5,1"], ["--t-star", "1e17", "--horizons", "1,2,4"]],
+    ids=["t-star-1e300", "t-star-1e17"],
+)
+def test_pullback_ladder_whose_starts_round_to_t_star_exits_2(argv, capsys):
+    assert main(["pullback", "--config", "set1-nonauto", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "each start time t_star - T strictly below the last" in captured.err
+
+
+def test_pullback_seeds_that_collide_exit_2(tmp_path, capsys):
+    # the second seed is u0 + 1, which rounds back to u0 from 2**53 up
+    doc = scenario_to_dict(hk.SCENARIOS["set1-nonauto"])
+    doc["u0"] = [2.0**53] * 3
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pullback", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seeds must be pairwise distinct" in captured.err
 
 
 def test_pullback_infinite_horizon_exits_2(fixed_step_config, capsys):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,15 @@ def test_richardson_order_linear_regime(clearing_params, clearing_forcing):
 
 def test_richardson_propagates_instability(clearing_params, clearing_forcing):
     with pytest.raises(RuntimeError):
+        hk.richardson_order(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, 1.0)
+
+
+def test_richardson_raises_through_the_one_completeness_check(clearing_params, clearing_forcing):
+    # process re-exports the check that integrate defines
+    integrate_module = importlib.import_module("hbvkit.integrate")
+    assert require_complete is integrate_module.require_complete
+    assert ProcessTerminatedError is integrate_module.ProcessTerminatedError
+    with pytest.raises(ProcessTerminatedError, match=r"^run with h=1\.0 terminated at t="):
         hk.richardson_order(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, 1.0)
 
 

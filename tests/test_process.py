@@ -150,6 +150,35 @@ def test_pullback_rejects_a_non_finite_t_star(clearing_params, wave_forcing, tig
         )
 
 
+@pytest.mark.parametrize(
+    "t_star, horizons",
+    [(1e300, (0.5, 1.0)), (1e17, (1.0, 2.0, 4.0)), (1e17, (16.0, 17.0))],
+    # every start rounds to t_star; near 1e17 the spacing is 16, so t_star - 17
+    # rounds to t_star - 16 and the two starts coincide below t_star
+    ids=["rounds-to-t-star-1e300", "rounds-to-t-star-1e17", "starts-coincide"],
+)
+def test_pullback_rejects_start_times_that_do_not_move(clearing_params, wave_forcing, tight_ctl, t_star, horizons):
+    with pytest.raises(ValueError, match="start time"):
+        hk.pullback_estimate(
+            clearing_params, wave_forcing, t_star, horizons, [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-6, tight_ctl
+        )
+
+
+def test_pullback_requires_distinct_seeds(clearing_params, wave_forcing, tight_ctl):
+    with pytest.raises(ValueError, match="distinct"):
+        hk.pullback_estimate(
+            clearing_params, wave_forcing, 0.0, (5.0, 10.0), [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)], 1e-6, tight_ctl
+        )
+
+
+def test_pullback_that_would_integrate_nothing_is_rejected(clearing_params, wave_forcing, tight_ctl):
+    # equal seeds and starts that round to t_star once gave zero gaps
+    with pytest.raises(ValueError):
+        hk.pullback_estimate(
+            clearing_params, wave_forcing, 1e300, (0.5, 1.0), ((1, 1, 1), (1, 1, 1)), 1e-6, tight_ctl
+        )
+
+
 @pytest.mark.parametrize("horizons", [(5.0, np.inf), (5.0, np.nan)])
 def test_pullback_rejects_a_non_finite_horizon(clearing_params, clearing_forcing, horizons):
     # fixed steps: an adaptive run from t_star - inf would not return
