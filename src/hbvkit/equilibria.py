@@ -10,12 +10,12 @@ An alternative closed-form triple for the persistent state circulates in
 which x_bar = mu1*mu3*(mu2+p) / (q*beta*mu2*(1-eta)*(1-epsilon)). It does
 not satisfy the steady-state equations in general, so it is evaluated
 only as a diagnostic (``alt_state`` / ``alt_residual``) and never used.
-The arbiter is always the residual of the vector field.
+The arbiter is always the residual of the vector field, and ``certified``
+is its one rule: at most 8 ulps of the field's largest term at the state.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,15 +36,12 @@ __all__ = [
     "UnsupportedForcingError",
     "SingularJacobianError",
     "NoConvergenceError",
+    "certified",
     "disease_free",
     "endemic",
     "newton_refine",
     "residual_norm",
 ]
-
-
-# The max-norm residual that certifies a feasible persistent-infection state.
-ENDEMIC_RESIDUAL_CAP = 1e-10
 
 
 class SingularJacobianError(RuntimeError):
@@ -95,14 +92,22 @@ def disease_free(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     )
 
 
+def certified(params: Parameters, forcing: Forcing, report: EquilibriumReport) -> bool:
+    """Whether the residual of ``report`` is at most 8 ulps of the field's
+    largest term at its state, max(lam, loss_y*y, prod_eff*y): at an
+    equilibrium the terms balance, so these are the largest. The rule is
+    exact under power-of-two population scaling."""
+    y = report.state[1]
+    largest = max(constant_rate(forcing, "equilibria"), params.loss_y * y, params.prod_eff * y)
+    return report.residual_norm <= 8.0 * math.ulp(largest)
+
+
 def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     """Persistent-infection equilibrium by steady-state elimination.
 
     Infeasibility (y_bar <= 0, including the boundary tie where the state
     collapses onto the infection-free one) is a reported outcome, not an
-    error. Feasible states are Newton-polished before certification; one
-    whose residual stays above ``ENDEMIC_RESIDUAL_CAP`` then moves ulp by ulp
-    to the neighbouring float state of least residual.
+    error. Feasible states are Newton-polished; ``certified`` judges them.
     """
     lam = constant_rate(forcing, "equilibria")
     rhs = make_rhs(params, forcing)
@@ -117,10 +122,6 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
 
     # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
     state, res, _ = _damped_newton(rhs, params, state, 0.0, 25 if feasible else 0)
-    if feasible and res > ENDEMIC_RESIDUAL_CAP:
-        # Newton stalls where one ulp of the field's largest terms exceeds the
-        # cap (states of 1e5 and more), while a neighbouring float may meet it.
-        state, res = _ulp_descent(rhs, state, res)
 
     alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
@@ -163,21 +164,6 @@ def newton_refine(
     if res <= tol:
         return u
     raise NoConvergenceError(f"residual {res:.3e} above tol {tol:.3e} after {max_iter} iterations")
-
-
-def _ulp_descent(rhs, u, res: float, max_moves: int = 64):
-    """Move u by one ulp or none per component to its neighbour of least
-    residual while that is below ``res``: (state, residual)."""
-    for _ in range(max_moves):
-        neighbours = (
-            [c if d == 0 else math.nextafter(c, d * math.inf) for c, d in zip(u, dirs)]
-            for dirs in itertools.product((-1, 0, 1), repeat=3)
-        )
-        best_res, best = min((_residual(rhs, v)[1], tuple(v)) for v in neighbours)
-        if not best_res < res:
-            break
-        res, u = best_res, np.array(best)
-    return u, res
 
 
 def _damped_newton(rhs, params, u, tol: float, max_iter: int):

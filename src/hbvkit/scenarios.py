@@ -496,10 +496,6 @@ DEFAULT_SWEEP_BOX = {"lam": (1e-2, 1e2)} | {
     for f in fields(Parameters)
 }
 
-R0_FEASIBILITY_BAND = 1e-6
-R0_EIGENVALUE_BAND = 1e-3
-DFE_RESIDUAL_CAP_FACTOR = 1e-14
-
 # count key -> (row flag, the flag value it counts)
 _SWEEP_COUNTS = {
     "feasible": ("feasible", True),
@@ -579,23 +575,12 @@ def _draw_params(rng, box):
 def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     forcing = ConstantForcing(lam)
     r0 = stab.r0_all(params, forcing).ngm
+    above, dfe_stable = stab.threshold_signs(params, forcing)
     dfe = eq.disease_free(params, forcing)
     end = eq.endemic(params, forcing)
 
-    in_r0_band = abs(r0 - 1.0) < R0_FEASIBILITY_BAND
-    threshold_ok = in_r0_band or (end.feasible == (r0 > 1.0))
-
-    dfe_ok = dfe.residual_norm <= DFE_RESIDUAL_CAP_FACTOR * max(1.0, lam)
-    endemic_residual = end.residual_norm if end.feasible else None
-    endemic_ok = (not end.feasible) or end.residual_norm <= eq.ENDEMIC_RESIDUAL_CAP
-
     j_dfe = jacobian(params, dfe.state)
     max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))
-    in_eig_band = abs(r0 - 1.0) < R0_EIGENVALUE_BAND
-    eig_sign_ok = in_eig_band or ((max_re < 0.0) == (r0 < 1.0))
-    rh_agree = abs(max_re) < stab.MARGINAL_BAND or (
-        stab.routh_hurwitz_stable(j_dfe) == (max_re < 0.0)
-    )
 
     traj = integrate(
         params, forcing, (1.0, 1.0, 1.0), 0.0, _SWEEP_SPAN, _SWEEP_CTL,
@@ -611,16 +596,14 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
         **asdict(params),
         "r0_ngm": r0,
         "feasible": end.feasible,
-        "in_r0_band": in_r0_band,
-        "threshold_ok": threshold_ok,
+        "threshold_ok": end.feasible == above == (r0 > 1.0),
         "dfe_residual": dfe.residual_norm,
-        "dfe_residual_ok": dfe_ok,
-        "endemic_residual": endemic_residual,
-        "endemic_residual_ok": endemic_ok,
+        "dfe_residual_ok": eq.certified(params, forcing, dfe),
+        "endemic_residual": end.residual_norm if end.feasible else None,
+        "endemic_residual_ok": not end.feasible or eq.certified(params, forcing, end),
         "max_re_dfe": max_re,
-        "in_eig_band": in_eig_band,
-        "eig_sign_ok": eig_sign_ok,
-        "rh_agree": rh_agree,
+        "eig_sign_ok": (max_re < 0.0) == dfe_stable,
+        "rh_agree": stab.routh_hurwitz_stable(j_dfe) == dfe_stable,
         "positivity_ok": positivity_ok,
         "bounds_ok": bounds_ok,
         "t_reached": traj.final_time,

@@ -33,6 +33,7 @@ __all__ = [
     "eigenvalues_3x3",
     "routh_hurwitz_stable",
     "r0_all",
+    "threshold_signs",
     "condition_margins",
     "lyapunov_fit",
     "contraction_fit",
@@ -187,7 +188,7 @@ def routh_hurwitz_stable(J) -> bool:
     c2*c1 > c0.
     """
     c2, c1, c0 = characteristic_coefficients(J)
-    return c2 > 0.0 and c0 > 0.0 and c2 * c1 > c0
+    return bool(c2 > 0.0 and c0 > 0.0 and c2 * c1 > c0)
 
 
 # }}}
@@ -225,6 +226,35 @@ def r0_all(params: Parameters, forcing: Forcing) -> R0Variants:
     )
     ngm = beta_eff * prod_eff * lam / (params.mu1 * params.mu3 * params.loss_y)
     return R0Variants(simple=simple, alt=alt, ngm=ngm)
+
+
+def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:
+    """Whether the exact product of the floats ``lhs`` exceeds that of ``rhs``,
+    in integers: a/b > c/d with b, d > 0 is a*d > c*b."""
+    a = b = c = d = 1
+    for v in lhs:
+        n, m = v.as_integer_ratio()
+        a, b = a * n, b * m
+    for v in rhs:
+        n, m = v.as_integer_ratio()
+        c, d = c * n, d * m
+    return a * d > c * b
+
+
+def threshold_signs(params: Parameters, forcing: Forcing) -> tuple[bool, bool]:
+    """(above, dfe_stable), decided exactly on the float rates.
+
+    ``above`` is beta_eff*prod_eff*lam > mu1*mu3*loss_y: r0_ngm > 1, and the
+    same product says y_bar > 0 for the endemic elimination. ``dfe_stable``
+    is loss_y*mu3 > beta_eff*prod_eff*x at the float infection-free state
+    x = lam/mu1: its Jacobian is -mu1 plus a 2x2 block of negative trace,
+    stable exactly when the block's determinant is positive.
+    """
+    lam, p = constant_rate(forcing, "threshold signs"), params
+    return (
+        _exceeds((p.beta_eff, p.prod_eff, lam), (p.mu1, p.mu3, p.loss_y)),
+        _exceeds((p.loss_y, p.mu3), (p.beta_eff, p.prod_eff, lam / p.mu1)),
+    )
 
 
 # }}}

@@ -333,8 +333,8 @@ def test_sweep_csv_header(tmp_path):
     header = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == (
         "index,lam,mu1,mu2,mu3,beta,eta,epsilon,p,q,"
-        "r0_ngm,feasible,in_r0_band,threshold_ok,"
+        "r0_ngm,feasible,threshold_ok,"
         "dfe_residual,dfe_residual_ok,endemic_residual,endemic_residual_ok,"
-        "max_re_dfe,in_eig_band,eig_sign_ok,rh_agree,"
+        "max_re_dfe,eig_sign_ok,rh_agree,"
         "positivity_ok,bounds_ok,t_reached"
     )

@@ -168,8 +168,8 @@ def test_newton_evaluates_the_vector_field_once_per_point(simple_endemic_case, m
 
 
 def test_endemic_builds_one_closure(simple_endemic_case, monkeypatch):
-    """The Newton polish, the ulp descent and the diagnostic residual share one
-    rhs closure; no residual builds its own."""
+    """The Newton polish and the diagnostic residual share one rhs closure; no
+    residual builds its own."""
     params, forcing = simple_endemic_case
     closures = _recording_make_rhs(monkeypatch)
     rep = hk.endemic(params, forcing)
@@ -185,17 +185,13 @@ def test_endemic_builds_one_closure(simple_endemic_case, monkeypatch):
 
 
 def test_feasibility_iff_reproduction_threshold():
+    """Every draw is checked: the exact sign decides the draws near r0 = 1."""
     rng = np.random.default_rng(42)
-    checked = 0
     for _ in range(1000):
         params, forcing = _draw(rng)
-        r0 = hk.r0_all(params, forcing).ngm
-        if abs(r0 - 1.0) < 1e-6:
-            continue
+        above, _ = hk.stability.threshold_signs(params, forcing)
         rep = hk.endemic(params, forcing)
-        assert rep.feasible == (r0 > 1.0)
-        checked += 1
-    assert checked > 900
+        assert rep.feasible == above == (hk.r0_all(params, forcing).ngm > 1.0)
 
 
 def test_residuals_certified_over_random_draws():
@@ -204,19 +200,32 @@ def test_residuals_certified_over_random_draws():
         params, forcing = _draw(rng)
         dfe = hk.disease_free(params, forcing)
         assert dfe.residual_norm <= 1e-14 * max(1.0, forcing.value)
+        assert hk.equilibria.certified(params, forcing, dfe)
         rep = hk.endemic(params, forcing)
         if rep.feasible:
             assert rep.residual_norm <= 1e-10
+            assert hk.equilibria.certified(params, forcing, rep)
+
+
+def test_certificate_is_eight_ulps_of_the_largest_term(simple_endemic_case):
+    params, forcing = simple_endemic_case  # state (4, 8, 8): largest term loss_y * y = 16
+    state = hk.endemic(params, forcing).state
+    for residual, verdict in ((8.0 * math.ulp(16.0), True), (9.0 * math.ulp(16.0), False)):
+        rep = hk.EquilibriumReport(kind="endemic", state=state, residual_norm=residual, feasible=True)
+        assert hk.equilibria.certified(params, forcing, rep) is verdict
+    # at the infection-free state the largest term is lam
+    rep = hk.EquilibriumReport(kind="disease_free", state=(20.0, 0.0, 0.0), residual_norm=8.0 * math.ulp(10.0))
+    assert hk.equilibria.certified(params, forcing, rep)
 
 
 # }}}
 
 
-def test_large_endemic_state_is_polished_below_the_cap():
+def test_large_endemic_state_is_certified_in_ulps():
     """A state near (0.6, 7.9e3, 1.3e5): Newton stalls at 2**-33, one ulp of
-    the field's terms near 7.7e5, above the 1e-10 cap; a neighbouring float
-    state has residual 0. The sweep draw with this seed counted an endemic
-    residual failure."""
+    the field's largest term near 7.7e5, above the absolute 1e-10 an earlier
+    rule asked for. The sweep draw with this seed counted an endemic
+    residual failure under that rule."""
     params = hk.Parameters(
         mu1=0.14236798200971487, mu2=0.010903243901851363, mu3=1.0074419167322932,
         beta=9.696062007981375, eta=0.03641508778536923, epsilon=0.3521624805176904,
@@ -224,7 +233,7 @@ def test_large_endemic_state_is_polished_below_the_cap():
     )
     forcing = hk.ConstantForcing(86.50047256537356)
     rep = hk.endemic(params, forcing)
-    assert rep.feasible and rep.residual_norm <= hk.equilibria.ENDEMIC_RESIDUAL_CAP
+    assert rep.feasible and hk.equilibria.certified(params, forcing, rep)
     assert rep.residual_norm == hk.residual_norm(params, forcing, rep.state)
     counts = hk.sweep(1, 405945837807097956).counts
     assert {k: v for k, v in counts.items() if k not in ("draws", "feasible") and v} == {}

@@ -26,10 +26,10 @@ sys.path.insert(0, str(BENCH))
 from workloads import CONFIG_BASES, CONFIG_COMMANDS, CONFIG_MODES, RUN_FILES, make_config  # noqa: E402
 
 # sha256 of the CSV that sweep(200, seed=42) writes.
-SWEEP_200_42_SHA256 = "ca439a9b19aee995741c5f70baba26dac2e82b2748d9294804d97b95e716a775"
+SWEEP_200_42_SHA256 = "6d633bf45e558f27fd98d9ef5ad3fefff04133ab54a2fccf3c359a6f8bcfd3ec"
 # sha256 of the CSV that sweep(1000, seed=42) writes; it holds the seven
 # draws that the step budget cuts short (11, 254, 278, 670, 797, 843, 845).
-SWEEP_1000_42_SHA256 = "3116755c8545f95e8805ee238522bfbf808f405dd3bc83ac04c46810c7b2fda2"
+SWEEP_1000_42_SHA256 = "4b891c58b7336d47291b62db634a31a2b61340570227725f3efe46ceff6883a5"
 
 # sha256 over the exit code, stdout and run files of one block of configs
 # (every base x command x mode, in that order) drawn from this seed.

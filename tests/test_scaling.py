@@ -24,7 +24,6 @@ import dataclasses
 from typing import NamedTuple
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,20 +224,25 @@ def test_equilibria_scale_with_the_population(run, k):
         assert other.state == tuple(v * c for v in base.state)
         assert other.residual_norm == base.residual_norm * c
         assert other.feasible == base.feasible
+        verdict = hk.equilibria.certified(run.params, run.forcing, base)
+        assert hk.equilibria.certified(scaled.params, scaled.forcing, other) == verdict
+    signs = hk.stability.threshold_signs(run.params, run.forcing)
+    assert hk.stability.threshold_signs(scaled.params, scaled.forcing) == signs
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="endemic starts its ulp polish above an absolute residual cap, so a state "
-    "and its population-scaled copy can fall on either side of it and be polished differently",
-)
-def test_endemic_polish_scales_with_the_population():
-    # base residual 1.1e-13 stays below the 1e-10 cap; times 2**10 it is above, and is polished to 0
+def test_endemic_state_scales_across_an_absolute_residual_cap():
+    """Base residual 1.1e-13 and, times 2**10, 1.16e-10: the two sides of the
+    absolute 1e-10 cap an earlier rule certified by. Both states come from
+    Newton alone and scale exactly, and so does the ulp certificate."""
     params = hk.Parameters(mu1=0.109375, mu2=0.1, mu3=4.75, beta=1.0, eta=0.0, epsilon=0.0, p=7.0, q=2.0)
     c = 2.0**10
-    base = hk.endemic(params, hk.ConstantForcing(9.0))
-    other = hk.endemic(dataclasses.replace(params, beta=params.beta / c), hk.ConstantForcing(9.0 * c))
+    run = Run(params, hk.ConstantForcing(9.0), (1.0, 1.0, 1.0), 1.0, hk.FixedStep(), None)
+    scaled = population_scaled(run, c)
+    base, other = hk.endemic(run.params, run.forcing), hk.endemic(scaled.params, scaled.forcing)
+    assert base.residual_norm < 1e-10 < other.residual_norm
     assert other.state == tuple(v * c for v in base.state)
+    assert hk.equilibria.certified(run.params, run.forcing, base)
+    assert hk.equilibria.certified(scaled.params, scaled.forcing, other)
 
 
 def _assert_lines_scale(base, other, c):

@@ -160,6 +160,41 @@ def test_sweep_collapsed_box_matches_scenario_flags(tmp_path):
     assert row["threshold_ok"] and row["eig_sign_ok"] and row["rh_agree"]
 
 
+# r0_ngm = 1.0 and y_bar = 0 exactly
+_THRESHOLD_BOX = {
+    name: (value, value)
+    for name, value in dict(lam=1.0, mu1=1.0, mu2=1.0, mu3=1.0, q=1.0, p=1.0, beta=2.0, eta=0.0, epsilon=0.0).items()
+}
+
+
+def _failures(result):
+    return {k: v for k, v in result.counts.items() if k not in ("draws", "feasible") and v}
+
+
+def test_sweep_checks_the_exact_threshold_point():
+    result = hk.sweep(1, 0, box=_THRESHOLD_BOX)
+    row = result.rows[0]
+    assert row["r0_ngm"] == 1.0 and row["feasible"] is False
+    assert row["threshold_ok"] and row["eig_sign_ok"] and row["rh_agree"]
+    assert _failures(result) == {}
+
+
+def test_sweep_checks_every_draw_beside_the_threshold():
+    """Every draw lies within 1e-6 of r0 = 1, and every check runs on it."""
+    result = hk.sweep(400, 1, box=_THRESHOLD_BOX | {"lam": (1.0 - 1e-9, 1.0 + 1e-9)})
+    assert all(abs(row["r0_ngm"] - 1.0) < 1e-6 for row in result.rows)
+    assert 0 < result.counts["feasible"] < 400
+    assert _failures(result) == {}
+
+
+def test_sweep_rows_hold_builtin_values():
+    rows = hk.sweep(50, 42).rows
+    json.dumps(rows)
+    flags = ("feasible", "threshold_ok", "dfe_residual_ok", "endemic_residual_ok",
+             "eig_sign_ok", "rh_agree", "positivity_ok", "bounds_ok")
+    assert all(type(row[flag]) is bool for row in rows for flag in flags)
+
+
 def test_piecewise_forcing_scenario_round_trip_and_run(tmp_path, clearing_params):
     forcing = hk.PiecewiseLinearForcing(times=(0.0, 2.0, 5.0), values=(9.0, 11.0, 10.0))
     scenario = hk.Scenario(

@@ -1,8 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
@@ -171,6 +173,68 @@ def test_routh_hurwitz_agrees_with_eigenvalue_signs():
         if abs(max_re) < 1e-9:
             continue
         assert hk.routh_hurwitz_stable(J) == (max_re < 0.0)
+
+
+def test_routh_hurwitz_returns_a_builtin_bool(clearing_params):
+    for J in (hk.jacobian(clearing_params, DFE2), np.diag([1.0, -2.0, -3.0])):
+        assert type(hk.routh_hurwitz_stable(J)) is bool
+
+
+# }}}
+
+
+# {{{ exact threshold signs
+
+
+def _fraction_signs(params, lam):
+    """Oracle: the sign of the rational endemic y_bar of the float rates, and
+    of the DFE block determinant at the float state x = lam/mu1."""
+    beta_eff, prod_eff, loss_y = Fraction(params.beta_eff), Fraction(params.prod_eff), Fraction(params.loss_y)
+    mu3 = Fraction(params.mu3)
+    x_bar = loss_y * mu3 / (beta_eff * prod_eff)
+    y_bar = (Fraction(lam) - Fraction(params.mu1) * x_bar) / Fraction(params.mu2)
+    det = loss_y * mu3 - beta_eff * prod_eff * Fraction(lam / params.mu1)
+    return y_bar > 0, det > 0
+
+
+def _signs_case(rates, fractions):
+    lam, mu1, mu2, mu3, beta, p, q = rates
+    eta, epsilon = fractions
+    params = hk.Parameters(mu1=mu1, mu2=mu2, mu3=mu3, beta=beta, eta=eta, epsilon=epsilon, p=p, q=q)
+    return params, lam
+
+
+# the default sweep box, with dyadic values mixed in so that products tie
+_box_rate = st.floats(1e-2, 1e2) | st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
+_box_fraction = st.floats(0.0, 0.9) | st.sampled_from([0.0, 0.5, 0.75])
+
+
+@settings(max_examples=500, deadline=None)
+@given(rates=st.tuples(*[_box_rate] * 7), fractions=st.tuples(_box_fraction, _box_fraction))
+@example(rates=(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0), fractions=(0.0, 0.0))  # r0 = 1 exactly
+def test_threshold_signs_match_a_fraction_oracle(rates, fractions):
+    params, lam = _signs_case(rates, fractions)
+    assert hk.stability.threshold_signs(params, hk.ConstantForcing(lam)) == _fraction_signs(params, lam)
+
+
+def test_threshold_signs_decide_ties():
+    """Every rate in {0.5, 1, 2} and fraction in {0, 0.5}: products tie often,
+    and a tie is neither above the threshold nor DFE-stable."""
+    ties = 0
+    for case in itertools.product(*[(0.5, 1.0, 2.0)] * 7):
+        for fractions in itertools.product((0.0, 0.5), repeat=2):
+            params, lam = _signs_case(case, fractions)
+            signs = hk.stability.threshold_signs(params, hk.ConstantForcing(lam))
+            assert signs == _fraction_signs(params, lam)
+            if params.beta_eff * params.prod_eff * lam == params.mu1 * params.mu3 * params.loss_y:
+                assert signs == (False, False)
+                ties += 1
+    assert ties > 100
+
+
+def test_threshold_signs_need_a_constant_rate(clearing_params, wave_forcing):
+    with pytest.raises(hk.UnsupportedForcingError):
+        hk.stability.threshold_signs(clearing_params, wave_forcing)
 
 
 # }}}
