@@ -30,6 +30,7 @@ from .model import (
     jacobian,
     make_rhs,
 )
+from .stability import threshold_signs
 
 __all__ = [
     "EquilibriumReport",
@@ -107,7 +108,9 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
 
     Infeasibility (y_bar <= 0, including the boundary tie where the state
     collapses onto the infection-free one) is a reported outcome, not an
-    error. Feasible states are Newton-polished; ``certified`` judges them.
+    error. ``feasible`` is decided exactly (``stability.threshold_signs``); the
+    float y_bar can be 0 or negative within rounding of the threshold.
+    Feasible states are Newton-polished; ``certified`` judges them.
     """
     lam = constant_rate(forcing, "equilibria")
     rhs = make_rhs(params, forcing)
@@ -118,7 +121,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     y_bar = (lam - params.mu1 * x_bar) / params.mu2
     z_bar = prod_eff * y_bar / params.mu3
     state = as_state((x_bar, y_bar, z_bar))
-    feasible = bool(y_bar > 0.0)
+    feasible = threshold_signs(params, forcing)[0]
 
     # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
     state, res, _ = _damped_newton(rhs, params, state, 0.0, 25 if feasible else 0)

@@ -581,6 +581,11 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
 
     j_dfe = jacobian(params, dfe.state)
     max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))
+    # floats decide a side beyond their rounding: r0_ngm carries five and the
+    # Jacobian's beta_eff*x two, inside 4 ulps of 1; an eigenvalue below one
+    # ulp of the Jacobian's largest entry is rounding of that matrix
+    r0_decided = abs(r0 - 1.0) > 4.0 * math.ulp(1.0)
+    eig_decided = abs(max_re) >= math.ulp(np.abs(j_dfe).max())
 
     traj = integrate(
         params, forcing, (1.0, 1.0, 1.0), 0.0, _SWEEP_SPAN, _SWEEP_CTL,
@@ -596,13 +601,13 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
         **asdict(params),
         "r0_ngm": r0,
         "feasible": end.feasible,
-        "threshold_ok": end.feasible == above == (r0 > 1.0),
+        "threshold_ok": end.feasible == above and (not r0_decided or (r0 > 1.0) == above != dfe_stable),
         "dfe_residual": dfe.residual_norm,
         "dfe_residual_ok": eq.certified(params, forcing, dfe),
         "endemic_residual": end.residual_norm if end.feasible else None,
         "endemic_residual_ok": not end.feasible or eq.certified(params, forcing, end),
         "max_re_dfe": max_re,
-        "eig_sign_ok": (max_re < 0.0) == dfe_stable,
+        "eig_sign_ok": not eig_decided or (max_re < 0.0) == dfe_stable,
         "rh_agree": stab.routh_hurwitz_stable(j_dfe) == dfe_stable,
         "positivity_ok": positivity_ok,
         "bounds_ok": bounds_ok,

@@ -52,12 +52,17 @@ CONDITION_SETS = ("equilibrium", "dfe", "endemic", "nonauto")
 
 def characteristic_coefficients(J) -> tuple[float, float, float]:
     """(c2, c1, c0) of det(J - lam I) = -(lam^3 + c2 lam^2 + c1 lam + c0)."""
+    return _coefficients(*_entries(J))
+
+
+def _entries(J) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.shape != (3, 3) or not np.all(np.isfinite(J)):
         raise ValueError("need a finite 3x3 matrix")
-    a, b, c = J[0]
-    d, e, f = J[1]
-    g, h, i = J[2]
+    return J.ravel()
+
+
+def _coefficients(a, b, c, d, e, f, g, h, i):
     c2 = -(a + e + i)
     c1 = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -185,10 +190,14 @@ def routh_hurwitz_stable(J) -> bool:
     """All roots of the characteristic cubic in the open left half plane.
 
     For lam^3 + c2 lam^2 + c1 lam + c0 the criterion is c2 > 0, c0 > 0 and
-    c2*c1 > c0.
+    c2*c1 > c0, decided exactly on the entries of J times their largest
+    denominator, a power of two: integers, with c2, c1 and c0 scaled by its
+    first, second and third power.
     """
-    c2, c1, c0 = characteristic_coefficients(J)
-    return bool(c2 > 0.0 and c0 > 0.0 and c2 * c1 > c0)
+    ratios = [v.as_integer_ratio() for v in _entries(J).tolist()]
+    scale = max(m for _, m in ratios)
+    c2, c1, c0 = _coefficients(*(n * (scale // m) for n, m in ratios))
+    return c2 > 0 and c0 > 0 and c2 * c1 > c0
 
 
 # }}}
@@ -242,18 +251,18 @@ def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:
 
 
 def threshold_signs(params: Parameters, forcing: Forcing) -> tuple[bool, bool]:
-    """(above, dfe_stable), decided exactly on the float rates.
+    """(above, dfe_stable), decided exactly on floats.
 
     ``above`` is beta_eff*prod_eff*lam > mu1*mu3*loss_y: r0_ngm > 1, and the
-    same product says y_bar > 0 for the endemic elimination. ``dfe_stable``
-    is loss_y*mu3 > beta_eff*prod_eff*x at the float infection-free state
-    x = lam/mu1: its Jacobian is -mu1 plus a 2x2 block of negative trace,
+    same product says y_bar > 0 (``endemic``'s ``feasible``). ``dfe_stable``
+    is loss_y*mu3 > (beta_eff*x)*prod_eff on the entries of the float
+    Jacobian at x = lam/mu1: -mu1 plus a 2x2 block of negative trace,
     stable exactly when the block's determinant is positive.
     """
     lam, p = constant_rate(forcing, "threshold signs"), params
     return (
         _exceeds((p.beta_eff, p.prod_eff, lam), (p.mu1, p.mu3, p.loss_y)),
-        _exceeds((p.loss_y, p.mu3), (p.beta_eff, p.prod_eff, lam / p.mu1)),
+        _exceeds((p.loss_y, p.mu3), (p.beta_eff * (lam / p.mu1), p.prod_eff)),
     )
 
 

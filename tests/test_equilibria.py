@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def test_endemic_boundary_tie_is_infeasible():
     rep = hk.endemic(params, hk.ConstantForcing(2.0))
     assert rep.state[1] == 0.0
     assert rep.feasible is False
+
+
+def test_endemic_feasibility_is_exact_beside_the_threshold():
+    """beta*lam is 1 + 2**-54 for lam = fl(0.2), beta = 5, and 1 - 2**-54 for
+    lam = fl(1/3), beta = 3: the float y_bar is 0 in both, the exact one is
+    not. Feasibility follows the exact sign, on the ulps around each."""
+    for beta, lam0 in ((5.0, 0.2), (3.0, 1 / 3)):
+        params = hk.Parameters(mu1=1.0, mu2=0.5, mu3=1.0, beta=beta, eta=0.0, epsilon=0.0, p=1.0, q=0.5)
+        for k in range(-3, 4):
+            lam = lam0
+            for _ in range(abs(k)):
+                lam = math.nextafter(lam, math.copysign(math.inf, k))
+            rep = hk.endemic(params, hk.ConstantForcing(lam))
+            assert rep.feasible is (Fraction(lam) * Fraction(beta) > 1)
+            if k == 0:
+                assert rep.state[1] == 0.0 and rep.feasible is (beta == 5.0)
 
 
 # }}}

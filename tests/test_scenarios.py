@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -179,12 +180,74 @@ def test_sweep_checks_the_exact_threshold_point():
     assert _failures(result) == {}
 
 
+def _decided(row):
+    """Whether the row's float r0_ngm and eigenvalue lie beyond the rounding
+    within which the sweep does not compare their signs."""
+    params = hk.Parameters(**{f.name: row[f.name] for f in dataclasses.fields(hk.Parameters)})
+    J = hk.jacobian(params, (row["lam"] / params.mu1, 0.0, 0.0))
+    return abs(row["r0_ngm"] - 1.0) > 4.0 * math.ulp(1.0) and abs(row["max_re_dfe"]) >= math.ulp(np.abs(J).max())
+
+
 def test_sweep_checks_every_draw_beside_the_threshold():
     """Every draw lies within 1e-6 of r0 = 1, and every check runs on it."""
     result = hk.sweep(400, 1, box=_THRESHOLD_BOX | {"lam": (1.0 - 1e-9, 1.0 + 1e-9)})
-    assert all(abs(row["r0_ngm"] - 1.0) < 1e-6 for row in result.rows)
+    assert all(abs(row["r0_ngm"] - 1.0) < 1e-6 and _decided(row) for row in result.rows)
     assert 0 < result.counts["feasible"] < 400
     assert _failures(result) == {}
+
+
+def _pinned_box(lam, beta):
+    rates = dict(lam=lam, beta=beta, mu1=1.0, mu3=1.0, p=1.0, mu2=0.5, q=0.5, eta=0.0, epsilon=0.0)
+    return {name: (value, value) for name, value in rates.items()}
+
+
+@pytest.mark.parametrize("box, feasible", [
+    # beta*lam = 1 + 2**-54: r0_ngm and the Jacobian entry beta*x round to 1
+    (_pinned_box(0.2, 5.0), True),
+    # beta*lam = 1 - 2**-54, rounding the same way
+    (_pinned_box(1 / 3, 3.0), False),
+    # the float block products mu3*loss_y and beta*x*p tie, the exact ones do not
+    (_pinned_box(0.6, 0.1) | {"mu3": (0.3, 0.3), "mu2": (0.1, 0.1), "q": (0.1, 0.1)}, False),
+])
+def test_sweep_counts_no_rounding_as_a_violation(box, feasible):
+    """Draws whose float r0_ngm is 1.0 and whose float eigenvalue at the
+    infection-free state is 0.0: feasibility is the exact side, the exact
+    checks run, and no float verdict is held to the exact sign."""
+    result = hk.sweep(1, 0, box=box)
+    row = result.rows[0]
+    assert row["r0_ngm"] == 1.0 and row["max_re_dfe"] == 0.0 and not _decided(row)
+    assert row["feasible"] is feasible
+    assert _failures(result) == {}
+
+
+def test_sweep_flags_a_sign_that_disagrees_beyond_rounding(monkeypatch):
+    """A wrong exact sign, or a float r0_ngm on the wrong side of 1 by more
+    than its rounding, is counted on a draw beside the threshold."""
+    box = _THRESHOLD_BOX | {"lam": (1.0 + 1e-9, 1.0 + 1e-9)}
+    assert _failures(hk.sweep(1, 0, box=box)) == {}
+    signs = hk.stability.threshold_signs
+    monkeypatch.setattr(hk.stability, "threshold_signs", lambda *a: (signs(*a)[0], not signs(*a)[1]))
+    counts = hk.sweep(1, 0, box=box).counts
+    assert counts["threshold_violations"] == counts["eig_sign_violations"] == counts["rh_violations"] == 1
+    monkeypatch.undo()
+    r0_all = hk.stability.r0_all
+    monkeypatch.setattr(hk.stability, "r0_all", lambda *a: dataclasses.replace(r0_all(*a), ngm=1.0 - 1e-9))
+    assert _failures(hk.sweep(1, 0, box=box)) == {"threshold_violations": 1}
+
+
+def test_sweep_checks_draws_within_ulps_of_the_threshold():
+    """lam steps ulp by ulp across the float threshold of a few rate sets; the
+    exact checks hold on every draw, and the float ones beyond rounding."""
+    for beta, mu2, p in ((5.0, 0.5, 1.0), (3.0, 0.5, 1.0), (0.7, 0.3, 1.1), (7.0, 0.1, 0.3)):
+        box = _pinned_box(1.0, beta) | {"mu2": (mu2, mu2), "p": (p, p)}
+        params = hk.Parameters(**{name: lo for name, (lo, _) in box.items() if name != "lam"})
+        lam0 = params.mu1 * params.mu3 * params.loss_y / (params.beta_eff * params.prod_eff)
+        for k in range(-12, 13):
+            lam = lam0
+            for _ in range(abs(k)):
+                lam = math.nextafter(lam, math.copysign(math.inf, k))
+            result = hk.sweep(1, 0, box=box | {"lam": (lam, lam)})
+            assert _failures(result) == {}, (beta, mu2, p, k)
 
 
 def test_sweep_rows_hold_builtin_values():

@@ -180,6 +180,36 @@ def test_routh_hurwitz_returns_a_builtin_bool(clearing_params):
         assert type(hk.routh_hurwitz_stable(J)) is bool
 
 
+def _fraction_hurwitz(J):
+    """Oracle: the criterion on the coefficients of J's entries as rationals."""
+    (a, b, c), (d, e, f), (g, h, i) = [[Fraction(v) for v in row] for row in np.asarray(J, dtype=float)]
+    c2 = -(a + e + i)
+    c1 = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    c0 = -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    return c2 > 0 and c0 > 0 and c2 * c1 > c0
+
+
+# entries with dyadic values and zeros mixed in, so that coefficients tie
+_entry = st.floats(-100.0, 100.0) | st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=st.lists(_entry, min_size=9, max_size=9))
+@example(entries=[-1.0, 0.5, -1.0, 0.0, -1.0, 1.0, 0.0, 1.0, -1.0])  # c0 = 0
+def test_routh_hurwitz_matches_a_fraction_oracle(entries):
+    J = np.array(entries).reshape(3, 3)
+    assert hk.routh_hurwitz_stable(J) == _fraction_hurwitz(J)
+
+
+def test_routh_hurwitz_is_exact_where_float_products_tie():
+    """e*i = 1 + 2**-53 - 2**-105 and f*h = 1 round to the same float, so c0
+    computed in floats is 0; the exact block determinant is positive."""
+    e, i = -(1.0 + 2.0**-52), -(1.0 - 2.0**-53)
+    J = np.array([[-1.0, 0.0, 0.0], [0.0, e, 1.0], [0.0, 1.0, i]])
+    assert characteristic_coefficients(J)[2] == 0.0
+    assert hk.routh_hurwitz_stable(J) and _fraction_hurwitz(J)
+
+
 # }}}
 
 
@@ -188,12 +218,14 @@ def test_routh_hurwitz_returns_a_builtin_bool(clearing_params):
 
 def _fraction_signs(params, lam):
     """Oracle: the sign of the rational endemic y_bar of the float rates, and
-    of the DFE block determinant at the float state x = lam/mu1."""
+    of the block determinant of the float Jacobian at the float
+    infection-free state (lam/mu1, 0, 0)."""
     beta_eff, prod_eff, loss_y = Fraction(params.beta_eff), Fraction(params.prod_eff), Fraction(params.loss_y)
     mu3 = Fraction(params.mu3)
     x_bar = loss_y * mu3 / (beta_eff * prod_eff)
     y_bar = (Fraction(lam) - Fraction(params.mu1) * x_bar) / Fraction(params.mu2)
-    det = loss_y * mu3 - beta_eff * prod_eff * Fraction(lam / params.mu1)
+    J = hk.jacobian(params, (lam / params.mu1, 0.0, 0.0))
+    det = Fraction(J[1, 1]) * Fraction(J[2, 2]) - Fraction(J[1, 2]) * Fraction(J[2, 1])
     return y_bar > 0, det > 0
 
 
@@ -212,6 +244,7 @@ _box_fraction = st.floats(0.0, 0.9) | st.sampled_from([0.0, 0.5, 0.75])
 @settings(max_examples=500, deadline=None)
 @given(rates=st.tuples(*[_box_rate] * 7), fractions=st.tuples(_box_fraction, _box_fraction))
 @example(rates=(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0), fractions=(0.0, 0.0))  # r0 = 1 exactly
+@example(rates=(1 / 3, 1.0, 0.5, 1.0, 3.0, 1.0, 0.5), fractions=(0.0, 0.0))  # beta*lam/mu1 rounds to 1
 def test_threshold_signs_match_a_fraction_oracle(rates, fractions):
     params, lam = _signs_case(rates, fractions)
     assert hk.stability.threshold_signs(params, hk.ConstantForcing(lam)) == _fraction_signs(params, lam)
