@@ -156,16 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help="output directory (default: runs)", tol=True):
-        p.add_argument("--config", required=True, help="scenario id or JSON config path")
+    def common(p, out_help="output directory (default: runs)", tol=True, config=True):
+        if config:
+            p.add_argument("--config", required=True, help="scenario id or JSON config path")
         p.add_argument("--out", default="runs", help=out_help)
         if tol:
             p.add_argument("--tol", type=float, default=None, help="override adaptive abs/rel tolerance")
 
     p = sub.add_parser("scenario", help="run a registered benchmark scenario end to end")
     p.add_argument("id", help=f"one of: {', '.join(sorted(SCENARIOS))}")
-    p.add_argument("--out", default="runs")
-    p.add_argument("--tol", type=float, default=None)
+    common(p, config=False)
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("simulate", help="integrate a scenario and write the trajectory CSV")
@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="randomized property sweep over a parameter box")
     p.add_argument("--n", type=int, default=1000, help="number of draws (default 1000)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default="runs")
+    p.add_argument("--seed", type=int, default=42, help="seed of the draws (default 42)")
+    p.add_argument("--out", default="runs", help="directory for sweep.csv (default: runs)")
     p.add_argument(
         "--box",
         default=None,

@@ -4,7 +4,8 @@ The infection-free state is (L/mu1, 0, 0). The persistent-infection
 state is obtained by steady-state elimination: the y equation fixes
 x_bar, the z equation fixes z_bar in terms of y_bar, and the x equation
 then yields y_bar. Feasibility (y_bar > 0) is equivalent to the
-next-generation reproduction number exceeding one.
+next-generation reproduction number exceeding one; ``endemic`` decides it
+exactly on the float rates, in integers.
 
 An alternative closed-form triple for the persistent state circulates in
 which x_bar = mu1*mu3*(mu2+p) / (q*beta*mu2*(1-eta)*(1-epsilon)). It does
@@ -30,7 +31,6 @@ from .model import (
     jacobian,
     make_rhs,
 )
-from .stability import threshold_signs
 
 __all__ = [
     "EquilibriumReport",
@@ -58,9 +58,10 @@ class EquilibriumReport:
     """An equilibrium candidate and the evidence for it.
 
     ``residual_norm`` is the max-norm of the vector field at ``state``.
-    For the persistent-infection kind, ``feasible`` records whether
-    y_bar > 0, and the ``alt_*`` fields carry the diagnostic alternative
-    closed form described in the module docstring.
+    For the persistent-infection kind, ``feasible`` records whether the
+    exact y_bar of the float rates is > 0, and the ``alt_*`` fields carry
+    the diagnostic alternative closed form described in the module
+    docstring.
     """
 
     kind: str
@@ -108,9 +109,10 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
 
     Infeasibility (y_bar <= 0, including the boundary tie where the state
     collapses onto the infection-free one) is a reported outcome, not an
-    error. ``feasible`` is decided exactly (``stability.threshold_signs``); the
-    float y_bar can be 0 or negative within rounding of the threshold.
-    Feasible states are Newton-polished; ``certified`` judges them.
+    error. ``feasible`` is the exact sign of y_bar on the float rates,
+    beta_eff*prod_eff*lam > mu1*mu3*loss_y (r0_ngm > 1); the float y_bar can
+    be 0 or negative within rounding of the threshold. Feasible states are
+    Newton-polished; ``certified`` judges them.
     """
     lam = constant_rate(forcing, "equilibria")
     rhs = make_rhs(params, forcing)
@@ -121,7 +123,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     y_bar = (lam - params.mu1 * x_bar) / params.mu2
     z_bar = prod_eff * y_bar / params.mu3
     state = as_state((x_bar, y_bar, z_bar))
-    feasible = threshold_signs(params, forcing)[0]
+    feasible = _exceeds((beta_eff, prod_eff, lam), (params.mu1, params.mu3, params.loss_y))
 
     # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
     state, res, _ = _damped_newton(rhs, params, state, 0.0, 25 if feasible else 0)
@@ -139,6 +141,19 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
         alt_state=alt_state,
         alt_residual=_residual(rhs, as_state(alt_state).tolist())[1],
     )
+
+
+def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:
+    """Whether the exact product of the floats ``lhs`` exceeds that of ``rhs``,
+    in integers: a/b > c/d with b, d > 0 is a*d > c*b."""
+    a = b = c = d = 1
+    for v in lhs:
+        n, m = v.as_integer_ratio()
+        a, b = a * n, b * m
+    for v in rhs:
+        n, m = v.as_integer_ratio()
+        c, d = c * n, d * m
+    return a * d > c * b
 
 
 def newton_refine(

@@ -503,7 +503,6 @@ _SWEEP_COUNTS = {
     "dfe_residual_failures": ("dfe_residual_ok", False),
     "endemic_residual_failures": ("endemic_residual_ok", False),
     "eig_sign_violations": ("eig_sign_ok", False),
-    "rh_violations": ("rh_agree", False),
     "positivity_violations": ("positivity_ok", False),
     "bound_violations": ("bounds_ok", False),
 }
@@ -575,11 +574,11 @@ def _draw_params(rng, box):
 def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     forcing = ConstantForcing(lam)
     r0 = stab.r0_all(params, forcing).ngm
-    above, dfe_stable = stab.threshold_signs(params, forcing)
     dfe = eq.disease_free(params, forcing)
     end = eq.endemic(params, forcing)
 
     j_dfe = jacobian(params, dfe.state)
+    dfe_stable = stab.routh_hurwitz_stable(j_dfe)
     max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))
     # floats decide a side beyond their rounding: r0_ngm carries five and the
     # Jacobian's beta_eff*x two, inside 4 ulps of 1; an eigenvalue below one
@@ -601,14 +600,13 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
         **asdict(params),
         "r0_ngm": r0,
         "feasible": end.feasible,
-        "threshold_ok": end.feasible == above and (not r0_decided or (r0 > 1.0) == above != dfe_stable),
+        "threshold_ok": not r0_decided or (r0 > 1.0) == end.feasible != dfe_stable,
         "dfe_residual": dfe.residual_norm,
         "dfe_residual_ok": eq.certified(params, forcing, dfe),
         "endemic_residual": end.residual_norm if end.feasible else None,
         "endemic_residual_ok": not end.feasible or eq.certified(params, forcing, end),
         "max_re_dfe": max_re,
         "eig_sign_ok": not eig_decided or (max_re < 0.0) == dfe_stable,
-        "rh_agree": stab.routh_hurwitz_stable(j_dfe) == dfe_stable,
         "positivity_ok": positivity_ok,
         "bounds_ok": bounds_ok,
         "t_reached": traj.final_time,

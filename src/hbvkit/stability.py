@@ -7,6 +7,10 @@ variants coexist because two inconsistent closed forms circulate for this
 model; the next-generation-matrix value is the one that matches the sign
 of the dominant eigenvalue at the infection-free state, so thresholds use
 it and the other two are kept as diagnostics.
+
+A stability class has one rule at every state, ``_classify``: exact
+Routh-Hurwitz signs of the Jacobian's cubic, roots on the imaginary axis
+included. The float eigenvalues are reported rates and decide no class.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .integrate import Trajectory
 from .model import Forcing, Parameters, as_state, constant_rate, jacobian
 
 __all__ = [
-    "MARGINAL_BAND",
     "R0Variants",
     "ConditionLine",
     "ConditionMargins",
@@ -33,16 +36,12 @@ __all__ = [
     "eigenvalues_3x3",
     "routh_hurwitz_stable",
     "r0_all",
-    "threshold_signs",
     "condition_margins",
     "lyapunov_fit",
     "contraction_fit",
     "stability_report",
     "CONDITION_SETS",
 ]
-
-# |max Re eigenvalue| below this classifies as marginal.
-MARGINAL_BAND = 1e-9
 
 CONDITION_SETS = ("equilibrium", "dfe", "endemic", "nonauto")
 
@@ -187,17 +186,33 @@ def characteristic_residual(J, eigenvalues) -> np.ndarray:
 
 
 def routh_hurwitz_stable(J) -> bool:
-    """All roots of the characteristic cubic in the open left half plane.
+    """All roots of the characteristic cubic in the open left half plane,
+    c2 > 0, c0 > 0 and c2*c1 > c0: the "stable" case of ``_classify``."""
+    return _classify(J) == "stable"
 
-    For lam^3 + c2 lam^2 + c1 lam + c0 the criterion is c2 > 0, c0 > 0 and
-    c2*c1 > c0, decided exactly on the entries of J times their largest
-    denominator, a power of two: integers, with c2, c1 and c0 scaled by its
-    first, second and third power.
+
+def _classify(J) -> str:
+    """The class of J, "stable", "marginal" or "unstable": where the roots
+    of lam^3 + c2 lam^2 + c1 lam + c0 lie, decided exactly on the entries of
+    J times their largest denominator, a power of two: integers, with c2, c1
+    and c0 scaled by its first, second and third power.
+
+    Routh-Hurwitz: all roots lie in the open left half plane iff c2 > 0,
+    c0 > 0 and c2*c1 > c0. A root lies on the imaginary axis iff c0 = 0
+    (a root 0, the others those of lam^2 + c2 lam + c1) or c1 > 0 and
+    c2*c1 = c0 (roots -c2 and +-i sqrt(c1)). "marginal" is such a root with
+    none to its right; every other matrix has a root to the right.
     """
     ratios = [v.as_integer_ratio() for v in _entries(J).tolist()]
     scale = max(m for _, m in ratios)
     c2, c1, c0 = _coefficients(*(n * (scale // m) for n, m in ratios))
-    return c2 > 0 and c0 > 0 and c2 * c1 > c0
+    if c2 > 0 and c0 > 0 and c2 * c1 > c0:
+        return "stable"
+    if c0 == 0:
+        return "marginal" if c2 >= 0 and c1 >= 0 else "unstable"
+    if c1 > 0 and c2 * c1 == c0:
+        return "marginal" if c2 > 0 else "unstable"
+    return "unstable"
 
 
 # }}}
@@ -235,35 +250,6 @@ def r0_all(params: Parameters, forcing: Forcing) -> R0Variants:
     )
     ngm = beta_eff * prod_eff * lam / (params.mu1 * params.mu3 * params.loss_y)
     return R0Variants(simple=simple, alt=alt, ngm=ngm)
-
-
-def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:
-    """Whether the exact product of the floats ``lhs`` exceeds that of ``rhs``,
-    in integers: a/b > c/d with b, d > 0 is a*d > c*b."""
-    a = b = c = d = 1
-    for v in lhs:
-        n, m = v.as_integer_ratio()
-        a, b = a * n, b * m
-    for v in rhs:
-        n, m = v.as_integer_ratio()
-        c, d = c * n, d * m
-    return a * d > c * b
-
-
-def threshold_signs(params: Parameters, forcing: Forcing) -> tuple[bool, bool]:
-    """(above, dfe_stable), decided exactly on floats.
-
-    ``above`` is beta_eff*prod_eff*lam > mu1*mu3*loss_y: r0_ngm > 1, and the
-    same product says y_bar > 0 (``endemic``'s ``feasible``). ``dfe_stable``
-    is loss_y*mu3 > (beta_eff*x)*prod_eff on the entries of the float
-    Jacobian at x = lam/mu1: -mu1 plus a 2x2 block of negative trace,
-    stable exactly when the block's determinant is positive.
-    """
-    lam, p = constant_rate(forcing, "threshold signs"), params
-    return (
-        _exceeds((p.beta_eff, p.prod_eff, lam), (p.mu1, p.mu3, p.loss_y)),
-        _exceeds((p.loss_y, p.mu3), (p.beta_eff * (lam / p.mu1), p.prod_eff)),
-    )
 
 
 # }}}
@@ -507,7 +493,9 @@ def contraction_fit(traj1: Trajectory, traj2: Trajectory) -> ContractionFit:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Eigenvalue analysis at a state plus reproduction numbers and margins."""
+    """Eigenvalue analysis at a state plus reproduction numbers and margins.
+    ``classification`` is exact; ``eigenvalues`` and ``max_real_part`` are
+    the float rates."""
 
     eigenvalues: tuple[complex, complex, complex]
     max_real_part: float
@@ -522,22 +510,17 @@ def stability_report(
     state,
     margin_sets: tuple[str, ...] = (),
 ) -> StabilityReport:
-    """Assemble the full local-stability picture at a state."""
-    eigs = eigenvalues_3x3(jacobian(params, state))
-    max_re = max(lam.real for lam in eigs)
-    if abs(max_re) < MARGINAL_BAND:
-        classification = "marginal"
-    elif max_re < 0.0:
-        classification = "stable"
-    else:
-        classification = "unstable"
+    """Assemble the full local-stability picture at a state; the class is
+    ``_classify`` on the Jacobian there."""
+    J = jacobian(params, state)
+    eigs = eigenvalues_3x3(J)
     margins = tuple(
         condition_margins(set_id, params, forcing, equilibrium=state) for set_id in margin_sets
     )
     return StabilityReport(
         eigenvalues=eigs,
-        max_real_part=max_re,
-        classification=classification,
+        max_real_part=max(lam.real for lam in eigs),
+        classification=_classify(J),
         r0=r0_all(params, forcing),
         margins=margins,
     )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -180,6 +181,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ngm"] == pytest.approx(7.0096e-5, abs=1e-8)
+
+
+def test_every_option_of_every_subcommand_carries_help():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [
+        (name, action.dest)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not action.help
+    ]
+    assert bare == []
+    assert len(subparsers.choices) == 2 + len(ANALYSES) + 1
 
 
 def test_tol_override_applies(tmp_path):

@@ -335,6 +335,6 @@ def test_sweep_csv_header(tmp_path):
         "index,lam,mu1,mu2,mu3,beta,eta,epsilon,p,q,"
         "r0_ngm,feasible,threshold_ok,"
         "dfe_residual,dfe_residual_ok,endemic_residual,endemic_residual_ok,"
-        "max_re_dfe,eig_sign_ok,rh_agree,"
+        "max_re_dfe,eig_sign_ok,"
         "positivity_ok,bounds_ok,t_reached"
     )

@@ -201,14 +201,19 @@ def test_endemic_builds_one_closure(simple_endemic_case, monkeypatch):
 # {{{ randomized properties
 
 
+def _exact_y_bar(params, lam):
+    """Oracle: the endemic y_bar of the float rates, as a Fraction."""
+    x_bar = Fraction(params.loss_y) * Fraction(params.mu3) / (Fraction(params.beta_eff) * Fraction(params.prod_eff))
+    return (Fraction(lam) - Fraction(params.mu1) * x_bar) / Fraction(params.mu2)
+
+
 def test_feasibility_iff_reproduction_threshold():
     """Every draw is checked: the exact sign decides the draws near r0 = 1."""
     rng = np.random.default_rng(42)
     for _ in range(1000):
         params, forcing = _draw(rng)
-        above, _ = hk.stability.threshold_signs(params, forcing)
         rep = hk.endemic(params, forcing)
-        assert rep.feasible == above == (hk.r0_all(params, forcing).ngm > 1.0)
+        assert rep.feasible == (_exact_y_bar(params, forcing.value) > 0) == (hk.r0_all(params, forcing).ngm > 1.0)
 
 
 def test_residuals_certified_over_random_draws():

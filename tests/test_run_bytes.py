@@ -26,10 +26,10 @@ sys.path.insert(0, str(BENCH))
 from workloads import CONFIG_BASES, CONFIG_COMMANDS, CONFIG_MODES, RUN_FILES, make_config  # noqa: E402
 
 # sha256 of the CSV that sweep(200, seed=42) writes.
-SWEEP_200_42_SHA256 = "6d633bf45e558f27fd98d9ef5ad3fefff04133ab54a2fccf3c359a6f8bcfd3ec"
+SWEEP_200_42_SHA256 = "e6cccb6bf126d9ff6e07c92f4b0297e4b63bf6386a4002038de64b54f310d2b0"
 # sha256 of the CSV that sweep(1000, seed=42) writes; it holds the seven
 # draws that the step budget cuts short (11, 254, 278, 670, 797, 843, 845).
-SWEEP_1000_42_SHA256 = "4b891c58b7336d47291b62db634a31a2b61340570227725f3efe46ceff6883a5"
+SWEEP_1000_42_SHA256 = "1abd3746f8497c50eb67661d2cbb34129fbc13f4e06a42903193dc72c7dfc0b8"
 
 # sha256 over the exit code, stdout and run files of one block of configs
 # (every base x command x mode, in that order) drawn from this seed.

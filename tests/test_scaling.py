@@ -226,8 +226,41 @@ def test_equilibria_scale_with_the_population(run, k):
         assert other.feasible == base.feasible
         verdict = hk.equilibria.certified(run.params, run.forcing, base)
         assert hk.equilibria.certified(scaled.params, scaled.forcing, other) == verdict
-    signs = hk.stability.threshold_signs(run.params, run.forcing)
-    assert hk.stability.threshold_signs(scaled.params, scaled.forcing) == signs
+    assert _dfe_class(scaled) == _dfe_class(run)
+
+
+def _dfe_class(run):
+    dfe = hk.disease_free(run.params, run.forcing)
+    return hk.stability_report(run.params, run.forcing, dfe.state).classification
+
+
+def _classes(run):
+    """The class at the infection-free state, and at the endemic state if it
+    is feasible."""
+    end = hk.endemic(run.params, run.forcing)
+    endemic = [hk.stability_report(run.params, run.forcing, end.state).classification] if end.feasible else []
+    return [_dfe_class(run), *endemic]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_constant_runs(), k=_k)
+def test_stability_classes_scale_with_time_and_population(run, k):
+    classes = _classes(run)
+    assert _classes(time_scaled(run, 2.0**k)) == classes
+    assert _classes(population_scaled(run, 2.0**k)) == classes
+
+
+def test_stability_class_beside_the_threshold_scales():
+    """Every rate 1 and lam = 2*(1 + 2**-30): r0_ngm = lam/2 > 1, so the
+    infection-free state is unstable at every scale and the endemic state
+    stable. Their max Re, +-6.2e-10, read marginal inside an absolute band
+    of 1e-9, and in time sped up 16-fold did not."""
+    params = hk.Parameters(mu1=1.0, mu2=1.0, mu3=1.0, beta=1.0, eta=0.0, epsilon=0.0, p=1.0, q=1.0)
+    run = Run(params, hk.ConstantForcing(2.0 * (1.0 + 2.0**-30)), (1.0, 1.0, 1.0), 1.0, hk.FixedStep(), None)
+    classes = _classes(run)
+    assert classes == ["unstable", "stable"]
+    for scaled in (time_scaled(run, 16.0), population_scaled(run, 16.0)):
+        assert _classes(scaled) == classes
 
 
 def test_endemic_state_scales_across_an_absolute_residual_cap():

@@ -129,7 +129,6 @@ def test_sweep_properties_hold_on_box(tmp_path):
     assert res.counts["dfe_residual_failures"] == 0
     assert res.counts["endemic_residual_failures"] == 0
     assert res.counts["eig_sign_violations"] == 0
-    assert res.counts["rh_violations"] == 0
     assert res.counts["positivity_violations"] == 0
     assert res.counts["bound_violations"] == 0
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
@@ -158,7 +157,7 @@ def test_sweep_collapsed_box_matches_scenario_flags(tmp_path):
     report = hk.run_scenario(scenario, tmp_path)
     assert report.document["events"] == []
     assert row["positivity_ok"] and row["bounds_ok"]
-    assert row["threshold_ok"] and row["eig_sign_ok"] and row["rh_agree"]
+    assert row["threshold_ok"] and row["eig_sign_ok"]
 
 
 # r0_ngm = 1.0 and y_bar = 0 exactly
@@ -176,7 +175,7 @@ def test_sweep_checks_the_exact_threshold_point():
     result = hk.sweep(1, 0, box=_THRESHOLD_BOX)
     row = result.rows[0]
     assert row["r0_ngm"] == 1.0 and row["feasible"] is False
-    assert row["threshold_ok"] and row["eig_sign_ok"] and row["rh_agree"]
+    assert row["threshold_ok"] and row["eig_sign_ok"]
     assert _failures(result) == {}
 
 
@@ -225,10 +224,10 @@ def test_sweep_flags_a_sign_that_disagrees_beyond_rounding(monkeypatch):
     than its rounding, is counted on a draw beside the threshold."""
     box = _THRESHOLD_BOX | {"lam": (1.0 + 1e-9, 1.0 + 1e-9)}
     assert _failures(hk.sweep(1, 0, box=box)) == {}
-    signs = hk.stability.threshold_signs
-    monkeypatch.setattr(hk.stability, "threshold_signs", lambda *a: (signs(*a)[0], not signs(*a)[1]))
+    stable = hk.stability.routh_hurwitz_stable
+    monkeypatch.setattr(hk.stability, "routh_hurwitz_stable", lambda J: not stable(J))
     counts = hk.sweep(1, 0, box=box).counts
-    assert counts["threshold_violations"] == counts["eig_sign_violations"] == counts["rh_violations"] == 1
+    assert counts["threshold_violations"] == counts["eig_sign_violations"] == 1
     monkeypatch.undo()
     r0_all = hk.stability.r0_all
     monkeypatch.setattr(hk.stability, "r0_all", lambda *a: dataclasses.replace(r0_all(*a), ngm=1.0 - 1e-9))
@@ -254,7 +253,7 @@ def test_sweep_rows_hold_builtin_values():
     rows = hk.sweep(50, 42).rows
     json.dumps(rows)
     flags = ("feasible", "threshold_ok", "dfe_residual_ok", "endemic_residual_ok",
-             "eig_sign_ok", "rh_agree", "positivity_ok", "bounds_ok")
+             "eig_sign_ok", "positivity_ok", "bounds_ok")
     assert all(type(row[flag]) is bool for row in rows for flag in flags)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hbvkit as hk
 from hbvkit.scenarios import DEFAULT_SWEEP_BOX, _draw_params
-from hbvkit.stability import MARGINAL_BAND, characteristic_coefficients, characteristic_residual
+from hbvkit.stability import _classify, characteristic_coefficients, characteristic_residual
 
 DFE2 = np.array([4.90675, 0.0, 0.0])
 
@@ -124,6 +124,8 @@ _log_rate = st.floats(math.log(1e-2), math.log(1e2))
     fractions=st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.9)),
 )
 def test_classification_agrees_with_routh_hurwitz(log_rates, fractions):
+    """No band: the float max Re is held to the exact class wherever it lies
+    one ulp of the Jacobian's largest entry or more from 0."""
     lam, mu1, mu2, mu3, beta, p, q = map(math.exp, log_rates)
     eta, epsilon = fractions
     params = hk.Parameters(mu1=mu1, mu2=mu2, mu3=mu3, beta=beta, eta=eta, epsilon=epsilon, p=p, q=q)
@@ -131,11 +133,11 @@ def test_classification_agrees_with_routh_hurwitz(log_rates, fractions):
     end = hk.endemic(params, forcing)
     states = [hk.disease_free(params, forcing).state] + ([end.state] if end.feasible else [])
     for state in states:
+        J = hk.jacobian(params, state)
         report = hk.stability_report(params, forcing, state)
-        if abs(report.max_real_part) < MARGINAL_BAND:
-            continue
-        stable = hk.routh_hurwitz_stable(hk.jacobian(params, state))
-        assert (report.classification == "stable") == stable
+        assert (report.classification == "stable") == hk.routh_hurwitz_stable(J)
+        if abs(report.max_real_part) >= math.ulp(np.abs(J).max()):
+            assert report.classification == ("stable" if report.max_real_part < 0.0 else "unstable")
 
 
 def test_eigenvalues_conjugate_pairs_exact():
@@ -210,6 +212,49 @@ def test_routh_hurwitz_is_exact_where_float_products_tie():
     assert hk.routh_hurwitz_stable(J) and _fraction_hurwitz(J)
 
 
+def _companion(c2, c1, c0):
+    """A matrix whose characteristic cubic is lam^3 + c2 lam^2 + c1 lam + c0."""
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-c0, -c1, -c2]])
+
+
+@pytest.mark.parametrize("J, expected", [
+    (np.diag([0.0, -1.0, -2.0]), "marginal"),
+    (np.diag([0.0, 1.0, -1.0]), "unstable"),
+    (np.diag([0.0, 0.0, -1.0]), "marginal"),
+    (np.diag([0.0, 0.0, 1.0]), "unstable"),
+    (np.triu(np.ones((3, 3)), 1), "marginal"),  # nilpotent
+    (np.array([[2.0, -4.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]), "marginal"),  # nilpotent
+    (_companion(1.0, 1.0, 1.0), "marginal"),  # (lam + 1)(lam^2 + 1)
+    (_companion(-1.0, 1.0, -1.0), "unstable"),  # (lam - 1)(lam^2 + 1)
+    (_companion(0.0, 1.0, 0.0), "marginal"),  # lam (lam^2 + 1)
+    (_companion(-1.0, 0.0, 0.0), "unstable"),  # lam^2 (lam - 1)
+    (_companion(1.0, -1.0, 0.0), "unstable"),  # lam (lam^2 + lam - 1)
+    (np.diag([-1.0, -2.0, -3.0]), "stable"),
+])
+def test_class_rule_on_the_imaginary_axis(J, expected):
+    assert _classify(J) == expected
+    assert hk.routh_hurwitz_stable(J) == (expected == "stable")
+
+
+# small integers and dyadic fractions: roots on the axis, ties and repeats
+_small_entry = st.integers(-4, 4).map(float) | st.sampled_from([0.5, -0.5, 0.25, -0.25, 1.5, -1.5])
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=st.lists(_small_entry, min_size=9, max_size=9))
+def test_class_rule_matches_numpy_eigenvalues(entries):
+    """Wherever LAPACK's max Re clears 1e-6 of max|J|, its sign is the class.
+
+    A root on the axis moves by rounding, by about sqrt(1e-16) of max|J| for
+    a double root; a nilpotent J, whose cubic is lam^3, moves by the cube
+    root, about 5e-6, so the named nilpotent cases above hold it instead.
+    Coefficients of these entries are exact in floats."""
+    J = np.array(entries).reshape(3, 3)
+    max_re = float(np.linalg.eigvals(J).real.max())
+    if abs(max_re) > 1e-6 * np.abs(J).max() and any(characteristic_coefficients(J)):
+        assert _classify(J) == ("stable" if max_re < 0.0 else "unstable")
+
+
 # }}}
 
 
@@ -218,15 +263,27 @@ def test_routh_hurwitz_is_exact_where_float_products_tie():
 
 def _fraction_signs(params, lam):
     """Oracle: the sign of the rational endemic y_bar of the float rates, and
-    of the block determinant of the float Jacobian at the float
-    infection-free state (lam/mu1, 0, 0)."""
+    the class at the float infection-free state (lam/mu1, 0, 0). There the
+    float Jacobian is -mu1 plus a 2x2 block of negative trace, so the sign
+    of the block's determinant, as a Fraction, is the class."""
     beta_eff, prod_eff, loss_y = Fraction(params.beta_eff), Fraction(params.prod_eff), Fraction(params.loss_y)
     mu3 = Fraction(params.mu3)
     x_bar = loss_y * mu3 / (beta_eff * prod_eff)
     y_bar = (Fraction(lam) - Fraction(params.mu1) * x_bar) / Fraction(params.mu2)
     J = hk.jacobian(params, (lam / params.mu1, 0.0, 0.0))
     det = Fraction(J[1, 1]) * Fraction(J[2, 2]) - Fraction(J[1, 2]) * Fraction(J[2, 1])
-    return y_bar > 0, det > 0
+    return y_bar > 0, "stable" if det > 0 else "marginal" if det == 0 else "unstable"
+
+
+def _exact_signs(params, lam):
+    """(feasible, DFE class) as ``endemic`` and ``stability_report`` decide
+    them; the DFE class is the class rule on the Jacobian at the DFE."""
+    forcing = hk.ConstantForcing(lam)
+    dfe = hk.disease_free(params, forcing)
+    J = hk.jacobian(params, dfe.state)
+    cls = hk.stability_report(params, forcing, dfe.state).classification
+    assert hk.routh_hurwitz_stable(J) == (cls == "stable")
+    return hk.endemic(params, forcing).feasible, cls
 
 
 def _signs_case(rates, fractions):
@@ -245,29 +302,30 @@ _box_fraction = st.floats(0.0, 0.9) | st.sampled_from([0.0, 0.5, 0.75])
 @given(rates=st.tuples(*[_box_rate] * 7), fractions=st.tuples(_box_fraction, _box_fraction))
 @example(rates=(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0), fractions=(0.0, 0.0))  # r0 = 1 exactly
 @example(rates=(1 / 3, 1.0, 0.5, 1.0, 3.0, 1.0, 0.5), fractions=(0.0, 0.0))  # beta*lam/mu1 rounds to 1
-def test_threshold_signs_match_a_fraction_oracle(rates, fractions):
+def test_exact_threshold_signs_match_a_fraction_oracle(rates, fractions):
     params, lam = _signs_case(rates, fractions)
-    assert hk.stability.threshold_signs(params, hk.ConstantForcing(lam)) == _fraction_signs(params, lam)
+    assert _exact_signs(params, lam) == _fraction_signs(params, lam)
 
 
-def test_threshold_signs_decide_ties():
+def test_exact_threshold_signs_decide_ties():
     """Every rate in {0.5, 1, 2} and fraction in {0, 0.5}: products tie often,
-    and a tie is neither above the threshold nor DFE-stable."""
+    and a tie is neither feasible nor DFE-stable, but marginal."""
     ties = 0
     for case in itertools.product(*[(0.5, 1.0, 2.0)] * 7):
         for fractions in itertools.product((0.0, 0.5), repeat=2):
             params, lam = _signs_case(case, fractions)
-            signs = hk.stability.threshold_signs(params, hk.ConstantForcing(lam))
+            signs = _exact_signs(params, lam)
             assert signs == _fraction_signs(params, lam)
             if params.beta_eff * params.prod_eff * lam == params.mu1 * params.mu3 * params.loss_y:
-                assert signs == (False, False)
+                assert signs == (False, "marginal")
                 ties += 1
     assert ties > 100
 
 
-def test_threshold_signs_need_a_constant_rate(clearing_params, wave_forcing):
-    with pytest.raises(hk.UnsupportedForcingError):
-        hk.stability.threshold_signs(clearing_params, wave_forcing)
+def test_exact_threshold_signs_need_a_constant_rate(clearing_params, wave_forcing):
+    for solve in (hk.endemic, hk.disease_free):
+        with pytest.raises(hk.UnsupportedForcingError):
+            solve(clearing_params, wave_forcing)
 
 
 # }}}
