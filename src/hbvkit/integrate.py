@@ -33,8 +33,9 @@ Most points fire no monitor. The kernel tests each point inline against
 appended to the recorder's lists with no call; any other goes through
 ``_Recorder.push``, which records its events.
 
-A trajectory records only the accepted times and states. Dense output
-between them uses cubic Hermite interpolation, whose node slopes are the
+A trajectory records only the accepted times and states, as the recorder's
+floats; it builds no array until one is read. Dense output between them uses
+cubic Hermite interpolation on those floats, whose node slopes are the
 vector field at the accepted points: they are computed once, on the first
 ``sample``, and are the same floats the step already evaluated there.
 
@@ -62,8 +63,10 @@ files are compared byte for byte, so they depend on this arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -214,27 +217,39 @@ class MonitorEvent:
 class Trajectory:
     """Accepted integration points and monitor events.
 
-    ``states[i]`` is the state at ``times[i]``. ``derivs[i]``, the vector
-    field there, is computed on the first ``sample`` for cubic Hermite
-    interpolation and kept. A trajectory is written once by its
-    integration and immutable after.
+    Stored: ``time_list``, the accepted times, and ``state_list``, one
+    ``(x, y, z)`` tuple per time, the floats the run recorded. Built on
+    first read and kept: the arrays ``times`` (n,) and ``states`` (n, 3),
+    and the node slopes, the vector field at each point, as float tuples
+    for ``sample`` and as the array ``derivs``. ``final_time``,
+    ``final_state``, ``sample`` and ``to_csv`` read the floats. A
+    trajectory is written once by its integration and immutable after;
+    ``==`` compares the stored fields.
     """
 
-    times: np.ndarray
-    states: np.ndarray
+    time_list: list[float]
+    state_list: list[tuple[float, float, float]]
     events: tuple[MonitorEvent, ...]
     params: Parameters
     forcing: Forcing
     bounds: BoundsReport
     control: StepControl
 
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.array(self.time_list)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return np.array(self.state_list)
+
     @property
     def final_time(self) -> float:
-        return float(self.times[-1])
+        return self.time_list[-1]
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1].copy()
+        return np.array(self.state_list[-1])
 
     @property
     def terminated(self) -> bool:
@@ -242,49 +257,72 @@ class Trajectory:
         return any(e.kind in TERMINAL_EVENT_KINDS for e in self.events)
 
     @cached_property
-    def derivs(self) -> np.ndarray:
+    def _slopes(self) -> list[tuple[float, float, float]]:
         """The vector field at each accepted point, one rhs call per point."""
         rhs = make_rhs(self.params, self.forcing)
-        return np.array([
-            rhs(t, x, y, z) for t, (x, y, z) in zip(self.times.tolist(), self.states.tolist())
-        ])
+        return [rhs(t, x, y, z) for t, (x, y, z) in zip(self.time_list, self.state_list)]
 
-    def sample(self, t: float) -> np.ndarray:
-        """State at time t by cubic Hermite interpolation on the accepted steps."""
-        if not (self.times[0] <= t <= self.times[-1]):
-            raise ValueError(f"t={t!r} outside trajectory range [{self.times[0]}, {self.times[-1]}]")
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        if i >= len(self.times) - 1:
-            return self.states[-1].copy()
-        t0, t1 = self.times[i], self.times[i + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (
-            h00 * self.states[i]
-            + h10 * h * self.derivs[i]
-            + h01 * self.states[i + 1]
-            + h11 * h * self.derivs[i + 1]
-        )
+    @cached_property
+    def derivs(self) -> np.ndarray:
+        """The node slopes as an (n, 3) array."""
+        return np.array(self._slopes)
+
+    def sample(self, t) -> np.ndarray:
+        """State at time t by cubic Hermite interpolation on the accepted steps.
+
+        ``t`` is one time, giving shape (3,), or a sequence of n times,
+        giving shape (n, 3). The basis is taken on Python floats, so
+        ``(1 - s) ** 2`` is libm ``pow``; an array ``** 2`` squares, and
+        rounds differently.
+        """
+        query = np.asarray(t, dtype=float)
+        times, states = self.time_list, self.state_list
+        first, last, n = times[0], times[-1], len(times) - 1
+        slopes = None  # built on the first query that needs them
+        out = []
+        for tq in query.reshape(-1).tolist():
+            if not (first <= tq <= last):
+                raise ValueError(f"t={tq!r} outside trajectory range [{first}, {last}]")
+            i = bisect_right(times, tq) - 1
+            if i >= n:
+                out.append(states[-1])
+                continue
+            if slopes is None:
+                slopes = self._slopes
+            t0 = times[i]
+            h = times[i + 1] - t0
+            s = (tq - t0) / h
+            # the Hermite basis; the two slope weights carry the step h
+            h00 = (1 + 2 * s) * (1 - s) ** 2
+            h10 = s * (1 - s) ** 2 * h
+            h01 = s * s * (3 - 2 * s)
+            h11 = s * s * (s - 1) * h
+            (x0, y0, z0), (dx0, dy0, dz0) = states[i], slopes[i]
+            (x1, y1, z1), (dx1, dy1, dz1) = states[i + 1], slopes[i + 1]
+            out.append((
+                h00 * x0 + h10 * dx0 + h01 * x1 + h11 * dx1,
+                h00 * y0 + h10 * dy0 + h01 * y1 + h11 * dy1,
+                h00 * z0 + h10 * dz0 + h01 * z1 + h11 * dz1,
+            ))
+        return np.array(out).reshape(query.shape + (3,))
 
     def to_csv(self, path) -> None:
         """Write `t,x,y,z` rows at full double precision.
 
-        Each block of ``_CSV_BLOCK`` rows becomes Python floats, is formatted
-        by one ``%`` operation and is written at once, so memory holds one
-        block's floats and text, not the file's. ``%.17g`` gives the same text
-        as ``{:.17g}``, ``nan``, ``inf`` and ``-0`` included, so the bytes
-        match a per-row f-string writer.
+        Each block of ``_CSV_BLOCK`` rows is formatted by one ``%`` operation
+        on the recorded floats and written at once, so memory holds one
+        block's text, not the file's. ``%.17g`` gives the same text as
+        ``{:.17g}``, ``nan``, ``inf`` and ``-0`` included, so the bytes match
+        a per-row f-string writer.
         """
-        table = np.column_stack((self.times, self.states))
+        times, states = self.time_list, self.state_list
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,y,z\n")
-            for start in range(0, len(table), _CSV_BLOCK):
-                block = table[start:start + _CSV_BLOCK]
-                fh.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
+            for start in range(0, len(times), _CSV_BLOCK):
+                stop = start + _CSV_BLOCK
+                rows = zip(times[start:stop], *zip(*states[start:stop]))  # (t, x, y, z)
+                block = tuple(chain.from_iterable(rows))
+                fh.write(_CSV_ROW * (len(block) // 4) % block)
 
 
 # True when _Recorder.push of (x, y, z) would fire no monitor, under the
@@ -438,6 +476,10 @@ _DP5 = """\
     min_factor, max_factor = 0.2, 10.0
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     h_min, h_max = ctl.h_min, ctl.h_max
+    # |x|, |y|, |z| of the accepted state, carried from step to step
+    ax = x if x >= 0.0 else -x
+    ay = y if y >= 0.0 else -y
+    az = z if z >= 0.0 else -z
 {k1}
     h = ctl.h_init
     err_prev = 1e-4
@@ -464,6 +506,7 @@ _DP5 = """\
             continue
         t = t_end if last else t + h
         x, y, z, k1x, k1y, k1z = x7, y7, z7, k7x, k7y, k7z
+        ax, ay, az = bx, by, bz
 {record}
         if err_norm == 0.0:
             factor = max_factor
@@ -501,9 +544,13 @@ def _dp5_stages(stages: str) -> dict:
     for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
         lines += [f"            {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
         lines.append(_stage(stages, i, f"t + {c!r} * h", f"x{i}", f"y{i}", f"z{i}"))
-    for u in "xyz":  # b if b > a else a is max(a, b) without the call
+    # b{u} is |u7| by a branch and a{u} the |u| carried from the last
+    # acceptance; b if b > a else a is max(a, b) without the call. A NaN b of
+    # either sign loses that comparison, and a zero's sign vanishes in
+    # atol + rtol * ..., so the branch gives the bytes of abs.
+    for u in "xyz":
         lines += [
-            f"            a{u}, b{u} = abs({u}), abs({u}7)",
+            f"            b{u} = {u}7 if {u}7 >= 0.0 else -{u}7",
             f"            r{u} = h * ({row_sum(_DP_E, u)}) / (atol + rtol * (b{u} if b{u} > a{u} else a{u}))",
         ]
     return {"k1": _stage(stages, 1, "t", "x", "y", "z", indent=4), "stages": "\n".join(lines)}
@@ -575,8 +622,8 @@ def integrate(
     rec = _Recorder(ctl, bounds)
     _integrate(rhs, u0, t0, t_end, ctl, rec, math.inf if max_steps is None else max_steps)
     return Trajectory(
-        times=np.array(rec.times),
-        states=np.array(rec.states),
+        time_list=rec.times,
+        state_list=rec.states,
         events=tuple(rec.events),
         params=params,
         forcing=forcing,

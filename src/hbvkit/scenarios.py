@@ -460,9 +460,9 @@ def run_scenario(ref, out_dir) -> RunReport:
         "scenario": scenario_to_dict(scenario),
         "trajectory": {
             "path": "trajectory.csv",
-            "n_points": int(len(traj.times)),
+            "n_points": len(traj.time_list),
             "final_time": traj.final_time,
-            "final_state": [float(v) for v in traj.final_state],
+            "final_state": list(traj.state_list[-1]),
             "terminated": traj.terminated,
         },
         "events": [asdict(e) for e in traj.events],

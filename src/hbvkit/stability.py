@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,20 +450,21 @@ def lyapunov_fit(traj: Trajectory, reference) -> LyapunovTrace:
 
 
 def _common_grid(traj1: Trajectory, traj2: Trajectory):
-    t1, t2 = traj1.times, traj2.times
-    if len(t1) == len(t2) and np.array_equal(t1, t2):
-        return t1, traj1.states, traj2.states
+    """traj1's times inside the overlap, with both states there: traj2's
+    resampled by one ``sample`` call unless the two grids are the same."""
+    t1, t2 = traj1.time_list, traj2.time_list
+    if t1 == t2:
+        return traj1.times, traj1.states, traj2.states
     lo = max(t1[0], t2[0])
     hi = min(t1[-1], t2[-1])
     if hi <= lo:
         raise ValueError("trajectories do not overlap in time")
-    keep = (t1 >= lo) & (t1 <= hi)
+    # the times are increasing, so the overlap is one slice
+    keep = slice(bisect_left(t1, lo), bisect_right(t1, hi))
     times = t1[keep]
     if len(times) < 4:
         raise ValueError("too few overlapping samples to compare trajectories")
-    s1 = traj1.states[keep]
-    s2 = np.array([traj2.sample(t) for t in times])
-    return times, s1, s2
+    return np.array(times), np.array(traj1.state_list[keep]), traj2.sample(times)
 
 
 def contraction_fit(traj1: Trajectory, traj2: Trajectory) -> ContractionFit:

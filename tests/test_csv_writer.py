@@ -61,7 +61,9 @@ def test_block_writer_matches_per_row_writer(base_traj, out_dir, rows, pool, see
     table = np.random.default_rng(seed).choice(np.array(pool), size=(rows, 4))
     if nonfinite_end:
         table[-1, 1:] = (math.nan, math.inf, -math.inf)
-    traj = dataclasses.replace(base_traj, times=table[:, 0].copy(), states=table[:, 1:].copy())
+    traj = dataclasses.replace(
+        base_traj, time_list=table[:, 0].tolist(), state_list=[tuple(u) for u in table[:, 1:].tolist()]
+    )
     _assert_writes_reference(traj, out_dir)
 
 

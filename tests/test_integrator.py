@@ -150,17 +150,17 @@ def test_dense_output_matches_fine_reference(clearing_params, clearing_forcing, 
 
 def test_sample_outside_range_raises(clearing_params, clearing_forcing, tight_ctl):
     traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
-    with pytest.raises(ValueError):
-        traj.sample(-0.5)
-    with pytest.raises(ValueError):
-        traj.sample(1.5)
+    for bad in (-0.5, 1.5, [0.5, -0.5], [0.5, 1.5, 1.0]):
+        with pytest.raises(ValueError):
+            traj.sample(bad)
 
 
 def test_sample_nan_raises(clearing_params, clearing_forcing, tight_ctl):
     # every comparison with NaN is false, so a two-sided "outside" test passes it
     traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
-    with pytest.raises(ValueError, match="outside trajectory range"):
-        traj.sample(float("nan"))
+    for bad in (float("nan"), [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.sample(bad)
 
 
 def test_csv_round_trips_full_precision(tmp_path, clearing_params, clearing_forcing, tight_ctl):
