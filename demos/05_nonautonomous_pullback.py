@@ -33,7 +33,7 @@ print("pullback point:", est.attractor_point)
 
 # the l1 ball: x+y+z decays toward lambda_max / alpha and never leaves
 traj = hk.integrate(s.params, s.forcing, u0, 0.0, 5.0, s.control)
-rep = hk.absorbing_check(s.params, s.forcing, traj)
+rep = hk.absorbing_check(traj)
 l1 = traj.states.sum(axis=1)
 print(f"\nabsorbing ball: alpha = {rep.alpha}, radius = {rep.ceiling}")
 print(f"l1 along the run: start {l1[0]:.3f}, max {l1.max():.3f}, end {l1[-1]:.3f}")

@@ -1,5 +1,9 @@
 """Command-line surface.
 
+Every subcommand but ``sweep`` takes a scenario reference: a registry id or
+a JSON config path. ``scenario`` and ``simulate`` are one run; ``scenario``
+writes the analyses its scenario lists, ``simulate`` none.
+
 Exit codes: 0 success, 2 usage or config problems, 3 when integration was
 cut short by a numerical event (blow-up, non-finite state or step-size
 floor). On exit 3 ``scenario`` and ``simulate`` still write the partial
@@ -22,10 +26,8 @@ from . import stability as stab
 from .integrate import integrate
 from .scenarios import (
     ANALYSES,
-    SCENARIOS,
     ConfigError,
     Scenario,
-    UnknownScenarioError,
     dumps,
     load_box,
     resolve_scenario,
@@ -97,25 +99,16 @@ _COMMON_ARGS = ("command", "func", "config", "out", "tol")
 # {{{ subcommand handlers
 
 
-def _cmd_scenario(args) -> int:
-    if args.id not in SCENARIOS:
-        raise UnknownScenarioError(
-            f"unknown scenario id {args.id!r}; available: {', '.join(sorted(SCENARIOS))}"
-        )
-    scenario = _with_tol(SCENARIOS[args.id], args.tol)
+def _cmd_run(args) -> int:
+    scenario = _load(args)
+    if args.command == "simulate":
+        scenario = dataclasses.replace(scenario, analyses=())
     report = run_scenario(scenario, Path(args.out) / scenario.id)
     print(
         f"wrote {report.trajectory_path} and {report.report_path} "
         f"({report.duration_seconds:.2f}s)",
         file=sys.stderr,
     )
-    return NUMERICAL_EVENT if report.terminated else 0
-
-
-def _cmd_simulate(args) -> int:
-    scenario = dataclasses.replace(_load(args), analyses=())
-    report = run_scenario(scenario, Path(args.out) / scenario.id)
-    print(f"wrote {report.trajectory_path} and {report.report_path}", file=sys.stderr)
     return NUMERICAL_EVENT if report.terminated else 0
 
 
@@ -156,21 +149,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    config_help = "scenario id or JSON config path"
+
     def common(p, out_help="output directory (default: runs)", tol=True, config=True):
         if config:
-            p.add_argument("--config", required=True, help="scenario id or JSON config path")
+            p.add_argument("--config", required=True, help=config_help)
         p.add_argument("--out", default="runs", help=out_help)
         if tol:
             p.add_argument("--tol", type=float, default=None, help="override adaptive abs/rel tolerance")
 
-    p = sub.add_parser("scenario", help="run a registered benchmark scenario end to end")
-    p.add_argument("id", help=f"one of: {', '.join(sorted(SCENARIOS))}")
+    p = sub.add_parser("scenario", help="run a scenario and the analyses it lists, end to end")
+    p.add_argument("config", metavar="ref", help=config_help)
     common(p, config=False)
-    p.set_defaults(func=_cmd_scenario)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("simulate", help="integrate a scenario and write the trajectory CSV")
     common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_run)
 
     for name, (fn, integrates) in ANALYSES.items():
         p = sub.add_parser(name, help=fn.__doc__)
@@ -209,7 +204,7 @@ def main(argv=None) -> int:
     except proc.ProcessTerminatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_EVENT
-    except (ConfigError, UnknownScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -178,27 +178,19 @@ def pullback_estimate(
     )
 
 
-def absorbing_check(
-    params: Parameters,
-    forcing: Forcing,
-    traj: Trajectory,
-    slack: float | None = None,
-) -> AbsorbingSetReport:
+def absorbing_check(traj: Trajectory, slack: float | None = None) -> AbsorbingSetReport:
     """Check the l1 absorbing ball on a computed trajectory.
 
     Applicable only when mu2 > (1-epsilon)*p, which makes the total
-    population x+y+z decay toward lambda_max/alpha. ``params`` and
-    ``forcing`` must be those ``traj`` was integrated with; alpha and the
-    ceiling are read from ``traj.bounds``. ``slack`` must be finite and
-    positive (default 1e-6 * ceiling): an infinite slack holds for any
-    trajectory.
+    population x+y+z decay toward lambda_max/alpha. The rates, alpha and
+    the ceiling are those of the run (``traj.params``, ``traj.bounds``).
+    ``slack`` must be finite and positive (default 1e-6 * ceiling): an
+    infinite slack holds for any trajectory.
     """
-    if traj.params != params or traj.forcing != forcing:
-        raise ValueError("trajectory comes from different parameters or forcing")
     alpha, ceiling = traj.bounds.l1_alpha, traj.bounds.l1_ceiling
     if alpha is None:
         raise ValueError(
-            f"absorbing bound needs mu2 > (1-epsilon)*p, got {params.mu2} <= {params.prod_eff}"
+            f"absorbing bound needs mu2 > (1-epsilon)*p, got {traj.params.mu2} <= {traj.params.prod_eff}"
         )
     if slack is None:
         slack = 1e-6 * ceiling

@@ -206,7 +206,7 @@ def _pullback(
 
 def _absorbing(scenario: Scenario, traj: Trajectory, slack=None) -> dict:
     """l1 absorbing-ball check on a scenario trajectory"""
-    return asdict(proc.absorbing_check(scenario.params, scenario.forcing, traj, slack=slack))
+    return asdict(proc.absorbing_check(traj, slack=slack))
 
 
 ANALYSES = {
@@ -496,7 +496,8 @@ DEFAULT_SWEEP_BOX = {"lam": (1e-2, 1e2)} | {
     for f in fields(Parameters)
 }
 
-# count key -> (row flag, the flag value it counts)
+# count key -> (row flag, the flag value it counts); a blank (None) flag
+# counts under neither value
 _SWEEP_COUNTS = {
     "feasible": ("feasible", True),
     "threshold_violations": ("threshold_ok", False),
@@ -543,7 +544,8 @@ class SweepResult:
         return (
             f"{len(short)} of {len(self.rows)} draws stopped short of t = {_SWEEP_SPAN:g} "
             f"on the step budget or a terminal event (smallest t_reached {first['t_reached']:.3g}, "
-            f"draw {first['index']}); their positivity_ok and bounds_ok cover only the part they ran"
+            f"draw {first['index']}); their positivity_ok and bounds_ok are left blank "
+            "unless a violation fired before the stop"
         )
 
 
@@ -593,6 +595,9 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     kinds = {e.kind for e in traj.events}
     positivity_ok = "positivity_violation" not in kinds and "nonfinite" not in kinds
     bounds_ok = "bound_violation" not in kinds and "blow_up" not in kinds
+    # a run cut short passes no check over the part it did not run: its flag
+    # is left blank (None) unless a violation already fired
+    short = traj.final_time < _SWEEP_SPAN
 
     return {
         "index": index,
@@ -607,8 +612,8 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
         "endemic_residual_ok": not end.feasible or eq.certified(params, forcing, end),
         "max_re_dfe": max_re,
         "eig_sign_ok": not eig_decided or (max_re < 0.0) == dfe_stable,
-        "positivity_ok": positivity_ok,
-        "bounds_ok": bounds_ok,
+        "positivity_ok": None if short and positivity_ok else positivity_ok,
+        "bounds_ok": None if short and bounds_ok else bounds_ok,
         "t_reached": traj.final_time,
     }
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -32,6 +33,60 @@ def test_scenario_command_success(tmp_path, capsys):
 
 def test_scenario_command_unknown_id(tmp_path):
     assert main(["scenario", "nope", "--out", str(tmp_path)]) == 2
+
+
+# {{{ one scenario reference for every subcommand
+
+
+def test_scenario_command_runs_a_config_and_the_analyses_it_lists(tmp_path, capsys):
+    scenario = dataclasses.replace(hk.SCENARIOS["set1-nonauto"], id="every", analyses=tuple(ANALYSES))
+    path = tmp_path / "every.json"
+    hk.save_config(scenario, path)
+    assert main(["scenario", str(path), "--out", str(tmp_path / "runs")]) == 0
+    report = json.loads((tmp_path / "runs" / "every" / "report.json").read_text())
+    analyses, skipped = report["analyses"].keys(), report["skipped"].keys()
+    assert analyses | skipped == set(ANALYSES)
+    assert not analyses & skipped
+    assert "pullback" in analyses and "absorbing" in analyses
+    assert capsys.readouterr().err.startswith(f"wrote {tmp_path / 'runs' / 'every' / 'trajectory.csv'} and ")
+
+
+@pytest.mark.parametrize("command", ["scenario", "simulate", *ANALYSES])
+def test_registry_id_and_its_saved_config_give_the_same_output(command, tmp_path, capsys):
+    path = tmp_path / "saved.json"
+    hk.save_config(hk.SCENARIOS["table2-dfe"], path)
+    outputs = []
+    for ref, out in (("table2-dfe", tmp_path / "a"), (str(path), tmp_path / "b")):
+        argv = [command, ref] if command == "scenario" else [command, "--config", ref]
+        code = main([*argv, "--out", str(out)])
+        run = out / "table2-dfe"
+        files = {f.name: f.read_bytes() for f in run.iterdir()} if run.exists() else {}
+        outputs.append((code, capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+    code, stdout, files = outputs[0]
+    assert code == 0
+    if command in ("scenario", "simulate"):
+        assert (stdout, sorted(files)) == ("", ["plot.gp", "report.json", "trajectory.csv"])
+    else:
+        assert json.loads(stdout) and files == {}
+
+
+def test_scenario_command_names_both_reference_forms(tmp_path, capsys):
+    assert main(["scenario", "nope", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'nope' is neither a registered scenario id" in err
+    assert "nor a config file path" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scenario_command_tol_on_a_fixed_step_config_exits_2(fixed_step_config, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["scenario", str(fixed_step_config), "--out", str(out), "--tol", "1e-6"]) == 2
+    assert "--tol applies to adaptive stepping only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# }}}
 
 
 def test_simulate_blowup_exits_3_with_partial_outputs(tmp_path, blowup_config):
@@ -126,16 +181,19 @@ def test_sweep_command(tmp_path, capsys):
 
 def test_sweep_command_notes_draws_cut_short(tmp_path, capsys):
     # draw 11 of seed 42 runs out of the step budget at t = 1.870; its
-    # positivity and bounds flags still read ok, so the CLI says so
+    # positivity and bounds flags are left blank, and the CLI says so
     assert main(["sweep", "--n", "12", "--seed", "42", "--out", str(tmp_path)]) == 0
     out, err = capsys.readouterr()
     notes = [line for line in err.splitlines() if "stopped short" in line]
     assert len(notes) == 1
     assert "1 of 12 draws" in notes[0]
     assert "smallest t_reached 1.87, draw 11" in notes[0]
-    assert "cover only the part they ran" in notes[0]
+    assert "positivity_ok and bounds_ok are left blank unless a violation fired" in notes[0]
     counts = json.loads(out)
     assert counts["positivity_violations"] == counts["bound_violations"] == 0
+    header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), rows[11].split(",")))
+    assert (cells["index"], cells["positivity_ok"], cells["bounds_ok"]) == ("11", "", "")
     assert main(["sweep", "--n", "11", "--seed", "42", "--out", str(tmp_path)]) == 0
     assert "stopped short" not in capsys.readouterr().err
 

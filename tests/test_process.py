@@ -197,7 +197,7 @@ def test_pullback_rejects_a_non_finite_horizon(clearing_params, clearing_forcing
 
 def test_absorbing_wave_scenario(clearing_params, wave_forcing, tight_ctl):
     traj = hk.integrate(clearing_params, wave_forcing, (1.0, 1.0, 1.0), 0.0, 5.0, tight_ctl)
-    rep = hk.absorbing_check(clearing_params, wave_forcing, traj)
+    rep = hk.absorbing_check(traj)
     assert rep.alpha == pytest.approx(2.0, rel=1e-15)
     assert rep.ceiling == pytest.approx(5.5, rel=1e-15)
     assert rep.holds
@@ -206,7 +206,7 @@ def test_absorbing_wave_scenario(clearing_params, wave_forcing, tight_ctl):
 
 def test_absorbing_persistent_constant(persistent_params, persistent_forcing, tight_ctl):
     traj = hk.integrate(persistent_params, persistent_forcing, (1.0, 1.0, 1.0), 0.0, 20.0, tight_ctl)
-    rep = hk.absorbing_check(persistent_params, persistent_forcing, traj)
+    rep = hk.absorbing_check(traj)
     assert rep.alpha == pytest.approx(0.1, rel=1e-12)  # min(6, 7 - 4.5, 0.1)
     assert rep.ceiling == pytest.approx(200.0, rel=1e-12)
     assert rep.holds
@@ -215,7 +215,7 @@ def test_absorbing_persistent_constant(persistent_params, persistent_forcing, ti
 def test_absorbing_entry_from_outside(clearing_params, wave_forcing, tight_ctl):
     # start outside the ball (l1 = 9 > 5.5): absorption happens later
     traj = hk.integrate(clearing_params, wave_forcing, (7.0, 1.0, 1.0), 0.0, 5.0, tight_ctl)
-    rep = hk.absorbing_check(clearing_params, wave_forcing, traj)
+    rep = hk.absorbing_check(traj)
     assert rep.holds
     assert rep.entry_time is not None and rep.entry_time > 0.0
     l1 = traj.states.sum(axis=1)
@@ -228,7 +228,7 @@ def test_absorbing_bound_never_violated_on_benchmarks():
     # bound applies to each scenario run
     for sid, s in sorted(hk.SCENARIOS.items()):
         traj = hk.integrate(s.params, s.forcing, s.u0, *s.t_span, s.control)
-        rep = hk.absorbing_check(s.params, s.forcing, traj)
+        rep = hk.absorbing_check(traj)
         assert rep.holds, sid
 
 
@@ -238,14 +238,14 @@ def test_absorbing_precondition(clearing_forcing):
         params, hk.ConstantForcing(1.0), (1.0, 1.0, 1.0), 0.0, 1.0, hk.FixedStep(h=0.01)
     )
     with pytest.raises(ValueError):
-        hk.absorbing_check(params, hk.ConstantForcing(1.0), traj)
+        hk.absorbing_check(traj)
 
 
 def test_absorbing_rejects_an_infinite_slack(clearing_params, wave_forcing, tight_ctl):
     # an infinite slack would hold for any trajectory
     traj = hk.integrate(clearing_params, wave_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
     with pytest.raises(ValueError, match="slack must be finite"):
-        hk.absorbing_check(clearing_params, wave_forcing, traj, slack=np.inf)
+        hk.absorbing_check(traj, slack=np.inf)
 
 
 # }}}

@@ -25,11 +25,13 @@ sys.path.insert(0, str(BENCH))
 
 from workloads import CONFIG_BASES, CONFIG_COMMANDS, CONFIG_MODES, RUN_FILES, make_config  # noqa: E402
 
-# sha256 of the CSV that sweep(200, seed=42) writes.
-SWEEP_200_42_SHA256 = "e6cccb6bf126d9ff6e07c92f4b0297e4b63bf6386a4002038de64b54f310d2b0"
+# sha256 of the CSV that sweep(200, seed=42) writes; draw 11 is cut short by
+# the step budget and has blank positivity_ok and bounds_ok cells.
+SWEEP_200_42_SHA256 = "063442068d0ba7422c7dd857e2acae876ee1ace65888cf9522751a2e34f7de0c"
 # sha256 of the CSV that sweep(1000, seed=42) writes; it holds the seven
-# draws that the step budget cuts short (11, 254, 278, 670, 797, 843, 845).
-SWEEP_1000_42_SHA256 = "1abd3746f8497c50eb67661d2cbb34129fbc13f4e06a42903193dc72c7dfc0b8"
+# draws that the step budget cuts short (11, 254, 278, 670, 797, 843, 845),
+# each with blank positivity_ok and bounds_ok cells.
+SWEEP_1000_42_SHA256 = "03c909a92dc5caacfc25946cc121b050c2fe4f4c9a8a1832154fee125475ce34"
 
 # sha256 over the exit code, stdout and run files of one block of configs
 # (every base x command x mode, in that order) drawn from this seed.

@@ -252,9 +252,14 @@ def test_sweep_checks_draws_within_ulps_of_the_threshold():
 def test_sweep_rows_hold_builtin_values():
     rows = hk.sweep(50, 42).rows
     json.dumps(rows)
-    flags = ("feasible", "threshold_ok", "dfe_residual_ok", "endemic_residual_ok",
-             "eig_sign_ok", "positivity_ok", "bounds_ok")
+    flags = ("feasible", "threshold_ok", "dfe_residual_ok", "endemic_residual_ok", "eig_sign_ok")
     assert all(type(row[flag]) is bool for row in rows for flag in flags)
+    # the run checks are blank (None) exactly on the draws cut short (draw 11)
+    for row in rows:
+        short = row["t_reached"] < 2.0
+        for flag in ("positivity_ok", "bounds_ok"):
+            assert (row[flag] is None) if short else (type(row[flag]) is bool), (row["index"], flag)
+    assert [row["index"] for row in rows if row["t_reached"] < 2.0] == [11]
 
 
 def test_piecewise_forcing_scenario_round_trip_and_run(tmp_path, clearing_params):
