@@ -13,6 +13,9 @@ not satisfy the steady-state equations in general, so it is evaluated
 only as a diagnostic (``alt_state`` / ``alt_residual``) and never used.
 The arbiter is always the residual of the vector field, and ``certified``
 is its one rule: at most 8 ulps of the field's largest term at the state.
+
+Residuals are taken on Python floats. numpy serves only the Newton polish
+of a feasible persistent state: its solves and steps take arrays.
 """
 
 from __future__ import annotations
@@ -73,14 +76,18 @@ class EquilibriumReport:
 
 
 def residual_norm(params: Parameters, forcing: Forcing, state) -> float:
-    """Max-norm of the vector field at a candidate steady state."""
-    return _residual(make_rhs(params, forcing), as_state(state).tolist())[1]
+    """Max-norm of the vector field at a candidate steady state; NaN if a
+    component is NaN."""
+    return _residual(make_rhs(params, forcing), as_state(state))[1]
 
 
-def _residual(rhs, u) -> tuple[np.ndarray, float]:
-    """The field ``rhs`` at time 0 and state u, three floats, and its max-norm."""
-    f = np.array(rhs(0.0, *u))
-    return f, float(np.max(np.abs(f)))
+def _residual(rhs, u) -> tuple[tuple[float, float, float], float]:
+    """The field ``rhs`` at time 0 and state u, three floats, and its max-norm:
+    NaN if a component is NaN, which ``max`` alone keeps only in first place."""
+    f = dx, dy, dz = rhs(0.0, *u)
+    if dx != dx or dy != dy or dz != dz:
+        return f, math.nan
+    return f, max(abs(dx), abs(dy), abs(dz))
 
 
 def disease_free(params: Parameters, forcing: Forcing) -> EquilibriumReport:
@@ -135,11 +142,11 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
 
     return EquilibriumReport(
         kind="endemic",
-        state=tuple(float(v) for v in state),
+        state=state,
         residual_norm=res,
         feasible=feasible,
         alt_state=alt_state,
-        alt_residual=_residual(rhs, as_state(alt_state).tolist())[1],
+        alt_residual=_residual(rhs, as_state(alt_state))[1],
     )
 
 
@@ -178,28 +185,30 @@ def newton_refine(
 
     u, res, singular = _damped_newton(make_rhs(params, forcing), params, as_state(guess), tol, max_iter)
     if singular:
-        raise SingularJacobianError(f"singular Jacobian at {tuple(u)}")
+        raise SingularJacobianError(f"singular Jacobian at {u}")
     if res <= tol:
-        return u
+        return np.array(u)
     raise NoConvergenceError(f"residual {res:.3e} above tol {tol:.3e} after {max_iter} iterations")
 
 
 def _damped_newton(rhs, params, u, tol: float, max_iter: int):
-    """The iteration of ``newton_refine`` on the field ``rhs``, one call per
-    point: (state, residual, singular), stopped at a residual <= tol, a step
-    that no halving improves, a singular Jacobian (singular=True) or max_iter
-    steps. A non-finite candidate counts as no improvement."""
-    f, res = _residual(rhs, u.tolist())
+    """The iteration of ``newton_refine`` on the field ``rhs`` from the float
+    triple u, one call per point: (state triple, residual, singular), stopped
+    at a residual <= tol, a step that no halving improves, a singular
+    Jacobian (singular=True) or max_iter steps. A non-finite candidate counts
+    as no improvement. Only the solve and the steps take arrays."""
+    f, res = _residual(rhs, u)
     for _ in range(max_iter):
         if res <= tol:
             break
         try:
-            step = np.linalg.solve(jacobian(params, u), -f)
+            step = np.linalg.solve(jacobian(params, u), -np.array(f))
         except np.linalg.LinAlgError:
             return u, res, True
+        start = np.array(u)
         for k in range(21):  # step scales 1, 1/2, ..., 2**-20
-            candidate = u + 0.5**k * step
-            f_cand, res_cand = _residual(rhs, candidate.tolist())
+            candidate = tuple((start + 0.5**k * step).tolist())
+            f_cand, res_cand = _residual(rhs, candidate)
             if res_cand < res:
                 u, f, res = candidate, f_cand, res_cand
                 break

@@ -407,7 +407,7 @@ def {name}(rhs, field, u0, t0, t_end, ctl, rec, budget):
     \"\"\"{doc}\"\"\"
 {bind}    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
     append_t, append_u, push = rec.times.append, rec.states.append, rec.push
-    x, y, z = (float(v) for v in u0)  # plain floats keep the loop cheap
+    x, y, z = u0  # as_state's floats keep the loop cheap
     if push(t0, x, y, z):
         return
     t_stop = t_end - 1e-14 * (t_end - t0)

@@ -11,6 +11,10 @@ where L(t) is the production rate of uninfected cells. L is constant in
 the autonomous case and a bounded positive function of time otherwise;
 both cases share one vector field through the forcing objects below.
 
+A state enters through ``as_state``, which reads a sequence of three real
+numbers into three Python floats; the vector field and the bounds work on
+those floats. ``jacobian`` and ``vector_field`` return numpy arrays.
+
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently.
 """
@@ -221,16 +225,37 @@ def constant_rate(forcing: Forcing, analysis: str) -> float:
     return forcing.value
 
 
-def as_state(u, require_nonnegative: bool = False) -> np.ndarray:
-    """Coerce to a finite (3,) float array, optionally rejecting negative parts."""
-    arr = np.asarray(u, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"state must have exactly three components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"state must be finite, got {arr!r}")
-    if require_nonnegative and np.any(arr < 0.0):
-        raise ValueError(f"state must be componentwise nonnegative, got {arr!r}")
-    return arr
+def as_state(u, require_nonnegative: bool = False) -> tuple[float, float, float]:
+    """The state ``u`` as three finite Python floats, optionally rejecting
+    negative parts.
+
+    ``u`` is read as ``np.asarray(u, dtype=float)`` reads it: a sequence of
+    three real numbers, such as a tuple, a list or a (3,) array. Any other
+    shape raises ValueError, as does a part that is not finite (None reads as
+    NaN) or, under ``require_nonnegative``, negative. A part that ``float``
+    refuses raises its error: TypeError for a complex number.
+    """
+    if getattr(u, "ndim", 1) != 1 or not _is_sequence(u) or len(u) != 3:
+        if not (u is None or hasattr(u, "ndim") or _is_sequence(u)):
+            float(u)  # numpy reads a non-sequence as one value: float's error if it is none
+        raise ValueError(f"state must have exactly three components, got {u!r}")
+    try:
+        x, y, z = map(float, u)
+    except TypeError:
+        # numpy reads None as NaN and a nested sequence as a shape other than (3,)
+        if any(v is None or _is_sequence(v) for v in u):
+            raise ValueError(f"state must be three finite numbers, got {u!r}") from None
+        raise
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"state must be finite, got {(x, y, z)!r}")
+    if require_nonnegative and min(x, y, z) < 0.0:
+        raise ValueError(f"state must be componentwise nonnegative, got {(x, y, z)!r}")
+    return x, y, z
+
+
+def _is_sequence(v) -> bool:
+    """Whether numpy reads ``v`` as an array of its items, not as one value."""
+    return hasattr(v, "__getitem__") and not isinstance(v, (str, bytes, dict)) and getattr(v, "ndim", 1) != 0
 
 
 # The vector field, written once as text: make_rhs compiles its closures from

@@ -84,7 +84,7 @@ def process_solve(
     t: float,
     ctl: StepControl,
 ) -> np.ndarray:
-    """Evaluate phi(t, t0, u0); the t == t0 case returns u0 unchanged.
+    """Evaluate phi(t, t0, u0) as a new array; the t == t0 case returns u0 unchanged.
 
     Raises ProcessTerminatedError when the integration ends on a
     terminating monitor event, so a partial run is never taken for phi.
@@ -93,7 +93,7 @@ def process_solve(
         raise ValueError(f"need t >= t0, got t={t}, t0={t0}")
     u0 = as_state(u0, require_nonnegative=True)
     if t == t0:
-        return u0.copy()
+        return np.array(u0)
     traj = integrate(params, forcing, u0, t0, t, ctl)
     require_complete(traj, f"integration from t0={t0} to t={t}")
     return traj.final_state
@@ -155,7 +155,7 @@ def pullback_estimate(
     seed_states = [as_state(s, require_nonnegative=True) for s in seeds]
     if len(seed_states) < 2:
         raise ValueError("need at least two seeds to measure seed independence")
-    if len({tuple(s.tolist()) for s in seed_states}) < len(seed_states):
+    if len(set(seed_states)) < len(seed_states):
         raise ValueError("seeds must be pairwise distinct to measure seed independence")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")

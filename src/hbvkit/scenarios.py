@@ -82,7 +82,7 @@ class Scenario:
         # runs are written to <out>/<id>, so the id must stay inside <out>
         if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
             raise ValueError(f"id must be a single plain path component, got {self.id!r}")
-        object.__setattr__(self, "u0", tuple(float(v) for v in as_state(self.u0, True)))
+        object.__setattr__(self, "u0", as_state(self.u0, True))
         t0, t1 = (float(t) for t in self.t_span)
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(f"t_span must be finite and increasing, got {self.t_span}")
@@ -491,9 +491,9 @@ def run_scenario(ref, out_dir) -> RunReport:
 
 # Rates (and the production rate lam) are drawn log-uniform, treatment
 # fractions uniform.
+_PARAMETER_NAMES = tuple(f.name for f in fields(Parameters))
 DEFAULT_SWEEP_BOX = {"lam": (1e-2, 1e2)} | {
-    f.name: (0.0, 0.9) if f.name in Parameters.FRACTIONS else (1e-2, 1e2)
-    for f in fields(Parameters)
+    name: (0.0, 0.9) if name in Parameters.FRACTIONS else (1e-2, 1e2) for name in _PARAMETER_NAMES
 }
 
 # count key -> (row flag, the flag value it counts); a blank (None) flag
@@ -586,7 +586,7 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     # Jacobian's beta_eff*x two, inside 4 ulps of 1; an eigenvalue below one
     # ulp of the Jacobian's largest entry is rounding of that matrix
     r0_decided = abs(r0 - 1.0) > 4.0 * math.ulp(1.0)
-    eig_decided = abs(max_re) >= math.ulp(np.abs(j_dfe).max())
+    eig_decided = abs(max_re) >= math.ulp(max(map(abs, j_dfe.ravel().tolist())))
 
     traj = integrate(
         params, forcing, (1.0, 1.0, 1.0), 0.0, _SWEEP_SPAN, _SWEEP_CTL,
@@ -602,7 +602,7 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     return {
         "index": index,
         "lam": lam,
-        **asdict(params),
+        **{name: getattr(params, name) for name in _PARAMETER_NAMES},
         "r0_ngm": r0,
         "feasible": end.feasible,
         "threshold_ok": not r0_decided or (r0 > 1.0) == end.feasible != dfe_stable,
@@ -652,7 +652,8 @@ def sweep(n_draws: int, seed: int, out_path=None, box: dict | None = None) -> Sw
     csv_path = None
     if out_path is not None:
         csv_path = Path(out_path)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        if not csv_path.parent.is_dir():
+            csv_path.parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(rows[0]) + "\n")
             for row in rows:

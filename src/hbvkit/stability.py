@@ -11,6 +11,8 @@ it and the other two are kept as diagnostics.
 A stability class has one rule at every state, ``_classify``: exact
 Routh-Hurwitz signs of the Jacobian's cubic, roots on the imaginary axis
 included. The float eigenvalues are reported rates and decide no class.
+Both read the Jacobian's entries as Python floats; the eigenvalues have the
+bits the same algebra gives on np.float64 entries.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ def characteristic_coefficients(J) -> tuple[float, float, float]:
     return _coefficients(*_entries(J))
 
 
-def _entries(J) -> np.ndarray:
+def _entries(J) -> list[float]:
+    """The entries of J in row order, nine Python floats, so the cubic's
+    algebra runs on floats."""
     J = np.asarray(J, dtype=float)
-    if J.shape != (3, 3) or not np.all(np.isfinite(J)):
+    entries = J.ravel().tolist()
+    if J.shape != (3, 3) or not all(map(math.isfinite, entries)):
         raise ValueError("need a finite 3x3 matrix")
-    return J.ravel()
+    return entries
 
 
 def _coefficients(a, b, c, d, e, f, g, h, i):
@@ -204,7 +209,7 @@ def _classify(J) -> str:
     c2*c1 = c0 (roots -c2 and +-i sqrt(c1)). "marginal" is such a root with
     none to its right; every other matrix has a root to the right.
     """
-    ratios = [v.as_integer_ratio() for v in _entries(J).tolist()]
+    ratios = [v.as_integer_ratio() for v in _entries(J)]
     scale = max(m for _, m in ratios)
     c2, c1, c0 = _coefficients(*(n * (scale // m) for n, m in ratios))
     if c2 > 0 and c0 > 0 and c2 * c1 > c0:
@@ -357,7 +362,7 @@ def condition_margins(
         elif equilibrium is None:
             raise ValueError("the 'equilibrium' set needs the equilibrium state for z_bar")
         else:
-            key, bound = "z_bar", float(as_state(equilibrium)[2])
+            key, bound = "z_bar", as_state(equilibrium)[2]
         # nonauto's y-load as printed, which rounds unlike beta_eff * b1 + load
         y_load = beta_eff * (b1 + lam / mu_star) if set_id == "nonauto" else beta_eff * bound + load
         lines = (

@@ -101,6 +101,31 @@ def test_endemic_boundary_tie_is_infeasible():
     assert rep.feasible is False
 
 
+SET2 = hk.Parameters(mu1=6.0, mu2=7.0, mu3=0.1, beta=0.3, eta=0.5, epsilon=0.1, p=5.0, q=10.0)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        (1e308, 1e308, 1e308),  # the field is (nan, nan, inf)
+        (1e308, 1.5e307, 1e308),  # (-inf, nan, finite): a plain max would keep the -inf
+    ],
+)
+def test_residual_is_nan_where_a_component_is_nan(state):
+    """``residual_norm`` is the route of the infection-free report."""
+    assert math.isnan(hk.residual_norm(SET2, hk.ConstantForcing(20.0), state))
+
+
+def test_alt_residual_is_nan_where_a_component_is_nan():
+    """The diagnostic closed form lies at x ~ 2e304, z ~ -2e154 here, where
+    lam - mu1*x and the infection term are both -inf, so dx is nan."""
+    params = hk.Parameters(mu1=1e154, mu2=1.0, mu3=1.0, beta=1.0, eta=0.0, epsilon=0.0, p=1.0, q=1e-150)
+    rep = hk.endemic(params, hk.ConstantForcing(1.0))
+    assert all(map(math.isfinite, rep.alt_state))
+    assert math.isnan(rep.alt_residual)
+    assert rep.feasible is False and math.isfinite(rep.residual_norm)
+
+
 def test_endemic_feasibility_is_exact_beside_the_threshold():
     """beta*lam is 1 + 2**-54 for lam = fl(0.2), beta = 5, and 1 - 2**-54 for
     lam = fl(1/3), beta = 3: the float y_bar is 0 in both, the exact one is

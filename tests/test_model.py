@@ -192,6 +192,39 @@ def test_as_state_validation():
         as_state((1.0, -1.0, 0.0), require_nonnegative=True)
 
 
+@pytest.mark.parametrize("u", [(1, 2, 3), [1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), np.arange(1, 4), (np.float32(1.0), 2, True)])
+def test_as_state_returns_three_python_floats(u):
+    state = as_state(u)
+    assert type(state) is tuple and len(state) == 3
+    assert all(type(v) is float for v in state)
+    assert state == tuple(np.asarray(u, dtype=float).tolist())
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.ones((3, 1)), np.ones((1, 3)), [[1.0], [2.0], [3.0]], [[1.0, 2.0, 3.0]], (1.0, 2.0), np.ones(2),
+        (1.0, 2.0, 3.0, 4.0), 1.0, np.float64(1.0), np.array(1.0), "123", None,
+        (math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.nan), (None, 0.0, 0.0),
+    ],
+)
+def test_as_state_rejects_other_shapes_and_nonfinite_parts(u):
+    with pytest.raises(ValueError):
+        as_state(u)
+
+
+def test_as_state_keeps_the_error_types_of_its_checks():
+    with pytest.raises(ValueError, match="nonnegative"):
+        as_state(np.array([1.0, 0.0, -1e-300]), require_nonnegative=True)
+    assert as_state((1.0, -0.0, 0.0), require_nonnegative=True) == (1.0, -0.0, 0.0)
+    assert as_state((1.0, -1.0, 0.0)) == (1.0, -1.0, 0.0)
+    with pytest.raises(TypeError):
+        as_state((1.0, 2j, 0.0))
+    for not_a_sequence in ({1.0, 2.0, 3.0}, (v for v in (1.0, 2.0, 3.0)), {0: 1.0, 1: 2.0, 2: 3.0}):
+        with pytest.raises(TypeError):
+            as_state(not_a_sequence)
+
+
 # }}}
 
 

@@ -14,6 +14,10 @@ def test_initial_property_is_exact(clearing_params, clearing_forcing, tight_ctl)
     arr = np.array(u0)
     echo = hk.process_solve(clearing_params, clearing_forcing, arr, 2.5, 2.5, tight_ctl)
     assert echo is not arr and np.array_equal(echo, arr)
+    for out in (hk.process_solve(clearing_params, clearing_forcing, v, 2.5, 2.5, tight_ctl) for v in (u0, arr)):
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (3,)
+    echo[0] = 9.0
+    assert arr[0] == 1.1
 
 
 def test_query_rejects_reversed_times(clearing_params, clearing_forcing, tight_ctl):

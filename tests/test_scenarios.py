@@ -284,6 +284,15 @@ def test_piecewise_forcing_scenario_round_trip_and_run(tmp_path, clearing_params
     assert report.document["analyses"]["absorbing"]["holds"] is True
 
 
+def test_sweep_creates_missing_directories_and_reuses_them(tmp_path):
+    first = hk.sweep(2, 42, out_path=tmp_path / "a" / "b" / "s.csv")
+    assert first.csv_path.is_file()
+    second = hk.sweep(2, 7, out_path=tmp_path / "a" / "b" / "t.csv")
+    assert second.csv_path.read_text().splitlines()[0] == first.csv_path.read_text().splitlines()[0]
+    assert len(second.csv_path.read_text().splitlines()) == 3
+    assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == ["s.csv", "t.csv"]
+
+
 def test_sweep_validates_arguments():
     with pytest.raises(ValueError):
         hk.sweep(0, 42)

@@ -8,8 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
+from hbvkit import stability as stab
 from hbvkit.scenarios import DEFAULT_SWEEP_BOX, _draw_params
-from hbvkit.stability import _classify, characteristic_coefficients, characteristic_residual
+from hbvkit.stability import (
+    _classify,
+    _coefficients,
+    _cubic_roots,
+    _polish_root,
+    characteristic_coefficients,
+    characteristic_residual,
+)
 
 DFE2 = np.array([4.90675, 0.0, 0.0])
 
@@ -113,6 +121,67 @@ def test_stiff_endemic_states_classify_stable(sweep_draws, index):
     assert end.feasible
     assert hk.routh_hurwitz_stable(hk.jacobian(params, end.state))
     assert hk.stability_report(params, forcing, end.state).classification == "stable"
+
+
+def _cubic_algebra(entries):
+    """The coefficients, the closed-form roots, the polished roots and the
+    polish refusals that ``eigenvalues_3x3`` computes from nine entries."""
+    c = _coefficients(*entries)
+    roots = _cubic_roots(*c)
+    polished = [_polish_root(complex(r.real, abs(r.imag)), *c) for r in roots]
+    return c, roots, [lam for lam, _ in polished], [refused for _, refused in polished]
+
+
+def _bits(values):
+    """Each real or complex value as the hex strings of its parts, so -0.0
+    and 0.0 differ."""
+    return [(float(complex(v).real).hex(), float(complex(v).imag).hex()) for v in values]
+
+
+def _assert_same_eigenvalue_bits(J) -> bool:
+    """Whether the polish refused a root; asserts first that the algebra on
+    the float entries and on the np.float64 ones gives the same bits."""
+    c, roots, polished, refused = _cubic_algebra(J.ravel().tolist())
+    c64, roots64, polished64, refused64 = _cubic_algebra(list(J.ravel()))
+    assert all(type(v) is float for v in c) and all(type(v) is np.float64 for v in c64)
+    assert _bits(c) == _bits(c64)
+    assert _bits(roots) == _bits(roots64)
+    assert _bits(polished) == _bits(polished64) and refused == refused64
+    # the whole pipeline, against entries taken as np.float64, as _entries gave them before
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stab, "_entries", lambda M: list(np.asarray(M, dtype=float).ravel()))
+        before = hk.eigenvalues_3x3(J)
+    assert _bits(hk.eigenvalues_3x3(J)) == _bits(before)
+    return any(refused)
+
+
+# the default sweep box, its corners (collapsed intervals) included
+_corner_rate = st.floats(1e-2, 1e2) | st.sampled_from([1e-2, 1e2])
+_corner_fraction = st.floats(0.0, 0.9) | st.sampled_from([0.0, 0.9])
+
+
+@settings(max_examples=500, deadline=None)
+@given(rates=st.tuples(*[_corner_rate] * 7), fractions=st.tuples(_corner_fraction, _corner_fraction))
+@example(rates=(1e-2,) * 7, fractions=(0.0, 0.0))
+@example(rates=(1e2, 1e-2, 1e2, 1e-2, 1e2, 1e2, 1e-2), fractions=(0.9, 0.9))
+def test_eigenvalues_are_bit_identical_on_floats_and_float64(rates, fractions):
+    """The cubic's algebra computes the same bits on Python floats as on
+    np.float64 entries, at the infection-free state and at a feasible
+    persistent one."""
+    params, lam = _signs_case(rates, fractions)
+    forcing = hk.ConstantForcing(lam)
+    end = hk.endemic(params, forcing)
+    for state in [hk.disease_free(params, forcing).state] + ([end.state] if end.feasible else []):
+        _assert_same_eigenvalue_bits(hk.jacobian(params, state))
+
+
+def test_stiff_eigenvalues_are_bit_identical_on_floats_and_float64(sweep_draws):
+    """The stiff draws take the refused polish and the deflation."""
+    refusals = [
+        _assert_same_eigenvalue_bits(_endemic_jacobian(*sweep_draws[index]))
+        for index in STIFF_ENDEMIC_DRAWS + STIFF_ENDEMIC_WRONG_RATE_DRAWS
+    ]
+    assert any(refusals)
 
 
 _log_rate = st.floats(math.log(1e-2), math.log(1e2))
