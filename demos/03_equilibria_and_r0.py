@@ -1,8 +1,9 @@
 """Equilibria with residual certification and the reproduction numbers.
 
-The persistent-infection state comes from steady-state elimination and is
-Newton-polished; the max-norm residual of the vector field is reported as
-the certificate. Feasibility of that state is equivalent to the
+The persistent-infection state comes from steady-state elimination; when
+feasible, ``endemic`` polishes it with a few damped Newton steps of its
+own (there is no public solver to call). The max-norm residual of the
+vector field is reported as the certificate. Feasibility of that state is equivalent to the
 next-generation reproduction number exceeding one, which the sweep below
 spot-checks on random parameters.
 """

@@ -2,12 +2,9 @@
 
 from .equilibria import (
     EquilibriumReport,
-    NoConvergenceError,
-    SingularJacobianError,
     UnsupportedForcingError,
     disease_free,
     endemic,
-    newton_refine,
     residual_norm,
 )
 from .integrate import (

@@ -14,8 +14,10 @@ only as a diagnostic (``alt_state`` / ``alt_residual``) and never used.
 The arbiter is always the residual of the vector field, and ``certified``
 is its one rule: at most 8 ulps of the field's largest term at the state.
 
-Residuals are taken on Python floats. numpy serves only the Newton polish
-of a feasible persistent state: its solves and steps take arrays.
+``endemic`` polishes a feasible persistent state with damped Newton steps
+on the vector field. The polish is private to ``endemic`` and has no knobs;
+the module exports no general solver. Residuals are taken on Python
+floats. numpy serves only that polish: its solves and steps take arrays.
 """
 
 from __future__ import annotations
@@ -38,22 +40,11 @@ from .model import (
 __all__ = [
     "EquilibriumReport",
     "UnsupportedForcingError",
-    "SingularJacobianError",
-    "NoConvergenceError",
     "certified",
     "disease_free",
     "endemic",
-    "newton_refine",
     "residual_norm",
 ]
-
-
-class SingularJacobianError(RuntimeError):
-    pass
-
-
-class NoConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -64,7 +55,7 @@ class EquilibriumReport:
     For the persistent-infection kind, ``feasible`` records whether the
     exact y_bar of the float rates is > 0, and the ``alt_*`` fields carry
     the diagnostic alternative closed form described in the module
-    docstring.
+    docstring; ``alt_residual`` is NaN where that form is not finite.
     """
 
     kind: str
@@ -118,8 +109,10 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     collapses onto the infection-free one) is a reported outcome, not an
     error. ``feasible`` is the exact sign of y_bar on the float rates,
     beta_eff*prod_eff*lam > mu1*mu3*loss_y (r0_ngm > 1); the float y_bar can
-    be 0 or negative within rounding of the threshold. Feasible states are
-    Newton-polished; ``certified`` judges them.
+    be 0 or negative within rounding of the threshold. A feasible state is
+    polished by at most 25 damped Newton steps toward a zero residual; an
+    infeasible one keeps its elimination residual. ``certified`` judges
+    either.
     """
     lam = constant_rate(forcing, "equilibria")
     rhs = make_rhs(params, forcing)
@@ -132,8 +125,8 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     state = as_state((x_bar, y_bar, z_bar))
     feasible = _exceeds((beta_eff, prod_eff, lam), (params.mu1, params.mu3, params.loss_y))
 
-    # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
-    state, res, _ = _damped_newton(rhs, params, state, 0.0, 25 if feasible else 0)
+    # the elimination is accurate to rounding, so the polish stalls there
+    state, res = _polish(rhs, params, state) if feasible else (state, _residual(rhs, state)[1])
 
     alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
@@ -146,7 +139,8 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
         residual_norm=res,
         feasible=feasible,
         alt_state=alt_state,
-        alt_residual=_residual(rhs, as_state(alt_state))[1],
+        # on the raw floats: the closed form can overflow, and it is only a diagnostic
+        alt_residual=_residual(rhs, alt_state)[1] if all(map(math.isfinite, alt_state)) else math.nan,
     )
 
 
@@ -163,48 +157,21 @@ def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:
     return a * d > c * b
 
 
-def newton_refine(
-    params: Parameters,
-    forcing: Forcing,
-    guess,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> np.ndarray:
-    """Damped Newton iteration on the vector field.
-
-    Steps are halved (floor 2**-20) until the residual max-norm decreases.
-    Raises SingularJacobianError if a linear solve fails and
-    NoConvergenceError if the residual is still above tol after max_iter
-    iterations.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    constant_rate(forcing, "equilibria")
-
-    u, res, singular = _damped_newton(make_rhs(params, forcing), params, as_state(guess), tol, max_iter)
-    if singular:
-        raise SingularJacobianError(f"singular Jacobian at {u}")
-    if res <= tol:
-        return np.array(u)
-    raise NoConvergenceError(f"residual {res:.3e} above tol {tol:.3e} after {max_iter} iterations")
-
-
-def _damped_newton(rhs, params, u, tol: float, max_iter: int):
-    """The iteration of ``newton_refine`` on the field ``rhs`` from the float
-    triple u, one call per point: (state triple, residual, singular), stopped
-    at a residual <= tol, a step that no halving improves, a singular
-    Jacobian (singular=True) or max_iter steps. A non-finite candidate counts
-    as no improvement. Only the solve and the steps take arrays."""
+def _polish(rhs, params, u):
+    """Damped Newton steps on the field ``rhs`` from the float triple u, one
+    call per point: (state triple, residual). Each step takes the first of the
+    scales 1, 1/2, ..., 2**-20 that strictly lowers the residual; a
+    non-finite candidate counts as no improvement. A residual of 0, a step
+    that no halving improves, a singular Jacobian or 25 steps end it. Only the
+    solve and the steps take arrays."""
     f, res = _residual(rhs, u)
-    for _ in range(max_iter):
-        if res <= tol:
+    for _ in range(25):
+        if res == 0.0:
             break
         try:
             step = np.linalg.solve(jacobian(params, u), -np.array(f))
         except np.linalg.LinAlgError:
-            return u, res, True
+            break
         start = np.array(u)
         for k in range(21):  # step scales 1, 1/2, ..., 2**-20
             candidate = tuple((start + 0.5**k * step).tolist())
@@ -214,4 +181,4 @@ def _damped_newton(rhs, params, u, tol: float, max_iter: int):
                 break
         else:
             break
-    return u, res, False
+    return u, res

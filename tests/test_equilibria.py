@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hbvkit as hk
 
@@ -126,6 +128,28 @@ def test_alt_residual_is_nan_where_a_component_is_nan():
     assert rep.feasible is False and math.isfinite(rep.residual_norm)
 
 
+def test_alt_residual_is_nan_where_the_alt_state_overflows():
+    """The diagnostic closed form overflows to (inf, -inf, 1e-287) here, where
+    the field is (-inf, inf, -inf): the report carries a NaN residual for it
+    and the persistent state is unaffected."""
+    params = hk.Parameters(mu1=1e80, mu2=1e217, mu3=1e91, beta=1e242, eta=0.0, epsilon=0.0, p=1e214, q=1e-266)
+    rep = _assert_matches_oracle(params, hk.ConstantForcing(1e287))
+    assert rep.alt_state[:2] == (math.inf, -math.inf)
+    assert math.isnan(rep.alt_residual)
+
+
+def test_sweep_survives_an_overflowing_alt_state():
+    """beta = 1e-300 puts the closed form at (inf, -inf, -1.4e303) on the
+    first draw; it used to abort the sweep."""
+    box = {"beta": (1e-300, 1e-300), "q": (1e-10, 1e-10)}
+    result = hk.sweep(3, 1, box=box)
+    assert result.counts["draws"] == 3 and len(result.rows) == 3
+    row = result.rows[0]
+    params = hk.Parameters(**{name: row[name] for name in ("mu1", "mu2", "mu3", "beta", "eta", "epsilon", "p", "q")})
+    rep = _assert_matches_oracle(params, hk.ConstantForcing(row["lam"]))
+    assert not all(map(math.isfinite, rep.alt_state)) and math.isnan(rep.alt_residual)
+
+
 def test_endemic_feasibility_is_exact_beside_the_threshold():
     """beta*lam is 1 + 2**-54 for lam = fl(0.2), beta = 5, and 1 - 2**-54 for
     lam = fl(1/3), beta = 3: the float y_bar is 0 in both, the exact one is
@@ -145,40 +169,135 @@ def test_endemic_feasibility_is_exact_beside_the_threshold():
 # }}}
 
 
-# {{{ newton refinement
+# {{{ newton polish
+#
+# The polish is private to ``endemic``: a feasible state takes at most 25
+# damped Newton steps toward a zero residual. The oracle below is the
+# elimination and the polish as they stood while a public solver with a
+# tolerance and an iteration budget still wrapped the same loop, copied
+# verbatim; ``endemic`` must reproduce its bits.
 
 
-def test_newton_converges_from_perturbed_guess(simple_endemic_case):
+def _oracle_residual(rhs, u):
+    f = dx, dy, dz = rhs(0.0, *u)
+    if dx != dx or dy != dy or dz != dz:
+        return f, math.nan
+    return f, max(abs(dx), abs(dy), abs(dz))
+
+
+def _oracle_damped_newton(rhs, params, u, tol, max_iter):
+    f, res = _oracle_residual(rhs, u)
+    for _ in range(max_iter):
+        if res <= tol:
+            break
+        try:
+            step = np.linalg.solve(hk.jacobian(params, u), -np.array(f))
+        except np.linalg.LinAlgError:
+            return u, res, True
+        start = np.array(u)
+        for k in range(21):  # step scales 1, 1/2, ..., 2**-20
+            candidate = tuple((start + 0.5**k * step).tolist())
+            f_cand, res_cand = _oracle_residual(rhs, candidate)
+            if res_cand < res:
+                u, f, res = candidate, f_cand, res_cand
+                break
+        else:
+            break
+    return u, res, False
+
+
+def _oracle_elimination(params, forcing):
+    """The field closure, the elimination state and its exact feasibility."""
+    lam = forcing.value
+    rhs = hk.model.make_rhs(params, forcing)
+    beta_eff = params.beta_eff
+    prod_eff = params.prod_eff
+
+    x_bar = params.mu3 * params.loss_y / (beta_eff * prod_eff)
+    y_bar = (lam - params.mu1 * x_bar) / params.mu2
+    z_bar = prod_eff * y_bar / params.mu3
+    state = hk.model.as_state((x_bar, y_bar, z_bar))
+    return rhs, state, _exact_y_bar(params, lam) > 0
+
+
+def _oracle_endemic(params, forcing):
+    """The elimination, then the polish of a feasible state: (state, residual)."""
+    rhs, state, feasible = _oracle_elimination(params, forcing)
+    # polish a feasible state only; the elimination is accurate to rounding, so tol 0 stalls there
+    state, res, _ = _oracle_damped_newton(rhs, params, state, 0.0, 25 if feasible else 0)
+    return state, res
+
+
+def _assert_matches_oracle(params, forcing):
+    rep = hk.endemic(params, forcing)
+    state, res = _oracle_endemic(params, forcing)
+    assert [v.hex() for v in rep.state + (rep.residual_norm,)] == [v.hex() for v in state + (res,)]
+    return rep
+
+
+# the default sweep box, its corners (collapsed intervals) included
+_corner_rate = st.floats(1e-2, 1e2) | st.sampled_from([1e-2, 1e2])
+_corner_fraction = st.floats(0.0, 0.9) | st.sampled_from([0.0, 0.9])
+
+
+@settings(max_examples=500, deadline=None)
+@given(rates=st.tuples(*[_corner_rate] * 7), fractions=st.tuples(_corner_fraction, _corner_fraction))
+@example(rates=(1e-2,) * 7, fractions=(0.0, 0.0))
+@example(rates=(1e2,) * 7, fractions=(0.9, 0.9))
+@example(rates=(1e2, 1e-2, 1e-2, 1e-2, 1e2, 1e2, 1e2), fractions=(0.0, 0.0))
+def test_endemic_matches_the_reference_polish_over_the_default_box(rates, fractions):
+    lam, mu1, mu2, mu3, beta, p, q = rates
+    eta, epsilon = fractions
+    params = hk.Parameters(mu1=mu1, mu2=mu2, mu3=mu3, beta=beta, eta=eta, epsilon=epsilon, p=p, q=q)
+    _assert_matches_oracle(params, hk.ConstantForcing(lam))
+
+
+def test_endemic_matches_the_reference_polish_on_the_large_state_and_set2():
+    large = _assert_matches_oracle(LARGE_STATE_PARAMS, LARGE_STATE_FORCING)
+    scenario = hk.SCENARIOS["set2-auto-boundcheck"]
+    set2 = _assert_matches_oracle(scenario.params, scenario.forcing)
+    assert large.feasible and set2.feasible
+
+
+def test_endemic_matches_the_reference_polish_at_the_halving_floor():
+    """Rates far outside the default box, where a step is taken only at the
+    last scale, 2**-20."""
+    params = hk.Parameters(
+        mu1=14629847.292522863, mu2=8.031966411125042e-08, mu3=2.2800896465495765e-07,
+        beta=233336.16195623827, eta=0.2773228118302298, epsilon=0.5453497491106162,
+        p=5963.755431428608, q=519.6206753732329,
+    )
+    assert _assert_matches_oracle(params, hk.ConstantForcing(19794673.84092535)).feasible
+
+
+def test_newton_accepts_exact_root_unchanged(simple_endemic_case, monkeypatch):
+    """The elimination lands on (4, 8, 8) exactly: the polish evaluates the
+    field there once and takes no step."""
     params, forcing = simple_endemic_case
-    guess = np.array([4.0, 8.0, 8.0]) + 1e-3
-    refined = hk.newton_refine(params, forcing, guess, tol=1e-12)
-    assert np.max(np.abs(hk.vector_field(params, forcing, 0.0, refined))) <= 1e-12
+    closures = _recording_make_rhs(monkeypatch)
+    rep = hk.endemic(params, forcing)
+    assert rep.state == (4.0, 8.0, 8.0) and rep.residual_norm == 0.0
+    assert closures == [[(4.0, 8.0, 8.0), rep.alt_state]]
 
 
-def test_newton_accepts_exact_root_unchanged(clearing_params, clearing_forcing):
-    guess = np.array([4.90675, 0.0, 0.0])
-    refined = hk.newton_refine(clearing_params, clearing_forcing, guess)
-    assert np.array_equal(refined, guess)
+def test_newton_singular_jacobian(monkeypatch):
+    """A singular Jacobian ends the polish at the elimination state, which
+    keeps its residual: set2's state takes steps when the solve succeeds."""
+    scenario = hk.SCENARIOS["set2-auto-boundcheck"]
+    params, forcing = scenario.params, scenario.forcing
+    polished = hk.endemic(params, forcing)
+    calls = []
 
+    def singular(params, u):
+        calls.append(u)
+        return np.zeros((3, 3))
 
-def test_newton_budget_exhaustion(clearing_params, clearing_forcing):
-    with pytest.raises(hk.NoConvergenceError):
-        hk.newton_refine(clearing_params, clearing_forcing, (1e6, 1e6, 1e6), max_iter=3)
-
-
-def test_newton_singular_jacobian():
-    # z = 0 and x at the persistent-state value make the third column a
-    # multiple of the second: exactly singular in floating point
-    params = hk.Parameters(mu1=1.0, mu2=1.0, mu3=1.0, beta=1.0, eta=0.0, epsilon=0.0, p=1.0, q=1.0)
-    with pytest.raises(hk.SingularJacobianError):
-        hk.newton_refine(params, hk.ConstantForcing(5.0), (2.0, 5.0, 0.0))
-
-
-def test_newton_validates_arguments(clearing_params, clearing_forcing):
-    with pytest.raises(ValueError):
-        hk.newton_refine(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), tol=0.0)
-    with pytest.raises(ValueError):
-        hk.newton_refine(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), max_iter=0)
+    monkeypatch.setattr(hk.equilibria, "jacobian", singular)
+    rep = hk.endemic(params, forcing)
+    rhs, state, _ = _oracle_elimination(params, forcing)
+    assert calls == [state]
+    assert rep.feasible and rep.state == state != polished.state
+    assert rep.residual_norm == _oracle_residual(rhs, state)[1] > polished.residual_norm
 
 
 def _recording_make_rhs(monkeypatch):
@@ -200,13 +319,17 @@ def _recording_make_rhs(monkeypatch):
     return closures
 
 
-def test_newton_evaluates_the_vector_field_once_per_point(simple_endemic_case, monkeypatch):
-    params, forcing = simple_endemic_case
+def test_newton_evaluates_the_vector_field_once_per_point(monkeypatch):
+    """set2-auto-boundcheck's elimination state takes a step: the polish tries
+    the scales 1, 1/2 and 1/4, the last lands on a zero of the field, and the
+    diagnostic closed form follows. Five distinct points in all."""
+    scenario = hk.SCENARIOS["set2-auto-boundcheck"]
     closures = _recording_make_rhs(monkeypatch)
-    hk.newton_refine(params, forcing, np.array([4.0, 8.0, 8.0]) + 1e-3, tol=1e-12)
+    rep = hk.endemic(scenario.params, scenario.forcing)
     (points,) = closures  # one closure per call
-    assert len(points) > 2  # the guess takes steps, so several points are visited
-    assert len(points) == len(set(points))
+    assert len(points) == len(set(points)) == 5
+    assert points[3] == rep.state == (2.518518518518519, 0.698412698412698, 31.42857142857141)
+    assert rep.residual_norm == 0.0 and points[4] == rep.alt_state
 
 
 def test_endemic_builds_one_closure(simple_endemic_case, monkeypatch):
@@ -268,17 +391,20 @@ def test_certificate_is_eight_ulps_of_the_largest_term(simple_endemic_case):
 # }}}
 
 
+LARGE_STATE_PARAMS = hk.Parameters(
+    mu1=0.14236798200971487, mu2=0.010903243901851363, mu3=1.0074419167322932,
+    beta=9.696062007981375, eta=0.03641508778536923, epsilon=0.3521624805176904,
+    p=25.84824357537588, q=96.86598848758774,
+)
+LARGE_STATE_FORCING = hk.ConstantForcing(86.50047256537356)
+
+
 def test_large_endemic_state_is_certified_in_ulps():
     """A state near (0.6, 7.9e3, 1.3e5): Newton stalls at 2**-33, one ulp of
     the field's largest term near 7.7e5, above the absolute 1e-10 an earlier
     rule asked for. The sweep draw with this seed counted an endemic
     residual failure under that rule."""
-    params = hk.Parameters(
-        mu1=0.14236798200971487, mu2=0.010903243901851363, mu3=1.0074419167322932,
-        beta=9.696062007981375, eta=0.03641508778536923, epsilon=0.3521624805176904,
-        p=25.84824357537588, q=96.86598848758774,
-    )
-    forcing = hk.ConstantForcing(86.50047256537356)
+    params, forcing = LARGE_STATE_PARAMS, LARGE_STATE_FORCING
     rep = hk.endemic(params, forcing)
     assert rep.feasible and hk.equilibria.certified(params, forcing, rep)
     assert rep.residual_norm == hk.residual_norm(params, forcing, rep.state)

@@ -56,13 +56,13 @@ def test_the_check_sees_both_forms():
         "from . import equilibria as eq\n"
         "from .model import _interp, vector_field\n"
         "import hbvkit.integrate\n"
-        "eq._damped_newton\n"
+        "eq._polish\n"
         "hbvkit.integrate._Recorder\n"
         "eq.endemic, eq.__all__, self._seen\n"
     )
     assert violations(source) == [
         "<src>:2: imports _interp",
-        "<src>:4: reads eq._damped_newton",
+        "<src>:4: reads eq._polish",
         "<src>:5: reads hbvkit.integrate._Recorder",
     ]
 
