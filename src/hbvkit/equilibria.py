@@ -112,25 +112,27 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     be 0 or negative within rounding of the threshold. A feasible state is
     polished by at most 25 damped Newton steps toward a zero residual; an
     infeasible one keeps its elimination residual. ``certified`` judges
-    either.
+    either. A quotient whose divisor, a product of tiny rates, underflows to
+    0 is inf: such a state or closed form lies past the float range, and is
+    reported as it is.
     """
     lam = constant_rate(forcing, "equilibria")
     rhs = make_rhs(params, forcing)
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
 
-    x_bar = params.mu3 * params.loss_y / (beta_eff * prod_eff)
+    x_bar = _quotient(params.mu3 * params.loss_y, beta_eff * prod_eff)
     y_bar = (lam - params.mu1 * x_bar) / params.mu2
     z_bar = prod_eff * y_bar / params.mu3
-    state = as_state((x_bar, y_bar, z_bar))
+    state = (x_bar, y_bar, z_bar)
     feasible = _exceeds((beta_eff, prod_eff, lam), (params.mu1, params.mu3, params.loss_y))
 
     # the elimination is accurate to rounding, so the polish stalls there
     state, res = _polish(rhs, params, state) if feasible else (state, _residual(rhs, state)[1])
 
-    alt_x = params.mu1 * params.mu3 * (params.mu2 + params.p) / (params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
+    alt_x = _quotient(params.mu1 * params.mu3 * (params.mu2 + params.p), params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
-    alt_z = params.q * lam * (1.0 - params.epsilon) / (params.mu2 * params.mu3) - params.mu1 * (params.mu2 + params.p) / (params.beta * params.mu2 * (1.0 - params.eta))
+    alt_z = params.q * lam * (1.0 - params.epsilon) / (params.mu2 * params.mu3) - _quotient(params.mu1 * (params.mu2 + params.p), params.beta * params.mu2 * (1.0 - params.eta))
     alt_state = (alt_x, alt_y, alt_z)
 
     return EquilibriumReport(
@@ -142,6 +144,13 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
         # on the raw floats: the closed form can overflow, and it is only a diagnostic
         alt_residual=_residual(rhs, alt_state)[1] if all(map(math.isfinite, alt_state)) else math.nan,
     )
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b for a > 0 and b >= 0: a product of tiny rates in b can underflow
+    to 0, and the quotient is then past every float, inf as in IEEE
+    arithmetic, where Python raises ZeroDivisionError."""
+    return a / b if b else math.inf
 
 
 def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:

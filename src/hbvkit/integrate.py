@@ -3,8 +3,8 @@
 Two stepping modes: classical fixed-step RK4 and an adaptive embedded
 Dormand-Prince 5(4) pair with PI step-size control. Each run goes through one
 generated run kernel, the whole stepping loop with no call per step: the
-step, the step-size control, the landing on ``t_end``, the budget and step
-floor stops, and the monitors on each accepted point:
+step, the step-size control, the landings on the run's stops, the budget and
+step floor stops, and the monitors on each accepted point:
 
 * ``nonfinite`` / ``blow_up``: terminate with a partial trajectory; the
   offending state is kept as the final record so the failure is data,
@@ -19,12 +19,17 @@ floor stops, and the monitors on each accepted point:
 * ``step_budget``: ``max_steps`` steps were attempted before ``t_end``;
   terminates.
 
-In both modes the last step goes from t to ``t_end`` and is recorded at
-``t_end``. Its size is ``t_end - t``, less an ulp where t plus it would
-round past ``t_end`` (``_last_step``), so no stage time lies past ``t_end``.
-A run counts as there once t reaches ``t_end - 1e-14 * (t_end - t0)``, a
-window relative to the span, so a run and its copy with every time divided
-by a power of two stop at the same step.
+A run's stops come from its forcing (``model.run_stops``): a table's knots
+inside the span, where the slope of the production rate jumps, then
+``t_end``. A step that reaches a stop is cut to ``stop - t``, less the ulps
+by which t plus it would round past the stop (``_last_step``), and is
+recorded at the stop, so no stage time lies past it. RK4 keeps its grid
+``t0 + i*h`` and lands on ``t_end`` only. DP5 lands on each knot that
+``_landings`` keeps, so no step straddles a kink, where the error estimate
+fails and steps are rejected until h is small enough to get past it. A run
+counts as at ``t_end`` once t reaches ``t_stop = t_end - 1e-14 * (t_end -
+t0)``, a window relative to the span, so a run and its copy with every time
+and step size divided by a power of two stop at the same steps.
 
 Most points fire no monitor. The kernel tests each point inline against
 ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z`` below their ceilings
@@ -83,6 +88,7 @@ from .model import (
     field_names,
     field_setup,
     make_rhs,
+    run_stops,
 )
 
 __all__ = [
@@ -179,7 +185,8 @@ class FixedStep(_Control):
 
 @dataclass(frozen=True, kw_only=True)
 class AdaptiveStep(_Control):
-    """Dormand-Prince 5(4) with PI control of the step between h_min and h_max."""
+    """Dormand-Prince 5(4) with PI control of the step between h_min and h_max;
+    steps land on the knots of a table forcing."""
 
     mode: ClassVar[str] = "adaptive"
     abs_tol: float = 1e-10
@@ -397,19 +404,34 @@ def _last_step(t: float, t_end: float) -> float:
     return h
 
 
+def _landings(knots, t0, t_stop, gap):
+    """(knot, near) for each knot a DP5 run lands on, in order: a step that
+    ends at near or later is cut to end on the knot. A knot is kept when it
+    lies ``gap`` (twice ``h_min``) or more after t0 or the last knot kept, and
+    before ``t_stop`` by as much; any other is crossed. So every landing step,
+    onto a knot or onto t_end after one, exceeds ``h_min``: a knot too close
+    to land on never ends a run on ``step_floor``."""
+    prev = t0
+    for knot in knots:
+        if knot - prev >= gap and t_stop - knot >= gap:
+            yield knot, knot - gap
+            prev = knot
+
+
 # The run kernels' text. Each method has one template, _RK4 or _DP5, under
 # _HEAD; {loop} and {record} are the loop head and the recording block both
 # share, and {k1}.. or {stages} are filled per stage evaluation by _stage. A
 # kernel records (t0, u0) and each accepted point until a push or a stop
-# ends the run or it lands on t_end.
+# ends the run or it lands on t_end, the last of its stops.
 _HEAD = """\
-def {name}(rhs, field, u0, t0, t_end, ctl, rec, budget):
+def {name}(rhs, field, u0, t0, stops, ctl, rec, budget):
     \"\"\"{doc}\"\"\"
 {bind}    lo, hi, xy_ceiling, z_ceiling = rec.quiet_box
     append_t, append_u, push = rec.times.append, rec.states.append, rec.push
     x, y, z = u0  # as_state's floats keep the loop cheap
     if push(t0, x, y, z):
         return
+    t_end = stops[-1]
     t_stop = t_end - 1e-14 * (t_end - t0)
     t, steps = t0, 0
 """
@@ -476,6 +498,10 @@ _DP5 = """\
     min_factor, max_factor = 0.2, 10.0
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     h_min, h_max = ctl.h_min, ctl.h_max
+    # The stop the run steps to next, and the time from which a step reaches
+    # it: each knot _landings keeps, then t_end, reached from t_stop.
+    landings = _landings(stops[:-1], t0, t_stop, 2.0 * h_min)
+    stop, near = next(landings, (t_end, t_stop))
     # |x|, |y|, |z| of the accepted state, carried from step to step
     ax = x if x >= 0.0 else -x
     ay = y if y >= 0.0 else -y
@@ -486,9 +512,9 @@ _DP5 = """\
     # The clamps below are min/max written out: "b if b < a else a" is
     # min(a, b) and "b if b > a else a" is max(a, b), float for float.
 {loop}
-        last = t + h >= t_stop  # this step reaches t_end
-        if last:
-            h = _last_step(t, t_end)
+        lands = t + h >= near  # this step reaches the stop
+        if lands:
+            h = _last_step(t, stop)
         if h < h_min:
             return rec.stop("step_floor", t, "h", h)
         try:
@@ -504,7 +530,11 @@ _DP5 = """\
             else:  # NaN or inf: no usable error estimate, halve the step
                 h *= 0.5
             continue
-        t = t_end if last else t + h
+        if lands:
+            t = stop
+            stop, near = next(landings, (t_end, t_stop))
+        else:
+            t = t + h
         x, y, z, k1x, k1y, k1z = x7, y7, z7, k7x, k7y, k7z
         ax, ay, az = bx, by, bz
 {record}
@@ -559,7 +589,7 @@ def _dp5_stages(stages: str) -> dict:
 # stepping mode -> kernel name prefix, docstring, template, stage lines
 _METHODS = {
     "fixed": ("_rk4", "Classical RK4 steps of h from (t0, u0) to t_end", _RK4, _rk4_stages),
-    "adaptive": ("_dp5", "DP5(4) steps under PI control from (t0, u0) to t_end", _DP5, _dp5_stages),
+    "adaptive": ("_dp5", "DP5(4) steps under PI control from (t0, u0) over the stops", _DP5, _dp5_stages),
 }
 
 
@@ -579,6 +609,7 @@ def _kernel(mode: str, stages: str):
     namespace = {
         **FIELD_GLOBALS,
         "__name__": __name__,
+        "_landings": _landings,
         "_last_step": _last_step,
         "floor": math.floor,
         "inf": math.inf,
@@ -587,14 +618,14 @@ def _kernel(mode: str, stages: str):
     return compile_function(source, f"<hbvkit.integrate.{name}>", namespace)
 
 
-def _integrate(rhs, u0, t0, t_end, ctl, rec, budget):
-    """Run the kernel of ``ctl.mode`` that fits ``rhs``: the field of a
-    ``make_rhs`` closure is written into the stages; any other callable is
-    called at every stage, a wrapper of such a closure too
-    (``functools.wraps`` copies the ``field`` attribute, and sets
-    ``__wrapped__``)."""
+def _integrate(rhs, u0, t0, stops, ctl, rec, budget):
+    """Run the kernel of ``ctl.mode`` that fits ``rhs`` from t0 over ``stops``,
+    whose last is t_end (``model.run_stops``): the field of a ``make_rhs``
+    closure is written into the stages; any other callable is called at every
+    stage, a wrapper of such a closure too (``functools.wraps`` copies the
+    ``field`` attribute, and sets ``__wrapped__``). Both take the same steps."""
     kind, values = ("call", None) if hasattr(rhs, "__wrapped__") else getattr(rhs, "field", ("call", None))
-    _kernel(ctl.mode, kind)(rhs, values, u0, t0, t_end, ctl, rec, budget)
+    _kernel(ctl.mode, kind)(rhs, values, u0, t0, stops, ctl, rec, budget)
 
 
 def integrate(
@@ -620,7 +651,8 @@ def integrate(
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)
     rec = _Recorder(ctl, bounds)
-    _integrate(rhs, u0, t0, t_end, ctl, rec, math.inf if max_steps is None else max_steps)
+    budget = math.inf if max_steps is None else max_steps
+    _integrate(rhs, u0, t0, run_stops(forcing, t0, t_end), ctl, rec, budget)
     return Trajectory(
         time_list=rec.times,
         state_list=rec.states,

@@ -288,6 +288,20 @@ _PRODUCTION = {
 }
 # The functions the field text calls.
 FIELD_GLOBALS = {"cos": math.cos, "_knot_index": _knot_index}
+# Per forcing kind whose rate has kinks, the attribute holding their times: a
+# table's slope jumps at its knots. ``run_stops`` reads it.
+_KINKS = {"piecewise_linear": "times"}
+
+
+def run_stops(forcing: Forcing, t0: float, t_end: float) -> tuple[float, ...]:
+    """The times a run from t0 to t_end stops at, in order: the kinks of the
+    production rate strictly inside (t0, t_end), then t_end. Only a
+    piecewise-linear table has kinks, its knots; any other forcing has the
+    single stop t_end."""
+    kinks = _KINKS.get(forcing.kind)
+    if kinks is None:
+        return (t_end,)
+    return (*(t for t in getattr(forcing, kinks) if t0 < t < t_end), t_end)
 
 
 def field_names(kind: str) -> tuple[str, ...]:

@@ -66,7 +66,7 @@ def test_getsource_returns_the_generated_text():
         linecache.checkcache()  # an entry with mtime None is kept, not checked against a file
         source = "".join(linecache.getlines(filename))
         assert inspect.getsource(kernel) == source
-        assert source.startswith(f"def {kernel.__name__}(rhs, field, u0, t0, t_end, ctl, rec, budget):\n")
+        assert source.startswith(f"def {kernel.__name__}(rhs, field, u0, t0, stops, ctl, rec, budget):\n")
         assert _kernel(mode, stages) is kernel  # compiled once per process
         assert f"        if {_QUIET}:\n" in source  # the one written quiet test
     # the tableau is written once, in _DP_A/_DP_C/_DP_E: no scalar copies remain
@@ -130,7 +130,7 @@ def test_traceback_points_at_the_generated_stage(persistent_params):
 
         rec = _Recorder(ctl, analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0)))
         with pytest.raises(RuntimeError) as info:
-            _kernel(mode, "call")(rhs, None, (1.0, 1.0, 1.0), 0.0, 1.0, ctl, rec, 100)
+            _kernel(mode, "call")(rhs, None, (1.0, 1.0, 1.0), 0.0, (1.0,), ctl, rec, 100)
         (frame,) = _frames(info, _kernel(mode, "call").__code__.co_filename)
         assert frame.name == _kernel(mode, "call").__name__
         assert frame.line == line
@@ -145,7 +145,7 @@ def test_traceback_points_at_the_inlined_stage(persistent_params):
     rec = _Recorder(ctl, analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0)))
     rhs = make_rhs(persistent_params, forcing)
     with pytest.raises(ValueError, match="math domain error") as info:
-        _kernel("adaptive", "sinusoid")(rhs, rhs.field[1], (1.0, 1.0, 1.0), 1.0, 3.0, ctl, rec, 100)
+        _kernel("adaptive", "sinusoid")(rhs, rhs.field[1], (1.0, 1.0, 1.0), 1.0, (3.0,), ctl, rec, 100)
     (frame,) = _frames(info, _kernel("adaptive", "sinusoid").__code__.co_filename)
     assert frame.line == _stage("sinusoid", 4, "t + 0.8 * h", ("x4", "y4", "z4"))[1]
     assert "cos(omega * (t + 0.8 * h) + phase)" in frame.line

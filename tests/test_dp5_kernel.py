@@ -26,7 +26,7 @@ from hbvkit.integrate import (
     _last_step,
     _Recorder,
 )
-from hbvkit.model import analytic_bounds, make_rhs
+from hbvkit.model import analytic_bounds, make_rhs, run_stops
 
 
 def _lsum(terms):
@@ -67,9 +67,12 @@ def _reference_rk4_step(rhs, t, h, x, y, z):
     return tuple(u + s * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip((x, y, z), k1, k2, k3, k4))
 
 
-def _reference_run(rhs, u0, t0, t_end, ctl, rec, budget):
+def _reference_run(rhs, u0, t0, stops, ctl, rec, budget):
     """The stepping loop written plainly around the reference steps, with
-    min/max for the clamps: what every kernel must record."""
+    min/max for the clamps: what every kernel must record. ``stops`` ends in
+    t_end; DP5 lands on each knot before it that lies two h_min or more past
+    t0 or the last knot kept, and before t_stop by as much."""
+    t_end = stops[-1]
     x, y, z = u0
     if rec.push(t0, x, y, z):
         return
@@ -91,20 +94,29 @@ def _reference_run(rhs, u0, t0, t_end, ctl, rec, budget):
             if rec.push(t, x, y, z):
                 return
         return
+    gap = 2.0 * ctl.h_min
+    landings = []  # (stop, the time from which a step reaches it)
+    for knot in stops[:-1]:
+        if knot - (landings[-1][0] if landings else t0) >= gap and t_stop - knot >= gap:
+            landings.append((knot, knot - gap))
+    landings.append((t_end, t_stop))
     k1 = rhs(t, x, y, z)
     h, err_prev = ctl.h_init, 1e-4
     while t < t_stop:
         if steps >= budget:
             return rec.stop("step_budget", t, "steps", float(steps))
-        last = t + h >= t_stop
+        stop, near = landings[0]
+        last = t + h >= near
         if last:
-            h = _last_step(t, t_end)
+            h = _last_step(t, stop)
         if h < ctl.h_min:
             return rec.stop("step_floor", t, "h", h)
         x7, y7, z7, k7, err = _reference_dp5_step(rhs, t, h, x, y, z, k1, ctl.abs_tol, ctl.rel_tol)
         steps += 1
         if err <= 1.0:
-            t = t_end if last else t + h
+            t = stop if last else t + h
+            if last and len(landings) > 1:
+                landings.pop(0)
             x, y, z, k1 = x7, y7, z7, k7
             if rec.push(t, x, y, z):
                 return
@@ -160,23 +172,40 @@ _forcing = st.one_of(
 _component = st.floats(0.0, 1e3)
 
 
+@st.composite
+def _knotted_tables(draw, t0, t_end):
+    """Tables over [t0, t_end] with knots inside the span, some of them within
+    h_min (1e-12) of t0, of t_end or of another knot."""
+    knots = {t0, t_end, *draw(st.lists(st.floats(t0, t_end), max_size=5))}
+    offsets = st.sampled_from([-3e-12, -1e-12, -5e-13, 5e-13, 1e-12, 3e-12])
+    knots.update(k + draw(offsets) for k in sorted(knots)[: draw(st.integers(0, 3))])
+    knots.update(t_end + draw(offsets) for _ in range(draw(st.integers(0, 1))))
+    knots = sorted(k for k in knots if t0 <= k <= t_end)
+    values = draw(st.lists(st.floats(1.0, 1e3), min_size=len(knots), max_size=len(knots)))
+    return hk.PiecewiseLinearForcing(tuple(knots), tuple(values))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    params=_params, forcing=_forcing,
+    params=_params, forcing=st.one_of(_forcing, st.none()),
     t=st.floats(0.0, 50.0), span=st.floats(1e-3, 2.0), h=st.floats(1e-8, 0.5),
     x=_component, y=_component, z=_component,
     atol=st.floats(1e-14, 1e-3), rtol=st.floats(1e-14, 1e-3), max_steps=st.integers(1, 40),
+    data=st.data(),
 )
-def test_step_matches_generic_tableau(params, forcing, t, span, h, x, y, z, atol, rtol, max_steps):
+def test_step_matches_generic_tableau(params, forcing, t, span, h, x, y, z, atol, rtol, max_steps, data):
     # the inlined DP5 kernel, and the calling one around a plain wrapper
+    if forcing is None:  # a table over the span, its knots stops
+        forcing = data.draw(_knotted_tables(t, t + span))
     ctl = hk.AdaptiveStep(abs_tol=atol, rel_tol=rtol, h_init=h, h_max=0.5, blow_up_threshold=1e300)
     bounds = analytic_bounds(params, forcing, (x, y, z))
     rhs = make_rhs(params, forcing)
+    stops = run_stops(forcing, t, t + span)
     runs = []
     for stepping in (_integrate, _reference_run):
         for f in (rhs, lambda t, x, y, z: rhs(t, x, y, z)):
             rec = _Recorder(ctl, bounds)
-            stepping(f, (x, y, z), t, t + span, ctl, rec, max_steps)
+            stepping(f, (x, y, z), t, stops, ctl, rec, max_steps)
             runs.append(recorded(rec))
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
@@ -194,7 +223,7 @@ def test_rk4_matches_the_reference_step(params, forcing, t, span, h, x, y, z, ma
     runs = []
     for stepping in (_integrate, _reference_run):
         rec = _Recorder(ctl, bounds)
-        stepping(rhs, (x, y, z), t, t + span, ctl, rec, max_steps)
+        stepping(rhs, (x, y, z), t, (t + span,), ctl, rec, max_steps)
         runs.append(recorded(rec))
     assert runs[0] == runs[1]
 

@@ -150,6 +150,36 @@ def test_sweep_survives_an_overflowing_alt_state():
     assert not all(map(math.isfinite, rep.alt_state)) and math.isnan(rep.alt_residual)
 
 
+@pytest.mark.parametrize(
+    "box, finite_state, finite_alt",
+    [
+        # beta_eff * prod_eff underflows to 0: x_bar is past every float
+        ({"beta": (1e-300, 1e-300), "p": (1e-300, 1e-300)}, False, True),
+        # q * beta * ... of the closed form underflows to 0
+        ({"beta": (1e-300, 1e-300), "q": (1e-300, 1e-300)}, True, False),
+        # beta_eff * prod_eff is subnormal, and x_bar overflows
+        ({"beta": (1e-160, 1e-160), "p": (1e-160, 1e-160)}, False, True),
+    ],
+    ids=["beta-p-underflow", "beta-q-underflow", "beta-p-overflow"],
+)
+def test_sweep_survives_a_rate_product_out_of_float_range(box, finite_state, finite_alt):
+    """Each of these draws used to abort the sweep, with ZeroDivisionError or,
+    from an infinite state, ValueError. Each is infeasible; a state past the
+    float range keeps its residual of the field, NaN here, and the closed
+    form's residual is NaN where it is not finite."""
+    result = hk.sweep(2, 1, box=box)
+    assert result.counts["draws"] == 2 and result.counts["feasible"] == 0
+    row = result.rows[0]
+    assert row["endemic_residual"] is None and row["endemic_residual_ok"] and row["threshold_ok"]
+    params = hk.Parameters(**{name: row[name] for name in ("mu1", "mu2", "mu3", "beta", "eta", "epsilon", "p", "q")})
+    rep = hk.endemic(params, hk.ConstantForcing(row["lam"]))
+    assert rep.feasible is False
+    assert all(map(math.isfinite, rep.state)) == finite_state
+    assert finite_state or math.isnan(rep.residual_norm)
+    assert all(map(math.isfinite, rep.alt_state)) == finite_alt
+    assert finite_alt or math.isnan(rep.alt_residual)
+
+
 def test_endemic_feasibility_is_exact_beside_the_threshold():
     """beta*lam is 1 + 2**-54 for lam = fl(0.2), beta = 5, and 1 - 2**-54 for
     lam = fl(1/3), beta = 3: the float y_bar is 0 in both, the exact one is

@@ -129,7 +129,7 @@ def test_loops_record_what_push_records(mode, velocity, positivity_tol, ceiling)
     runs = []
     for recorder in (_Recorder, _PushEveryPoint):
         rec = recorder(ctl, bounds)
-        _integrate(rhs, (1.0, 1.0, 1.0), 0.0, 4.0, ctl, rec, 1000)
+        _integrate(rhs, (1.0, 1.0, 1.0), 0.0, (4.0,), ctl, rec, 1000)
         runs.append((rec.times, rec.states, rec.events))
     assert runs[0] == runs[1]
     assert runs[0][2], "the run fired no monitor"

@@ -36,10 +36,11 @@ SWEEP_1000_42_SHA256 = "03c909a92dc5caacfc25946cc121b050c2fe4f4c9a8a1832154fee12
 # sha256 over the exit code, stdout and run files of one block of configs
 # (every base x command x mode, in that order) drawn from this seed.
 CONFIGS_SEED = 5
-CONFIGS_BLOCK_SHA256 = "099ff84158710f3be255dbc104d0833a4e97da745410bf2fefa6d3dcb11fbd9d"
+CONFIGS_BLOCK_SHA256 = "9ce60da0516e4182aee9e82751def5b7a76ddbc5e2ca7778498ac70bf27756da"
 
 # A production table whose knots are both exact binary fractions and
-# inexact decimals, so steps land on knots, next to knots and between them.
+# inexact decimals. RK4 steps land on knots, next to knots and between them;
+# DP5 steps land on every knot.
 TABLE = hk.PiecewiseLinearForcing(
     times=(0.0, 0.3, 1.25, 2.0, 2.7, 3.7, 5.0),
     values=(20.0, 23.5, 17.25, 21.0, 18.4, 22.1, 19.6),
@@ -57,8 +58,8 @@ TABLE_CONTROLS = {
     "adaptive": (
         hk.AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25),
         {
-            "trajectory.csv": "5b7ea8bd6bd5bddfeefe27eb7c0d151b15401d7c3a1b7f95feeecb6f59e556bc",
-            "report.json": "bdcd343212589cdf7d3121949fb6583d061f8d396371c56dad0c34f3d0258cfe",
+            "trajectory.csv": "b5151878f6b2bbdf2a6f4ff596ba036586b69fb0b757b5d22d957103fa869b2a",
+            "report.json": "8e62ba81b73bf49c74711f7afa442c2f62f321a3659491d8572a9eb99939f10f",
         },
     ),
 }

@@ -27,7 +27,7 @@ from test_dp5_kernel import _component, _forcing, _params, recorded
 
 import hbvkit as hk
 from hbvkit.integrate import _integrate, _kernel, _Recorder
-from hbvkit.model import analytic_bounds, make_rhs
+from hbvkit.model import analytic_bounds, make_rhs, run_stops
 from hbvkit.scenarios import FORCING_KINDS
 
 integrate_module = importlib.import_module("hbvkit.integrate")
@@ -67,7 +67,7 @@ BRANCHES = {
 def _run(kernel, rhs, field, branch, forcing):
     u0, t0, t_end, ctl, max_steps, _ = BRANCHES[branch]
     rec = _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE))
-    kernel(rhs, field, u0, t0, t_end, ctl, rec, math.inf if max_steps is None else max_steps)
+    kernel(rhs, field, u0, t0, run_stops(forcing, t0, t_end), ctl, rec, math.inf if max_steps is None else max_steps)
     return rec
 
 
@@ -103,7 +103,7 @@ def test_overflow_error_in_a_stage(mode):
 
     ctl = hk.AdaptiveStep(h_init=0.01) if mode == "adaptive" else hk.FixedStep(h=0.01)
     rec = _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE))
-    _integrate(rhs, ONE, 0.0, 0.1, ctl, rec, math.inf)
+    _integrate(rhs, ONE, 0.0, (0.1,), ctl, rec, math.inf)
     if mode == "adaptive":
         assert rec.times[1] == 0.005 and not rec.events
     else:
@@ -130,7 +130,7 @@ def test_integrate_picks_the_kernel_from_the_rhs(monkeypatch):
             return rhs(t, x, y, z)
 
         for f in (rhs, lambda t, x, y, z, rhs=rhs: rhs(t, x, y, z), wrapped):
-            _integrate(f, ONE, 0.0, 1.0, ctl, _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE)), 10)
+            _integrate(f, ONE, 0.0, (1.0,), ctl, _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE)), 10)
         assert wrapped.field == rhs.field  # functools.wraps copied it
         assert picked == [kind, "call", "call"]
         picked.clear()
@@ -150,8 +150,9 @@ _controls = st.one_of(
 def _tables(draw, t0, t_end, ctl):
     """Tables that cover [t0, t_end]: each end of the span a knot or inside
     the table, knots inside the span, under RK4 some on its grid t0 + i*h,
-    and values far enough apart that a DP5 step across a knot is rejected
-    and its retry steps back across it."""
+    and values far apart, so that the slope of the rate jumps at each knot
+    (DP5 lands on them; ``test_dp5_kernel`` draws knots close enough together
+    to be crossed)."""
     knots = {draw(st.sampled_from([t0, t0 - 0.5])), draw(st.sampled_from([t_end, t_end + 0.5]))}
     knots.update(draw(st.lists(st.floats(t0, t_end), max_size=5)))
     if ctl.mode == "fixed":
@@ -176,7 +177,7 @@ def test_inline_and_calling_kernels_agree(params, forcing, ctl, t0, span, x, y, 
     runs = []
     for f in (rhs, lambda t, x, y, z: rhs(t, x, y, z)):
         rec = _Recorder(ctl, bounds)
-        _integrate(f, (x, y, z), t0, t0 + span, ctl, rec, max_steps)
+        _integrate(f, (x, y, z), t0, run_stops(forcing, t0, t0 + span), ctl, rec, max_steps)
         runs.append(recorded(rec))
     assert runs[0] == runs[1]
 
@@ -193,7 +194,8 @@ def _stage_times(forcing, ctl, t_end):
         times.append(t)
         return rhs(t, x, y, z)
 
-    _integrate(recording, ONE, 0.0, t_end, ctl, _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE)), math.inf)
+    rec = _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE))
+    _integrate(recording, ONE, 0.0, run_stops(forcing, 0.0, t_end), ctl, rec, math.inf)
     return times
 
 
@@ -225,15 +227,15 @@ def test_table_kernel_searches_once_per_segment_entered(ctl, monkeypatch):
 
     monkeypatch.setitem(kernel.__globals__, "_knot_index", counting)
     rec = _Recorder(ctl, analytic_bounds(PARAMS, TABLE, ONE))
-    _integrate(make_rhs(PARAMS, TABLE), ONE, 0.0, 2.5, ctl, rec, math.inf)
+    _integrate(make_rhs(PARAMS, TABLE), ONE, 0.0, run_stops(TABLE, 0.0, 2.5), ctl, rec, math.inf)
     assert rec.times[-1] == 2.5 and not rec.events
     stage_times = _stage_times(TABLE, ctl, 2.5)
     assert searches == _entries(TABLE, stage_times)
     assert len(searches) * 20 < len(stage_times)
-    if ctl.mode == "fixed":  # forward only: one search per knot passed, the last knot at t_end
-        assert [bisect_right(TABLE.times, t) - 1 for t in searches] == [1, 2, 3, 4]
-    else:  # a rejected step across a knot, then its retry back before it
-        assert any(b < a for a, b in zip(searches, searches[1:]))
+    # forward only, DP5 too since it lands on each knot: one search per knot
+    # passed, then one per stage at t_end, the last knot (DP5 has two there)
+    entered = [bisect_right(TABLE.times, t) - 1 for t in searches]
+    assert entered == [1, 2, 3, 4] if ctl.mode == "fixed" else entered == [1, 2, 3, 4, 4]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
@@ -246,6 +248,6 @@ def test_table_off_the_span_raises_as_the_calling_kernel_does(mode, t0, t_end):
     for f in (rhs, lambda t, x, y, z: rhs(t, x, y, z)):
         rec = _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE))
         with pytest.raises(hk.OutOfDomainError, match=r"outside the tabulated range \[0.0, 1.0\]") as info:
-            _integrate(f, ONE, t0, t_end, ctl, rec, math.inf)
+            _integrate(f, ONE, t0, run_stops(forcing, t0, t_end), ctl, rec, math.inf)
         outcomes.append((str(info.value), recorded(rec)))
     assert outcomes[0] == outcomes[1]

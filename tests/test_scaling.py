@@ -17,10 +17,12 @@ unscaled run, so no state decays into the subnormals, and c = 2**k with
 A run stops once t reaches ``t_end - 1e-14 * (t_end - t0)``, a window
 relative to the span, so it scales with time too; the time-scaling test
 shrinks and stretches runs by c = 2**k as drawn, spans below one time unit
-included.
+included. An adaptive run lands on the knots of a table, and which knots it
+keeps depends on their distances and on h_min, which scale alike.
 """
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -187,6 +189,22 @@ def test_time_scaling_holds_below_a_unit_span(persistent_params):
     run = Run(persistent_params, hk.ConstantForcing(20.0), (1.0, 1.0, 1.0), 0.5,
               hk.FixedStep(h=(0.5 - 2e-14) / 5), None)
     _assert_time_scaled(run, 4.0)
+
+
+def test_time_scaling_keeps_the_knot_landings(persistent_params):
+    """An adaptive run on a table lands on the same knots at every scale, and
+    crosses at every scale the knots within 2 * h_min of the last one kept."""
+    kept = (0.3, 1.25, 2.0, 2.7, 3.7 - 1e-13)
+    crossed = (0.3 + 1.5e-12, 3.7)
+    knots = sorted((0.0, *kept, *crossed, 5.0))
+    table = hk.PiecewiseLinearForcing(tuple(knots), tuple(20.0 + 3.0 * math.sin(3.0 * t) for t in knots))
+    ctl = hk.AdaptiveStep(abs_tol=1e-10, rel_tol=1e-10, h_init=1e-3, h_max=0.25)
+    run = Run(persistent_params, table, (1.0, 1.0, 1.0), 5.0, ctl, None)
+    times = set(run.integrate().time_list)
+    assert set(kept) <= times and not set(crossed) & times
+    for c in (2.0**-10, 0.5, 4.0, 2.0**10):
+        _assert_time_scaled(run, c)
+        _assert_population_scaled(run, c)
 
 
 def test_scaled_runs_fire_every_kind_of_scaled_event(persistent_params):
