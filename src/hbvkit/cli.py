@@ -4,10 +4,11 @@ Every subcommand but ``sweep`` takes a scenario reference: a registry id or
 a JSON config path. ``scenario`` and ``simulate`` are one run; ``scenario``
 writes the analyses its scenario lists, ``simulate`` none.
 
-Exit codes: 0 success, 2 usage or config problems, 3 when integration was
-cut short by a numerical event (blow-up, non-finite state or step-size
-floor). On exit 3 ``scenario`` and ``simulate`` still write the partial
-trajectory and report; an analysis subcommand prints nothing.
+Exit codes: 0 success, 2 usage or config problems or an ``--out`` that
+cannot be written, 3 when integration was cut short by a numerical event
+(blow-up, non-finite state or step-size floor). On exit 3 ``scenario`` and
+``simulate`` still write the partial trajectory and report; an analysis
+subcommand prints nothing.
 
 Analysis results go to stdout as JSON; progress and file locations go to
 stderr.
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     except proc.ProcessTerminatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_EVENT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad config, box or --out
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

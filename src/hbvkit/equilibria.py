@@ -82,13 +82,14 @@ def _residual(rhs, u) -> tuple[tuple[float, float, float], float]:
 
 
 def disease_free(params: Parameters, forcing: Forcing) -> EquilibriumReport:
-    """Infection-free equilibrium (L/mu1, 0, 0)."""
+    """Infection-free equilibrium (L/mu1, 0, 0). A quotient past the float
+    range is inf, reported as it is, with a NaN residual."""
     lam = constant_rate(forcing, "equilibria")
     state = (lam / params.mu1, 0.0, 0.0)
     return EquilibriumReport(
         kind="disease_free",
         state=state,
-        residual_norm=residual_norm(params, forcing, state),
+        residual_norm=_residual(make_rhs(params, forcing), state)[1],
     )
 
 
@@ -111,9 +112,10 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     beta_eff*prod_eff*lam > mu1*mu3*loss_y (r0_ngm > 1); the float y_bar can
     be 0 or negative within rounding of the threshold. A feasible state is
     polished by at most 25 damped Newton steps toward a zero residual; an
-    infeasible one keeps its elimination residual. ``certified`` judges
-    either. A quotient whose divisor, a product of tiny rates, underflows to
-    0 is inf: such a state or closed form lies past the float range, and is
+    infeasible one, or one past the float range, keeps its elimination
+    residual. ``certified`` judges either. A quotient whose divisor, a
+    product of tiny rates, underflows to 0 is inf, and one that overflows is
+    inf too: such a state or closed form lies past the float range, and is
     reported as it is.
     """
     lam = constant_rate(forcing, "equilibria")
@@ -127,8 +129,10 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     state = (x_bar, y_bar, z_bar)
     feasible = _exceeds((beta_eff, prod_eff, lam), (params.mu1, params.mu3, params.loss_y))
 
-    # the elimination is accurate to rounding, so the polish stalls there
-    state, res = _polish(rhs, params, state) if feasible else (state, _residual(rhs, state)[1])
+    # the elimination is accurate to rounding, so the polish stalls there; a
+    # state past the float range has no Jacobian and keeps its NaN residual
+    polish = feasible and all(map(math.isfinite, state))
+    state, res = _polish(rhs, params, state) if polish else (state, _residual(rhs, state)[1])
 
     alt_x = _quotient(params.mu1 * params.mu3 * (params.mu2 + params.p), params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x

@@ -52,7 +52,9 @@ text the closure runs too), reading the values the closure carries in
 ``rhs.field``; any other callable is called at every stage, so a wrapper
 that counts calls sees every evaluation. A field's setup lines
 (``model.field_setup``) run once per run, so what they seat, such as a knot
-segment, lives in kernel locals for the run.
+segment, lives in kernel locals for the run. The stage text is straight-line
+float code with no exception path: a stage past the float range gives inf or
+NaN, which the DP5 controller rejects and the monitors stop on.
 
 ``_integrate`` picks the kernel from the rhs object, and ``_kernel``
 compiles it on first use, once per process, as
@@ -227,8 +229,8 @@ class Trajectory:
     Stored: ``time_list``, the accepted times, and ``state_list``, one
     ``(x, y, z)`` tuple per time, the floats the run recorded. Built on
     first read and kept: the arrays ``times`` (n,) and ``states`` (n, 3),
-    and the node slopes, the vector field at each point, as float tuples
-    for ``sample`` and as the array ``derivs``. ``final_time``,
+    and for ``sample`` the node slopes, the vector field at each point, as
+    float tuples. ``final_time``,
     ``final_state``, ``sample`` and ``to_csv`` read the floats. A
     trajectory is written once by its integration and immutable after;
     ``==`` compares the stored fields.
@@ -268,11 +270,6 @@ class Trajectory:
         """The vector field at each accepted point, one rhs call per point."""
         rhs = make_rhs(self.params, self.forcing)
         return [rhs(t, x, y, z) for t, (x, y, z) in zip(self.time_list, self.state_list)]
-
-    @cached_property
-    def derivs(self) -> np.ndarray:
-        """The node slopes as an (n, 3) array."""
-        return np.array(self._slopes)
 
     def sample(self, t) -> np.ndarray:
         """State at time t by cubic Hermite interpolation on the accepted steps.
@@ -468,23 +465,20 @@ _RK4 = """\
             step = _last_step(t, t_end)
         if t_next <= t:  # h is below the float spacing at t
             return rec.stop("step_floor", t, "h", h)
-        try:
 {k1}
-            h2 = 0.5 * step
-            x2, y2, z2 = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z
+        h2 = 0.5 * step
+        x2, y2, z2 = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z
 {k2}
-            x3, y3, z3 = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z
+        x3, y3, z3 = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z
 {k3}
-            x4, y4, z4 = x + step * k3x, y + step * k3y, z + step * k3z
+        x4, y4, z4 = x + step * k3x, y + step * k3y, z + step * k3z
 {k4}
-            s = step / 6.0
-            x, y, z = (
-                x + s * (k1x + 2.0 * (k2x + k3x) + k4x),
-                y + s * (k1y + 2.0 * (k2y + k3y) + k4y),
-                z + s * (k1z + 2.0 * (k2z + k3z) + k4z),
-            )
-        except OverflowError:
-            x = y = z = inf
+        s = step / 6.0
+        x, y, z = (
+            x + s * (k1x + 2.0 * (k2x + k3x) + k4x),
+            y + s * (k1y + 2.0 * (k2y + k3y) + k4y),
+            z + s * (k1z + 2.0 * (k2z + k3z) + k4z),
+        )
         t = t_next
         steps += 1
 {record}
@@ -517,11 +511,8 @@ _DP5 = """\
             h = _last_step(t, stop)
         if h < h_min:
             return rec.stop("step_floor", t, "h", h)
-        try:
 {stages}
-            err_norm = sqrt((rx * rx + ry * ry + rz * rz) / 3.0)
-        except OverflowError:
-            err_norm = inf
+        err_norm = sqrt((rx * rx + ry * ry + rz * rz) / 3.0)
         steps += 1
         if not err_norm <= 1.0:  # rejected: try again with a smaller h
             if err_norm < inf:
@@ -549,7 +540,7 @@ _DP5 = """\
         h = h_max if h_max < h else h
 """
 
-def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 12) -> str:
+def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 8) -> str:
     """Lines that set k{i}x, k{i}y, k{i}z to the vector field at (t, x, y, z),
     by default at the indentation of a step: a call of ``rhs``, or under a
     forcing kind the field lines."""
@@ -572,7 +563,7 @@ def _dp5_stages(stages: str) -> dict:
 
     lines = []
     for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
-        lines += [f"            {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
+        lines += [f"        {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
         lines.append(_stage(stages, i, f"t + {c!r} * h", f"x{i}", f"y{i}", f"z{i}"))
     # b{u} is |u7| by a branch and a{u} the |u| carried from the last
     # acceptance; b if b > a else a is max(a, b) without the call. A NaN b of
@@ -580,8 +571,8 @@ def _dp5_stages(stages: str) -> dict:
     # atol + rtol * ..., so the branch gives the bytes of abs.
     for u in "xyz":
         lines += [
-            f"            b{u} = {u}7 if {u}7 >= 0.0 else -{u}7",
-            f"            r{u} = h * ({row_sum(_DP_E, u)}) / (atol + rtol * (b{u} if b{u} > a{u} else a{u}))",
+            f"        b{u} = {u}7 if {u}7 >= 0.0 else -{u}7",
+            f"        r{u} = h * ({row_sum(_DP_E, u)}) / (atol + rtol * (b{u} if b{u} > a{u} else a{u}))",
         ]
     return {"k1": _stage(stages, 1, "t", "x", "y", "z", indent=4), "stages": "\n".join(lines)}
 

@@ -550,14 +550,13 @@ class SweepResult:
 
 
 def _draw_params(rng, box):
-    """Draws the rates in box order, then the fractions; returns (lam, params)."""
+    """Draws the rates in box order, then the fractions; returns (lam, params).
+    ``sweep`` has checked the box."""
     values = {}
     for name in box:
         if name in Parameters.FRACTIONS:
             continue
         lo, hi = box[name]
-        if not 0.0 < lo <= hi < math.inf:
-            raise ValueError(f"sweep box for {name!r} must satisfy 0 < lo <= hi < inf, got {box[name]}")
         drawn = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         # a collapsed interval pins the value exactly (exp/log round-trip
         # would otherwise perturb the last bit); the rng draw is still
@@ -565,8 +564,6 @@ def _draw_params(rng, box):
         values[name] = lo if lo == hi else drawn
     for name in Parameters.FRACTIONS:
         lo, hi = box[name]
-        if not 0.0 <= lo <= hi < 1.0:
-            raise ValueError(f"sweep box for {name!r} must sit inside [0, 1), got {box[name]}")
         drawn = rng.uniform(lo, hi)
         values[name] = lo if lo == hi else drawn
     lam = values.pop("lam")
@@ -579,14 +576,20 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
     dfe = eq.disease_free(params, forcing)
     end = eq.endemic(params, forcing)
 
-    j_dfe = jacobian(params, dfe.state)
-    dfe_stable = stab.routh_hurwitz_stable(j_dfe)
-    max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))
-    # floats decide a side beyond their rounding: r0_ngm carries five and the
-    # Jacobian's beta_eff*x two, inside 4 ulps of 1; an eigenvalue below one
-    # ulp of the Jacobian's largest entry is rounding of that matrix
-    r0_decided = abs(r0 - 1.0) > 4.0 * math.ulp(1.0)
-    eig_decided = abs(max_re) >= math.ulp(max(map(abs, j_dfe.ravel().tolist())))
+    # a DFE state past the float range, or a Jacobian entry there, leaves the
+    # cells read off the Jacobian blank (None)
+    threshold_ok = max_re = eig_sign_ok = None
+    j_dfe = jacobian(params, dfe.state) if all(map(math.isfinite, dfe.state)) else None
+    if j_dfe is not None and all(map(math.isfinite, entries := j_dfe.ravel().tolist())):
+        dfe_stable = stab.routh_hurwitz_stable(j_dfe)
+        max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))
+        # floats decide a side beyond their rounding: r0_ngm carries five and
+        # the Jacobian's beta_eff*x two, inside 4 ulps of 1; an eigenvalue
+        # below one ulp of the Jacobian's largest entry is rounding of that matrix
+        r0_decided = abs(r0 - 1.0) > 4.0 * math.ulp(1.0)
+        eig_decided = abs(max_re) >= math.ulp(max(map(abs, entries)))
+        threshold_ok = not r0_decided or (r0 > 1.0) == end.feasible != dfe_stable
+        eig_sign_ok = not eig_decided or (max_re < 0.0) == dfe_stable
 
     traj = integrate(
         params, forcing, (1.0, 1.0, 1.0), 0.0, _SWEEP_SPAN, _SWEEP_CTL,
@@ -605,13 +608,13 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
         **{name: getattr(params, name) for name in _PARAMETER_NAMES},
         "r0_ngm": r0,
         "feasible": end.feasible,
-        "threshold_ok": not r0_decided or (r0 > 1.0) == end.feasible != dfe_stable,
+        "threshold_ok": threshold_ok,
         "dfe_residual": dfe.residual_norm,
         "dfe_residual_ok": eq.certified(params, forcing, dfe),
         "endemic_residual": end.residual_norm if end.feasible else None,
         "endemic_residual_ok": not end.feasible or eq.certified(params, forcing, end),
         "max_re_dfe": max_re,
-        "eig_sign_ok": not eig_decided or (max_re < 0.0) == dfe_stable,
+        "eig_sign_ok": eig_sign_ok,
         "positivity_ok": None if short and positivity_ok else positivity_ok,
         "bounds_ok": None if short and bounds_ok else bounds_ok,
         "t_reached": traj.final_time,
@@ -641,6 +644,20 @@ def sweep(n_draws: int, seed: int, out_path=None, box: dict | None = None) -> Sw
         if unknown:
             raise ValueError(f"unknown sweep box entries: {sorted(unknown)}")
         full_box.update(box)
+    # the rates in box order, then the fractions, as _draw_params draws them
+    for name in [name for name in full_box if name not in Parameters.FRACTIONS]:
+        lo, hi = full_box[name]
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"sweep box for {name!r} must satisfy 0 < lo <= hi < inf, got {full_box[name]}")
+    for name in Parameters.FRACTIONS:
+        lo, hi = full_box[name]
+        if not 0.0 <= lo <= hi < 1.0:
+            raise ValueError(f"sweep box for {name!r} must sit inside [0, 1), got {full_box[name]}")
+
+    # an unusable output directory fails before the first draw
+    csv_path = None if out_path is None else Path(out_path)
+    if csv_path is not None:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)
     rows = [_sweep_row(i, *_draw_params(rng, full_box)) for i in range(n_draws)]
@@ -649,11 +666,7 @@ def sweep(n_draws: int, seed: int, out_path=None, box: dict | None = None) -> Sw
         for key, (flag, value) in _SWEEP_COUNTS.items()
     }
 
-    csv_path = None
-    if out_path is not None:
-        csv_path = Path(out_path)
-        if not csv_path.parent.is_dir():
-            csv_path.parent.mkdir(parents=True, exist_ok=True)
+    if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(rows[0]) + "\n")
             for row in rows:

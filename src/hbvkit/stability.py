@@ -35,7 +35,6 @@ __all__ = [
     "ContractionFit",
     "StabilityReport",
     "characteristic_coefficients",
-    "characteristic_residual",
     "eigenvalues_3x3",
     "routh_hurwitz_stable",
     "r0_all",
@@ -180,15 +179,6 @@ def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
         polished = _deflated(polished, c1, c0)
     polished.sort(key=lambda lam: (-lam.real, lam.imag))
     return tuple(polished)
-
-
-def characteristic_residual(J, eigenvalues) -> np.ndarray:
-    """|p(lam)| per eigenvalue, relative to the Frobenius norm of J cubed."""
-    c2, c1, c0 = characteristic_coefficients(J)
-    norm = max(1.0, float(np.linalg.norm(np.asarray(J, dtype=float))))
-    return np.array(
-        [abs(((lam + c2) * lam + c1) * lam + c0) / norm**3 for lam in eigenvalues]
-    )
 
 
 def routh_hurwitz_stable(J) -> bool:

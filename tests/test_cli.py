@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hbvkit as hk
-from hbvkit import cli
+from hbvkit import cli, scenarios
 from hbvkit.cli import build_parser, main
 from hbvkit.scenarios import ANALYSES, scenario_to_dict
 
@@ -228,6 +228,29 @@ def test_sweep_box_entry_must_be_a_two_element_array(tmp_path, capsys, entry):
     assert main(["sweep", "--n", "3", "--out", str(tmp_path), "--box", str(box_path)]) == 2
     assert "'lam'" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--config", "table2-dfe"], ["scenario", "table2-dfe"], ["sweep", "--n", "2"]],
+    ids=["simulate", "scenario", "sweep"],
+)
+def test_an_out_that_is_a_file_exits_2(argv, tmp_path, capsys, monkeypatch):
+    """An --out naming a regular file is a usage error: one line on stderr, no
+    traceback, and the sweep fails before its first draw."""
+
+    def no_draw(*args):
+        raise AssertionError("a draw ran before the output directory was made")
+
+    monkeypatch.setattr(scenarios, "_sweep_row", no_draw)
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert out.read_text() == ""
 
 
 def test_module_entry_point_runs():

@@ -25,7 +25,7 @@ STAGES = ("call", *FORCING_KINDS)
 KERNELS = [(mode, stages) for mode in ("fixed", "adaptive") for stages in STAGES]
 # RK4 stage i, its time and state, and the line it follows
 RK4_STAGES = (
-    (1, "t", ("x", "y", "z"), "try:"),
+    (1, "t", ("x", "y", "z"), 'return rec.stop("step_floor", t, "h", h)'),
     (2, "t + h2", ("x2", "y2", "z2"), "x2, y2, z2 = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z"),
     (3, "t + h2", ("x3", "y3", "z3"), "x3, y3, z3 = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z"),
     (4, "t + step", ("x4", "y4", "z4"), "x4, y4, z4 = x + step * k3x, y + step * k3y, z + step * k3z"),

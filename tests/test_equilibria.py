@@ -180,6 +180,46 @@ def test_sweep_survives_a_rate_product_out_of_float_range(box, finite_state, fin
     assert finite_alt or math.isnan(rep.alt_residual)
 
 
+@pytest.mark.parametrize(
+    "box, finite_state",
+    [
+        # lam / mu1 overflows: the infection-free state is (inf, 0, 0)
+        ({"lam": (1e300, 1e300), "mu1": (1e-20, 1e-20)}, False),
+        # the state is 1e308, and beta_eff * x in its Jacobian overflows
+        ({"lam": (1e307, 1e307), "mu1": (0.1, 0.1), "beta": (100.0, 100.0)}, True),
+    ],
+    ids=["state-overflow", "jacobian-overflow"],
+)
+def test_sweep_survives_a_disease_free_state_past_the_float_range(box, finite_state):
+    """Each of these draws used to abort the sweep with ValueError, from the
+    residual's or the Jacobian's state check or from the eigenvalues' finite
+    matrix check. The residual is NaN and fails the certificate, and the
+    cells read off the Jacobian are blank."""
+    result = hk.sweep(1, 1, box=box)
+    (row,) = result.rows
+    assert math.isnan(row["dfe_residual"]) and row["dfe_residual_ok"] is False
+    assert row["max_re_dfe"] is None and row["eig_sign_ok"] is None and row["threshold_ok"] is None
+    assert result.counts["dfe_residual_failures"] == 1
+    assert result.counts["threshold_violations"] == result.counts["eig_sign_violations"] == 0
+    params = hk.Parameters(**{name: row[name] for name in ("mu1", "mu2", "mu3", "beta", "eta", "epsilon", "p", "q")})
+    dfe = hk.disease_free(params, hk.ConstantForcing(row["lam"]))
+    assert math.isfinite(dfe.state[0]) == finite_state and dfe.state[1:] == (0.0, 0.0)
+    assert math.isnan(dfe.residual_norm)
+
+
+def test_feasible_endemic_state_past_the_float_range_is_reported_unpolished():
+    """beta_eff * prod_eff is subnormal and x_bar overflows on a feasible draw:
+    the polish used to raise from the Jacobian's state check. The state is
+    reported as the elimination gives it, with a NaN residual that fails the
+    certificate."""
+    params = hk.Parameters(mu1=1e-20, mu2=1.0, mu3=1e-5, beta=1e-160, eta=0.0, epsilon=0.0, p=1e-160, q=1.0)
+    forcing = hk.ConstantForcing(1e300)
+    rep = hk.endemic(params, forcing)
+    assert rep.feasible is True
+    assert rep.state == (math.inf, -math.inf, -math.inf)
+    assert math.isnan(rep.residual_norm) and not hk.equilibria.certified(params, forcing, rep)
+
+
 def test_endemic_feasibility_is_exact_beside_the_threshold():
     """beta*lam is 1 + 2**-54 for lam = fl(0.2), beta = 5, and 1 - 2**-54 for
     lam = fl(1/3), beta = 3: the float y_bar is 0 in both, the exact one is

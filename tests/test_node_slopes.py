@@ -77,5 +77,5 @@ def test_node_slopes_equal_the_vector_field(mode, kind, persistent_params):
     traj = hk.integrate(persistent_params, forcing, (1.0, 1.0, 1.0), 0.0, 3.0, CONTROLS[mode])
     assert len(traj.times) > 10
     for i, (t, u) in enumerate(zip(traj.times, traj.states)):
-        assert np.all(traj.derivs[i] == vector_field(persistent_params, forcing, t, u))
+        assert np.all(np.array(traj._slopes[i]) == vector_field(persistent_params, forcing, t, u))
         assert np.all(traj.sample(t) == u)

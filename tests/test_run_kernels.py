@@ -86,31 +86,6 @@ def test_rare_branch_matches_the_calling_kernel(kind, branch):
         assert math.frexp(stop.value / ctl.h_init)[0] == 0.5  # h_init halved, never shrunk by 0.2
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
-def test_overflow_error_in_a_stage(mode):
-    """A call that raises OverflowError voids the step: DP5 halves h and tries
-    again, RK4 records the point as infinite and stops on nonfinite."""
-    forcing = hk.ConstantForcing(20.0)
-    base = make_rhs(PARAMS, forcing)
-    calls = 0
-
-    def rhs(t, x, y, z):
-        nonlocal calls
-        calls += 1
-        if calls == 2:  # k2 of the first step
-            raise OverflowError("stage overflowed")
-        return base(t, x, y, z)
-
-    ctl = hk.AdaptiveStep(h_init=0.01) if mode == "adaptive" else hk.FixedStep(h=0.01)
-    rec = _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE))
-    _integrate(rhs, ONE, 0.0, (0.1,), ctl, rec, math.inf)
-    if mode == "adaptive":
-        assert rec.times[1] == 0.005 and not rec.events
-    else:
-        assert rec.times == [0.0, 0.01] and rec.states[1] == (math.inf,) * 3
-        assert [e.kind for e in rec.events] == ["nonfinite"]
-
-
 def test_integrate_picks_the_kernel_from_the_rhs(monkeypatch):
     picked = []
 
