@@ -35,6 +35,7 @@ from .model import (
     constant_rate,
     jacobian,
     make_rhs,
+    quotient,
 )
 
 __all__ = [
@@ -123,7 +124,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
 
-    x_bar = _quotient(params.mu3 * params.loss_y, beta_eff * prod_eff)
+    x_bar = quotient(params.mu3 * params.loss_y, beta_eff * prod_eff)
     y_bar = (lam - params.mu1 * x_bar) / params.mu2
     z_bar = prod_eff * y_bar / params.mu3
     state = (x_bar, y_bar, z_bar)
@@ -134,9 +135,9 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     polish = feasible and all(map(math.isfinite, state))
     state, res = _polish(rhs, params, state) if polish else (state, _residual(rhs, state)[1])
 
-    alt_x = _quotient(params.mu1 * params.mu3 * (params.mu2 + params.p), params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
+    alt_x = quotient(params.mu1 * params.mu3 * (params.mu2 + params.p), params.q * params.beta * params.mu2 * (1.0 - params.eta) * (1.0 - params.epsilon))
     alt_y = lam / params.mu2 - alt_x
-    alt_z = params.q * lam * (1.0 - params.epsilon) / (params.mu2 * params.mu3) - _quotient(params.mu1 * (params.mu2 + params.p), params.beta * params.mu2 * (1.0 - params.eta))
+    alt_z = quotient(params.q * lam * (1.0 - params.epsilon), params.mu2 * params.mu3) - quotient(params.mu1 * (params.mu2 + params.p), params.beta * params.mu2 * (1.0 - params.eta))
     alt_state = (alt_x, alt_y, alt_z)
 
     return EquilibriumReport(
@@ -150,16 +151,14 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     )
 
 
-def _quotient(a: float, b: float) -> float:
-    """a / b for a > 0 and b >= 0: a product of tiny rates in b can underflow
-    to 0, and the quotient is then past every float, inf as in IEEE
-    arithmetic, where Python raises ZeroDivisionError."""
-    return a / b if b else math.inf
-
-
 def _exceeds(lhs: tuple[float, ...], rhs: tuple[float, ...]) -> bool:
-    """Whether the exact product of the floats ``lhs`` exceeds that of ``rhs``,
-    in integers: a/b > c/d with b, d > 0 is a*d > c*b."""
+    """Whether the exact product of the positive floats ``lhs`` exceeds that of
+    ``rhs``, in integers: a/b > c/d with b, d > 0 is a*d > c*b. An infinite
+    factor, a derived rate that overflowed, makes its side's product inf, and
+    the comparison reads as it does on those: inf > inf is False."""
+    lhs_inf, rhs_inf = math.inf in lhs, math.inf in rhs
+    if lhs_inf or rhs_inf:
+        return lhs_inf and not rhs_inf
     a = b = c = d = 1
     for v in lhs:
         n, m = v.as_integer_ratio()

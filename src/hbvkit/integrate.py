@@ -46,11 +46,16 @@ vector field at the accepted points: they are computed once, on the first
 
 Each method has one text template, ``_RK4`` or ``_DP5``, under a head and a
 recording block both share (``_HEAD``, ``_RECORD``), so each rule is written
-once. One stage rule holds for every forcing kind: the field of a
-``make_rhs`` closure is written into the stages (``model.field_lines``, the
-text the closure runs too), reading the values the closure carries in
-``rhs.field``; any other callable is called at every stage, so a wrapper
-that counts calls sees every evaluation. A field's setup lines
+once. The field of a ``make_rhs`` closure is written into the stages
+(``model.field_lines``, the text the closure runs too), reading the values
+the closure carries in ``rhs.field``. Under table or sinusoid forcing a step
+evaluates the production rate once per distinct stage time, into the local
+``lam`` (``model.rate_lines``): RK4's stage 3 reads stage 2's rate and DP5's
+stage 7 reads stage 6's, and RK4's stage 1 reads the rate the last step's
+stage 4 took when t equals its time ``t4``, a float compare, so each stage
+sees the float a call at its time gives. Any other callable is called at
+every stage, so a wrapper that counts calls sees every evaluation. A field's
+setup lines
 (``model.field_setup``) run once per run, so what they seat, such as a knot
 segment, lives in kernel locals for the run. The stage text is straight-line
 float code with no exception path: a stage past the float range gives inf or
@@ -90,6 +95,7 @@ from .model import (
     field_names,
     field_setup,
     make_rhs,
+    rate_lines,
     run_stops,
 )
 
@@ -456,7 +462,7 @@ _RK4 = """\
     n_whole = int(floor((t_end - t0) / h))
     if t0 + n_whole * h >= t_stop:
         n_whole -= 1
-{loop}
+{carry}{loop}
         if steps < n_whole:
             t_next = t0 + (steps + 1) * h
             step = t_next - t
@@ -540,19 +546,42 @@ _DP5 = """\
         h = h_max if h_max < h else h
 """
 
-def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 8) -> str:
-    """Lines that set k{i}x, k{i}y, k{i}z to the vector field at (t, x, y, z),
-    by default at the indentation of a step: a call of ``rhs``, or under a
-    forcing kind the field lines."""
+def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 8, rate=None, before=()) -> str:
+    """The lines ``before``, then lines that set k{i}x, k{i}y, k{i}z to the
+    vector field at (t, x, y, z), by default at the indentation of a step: a
+    call of ``rhs``, or under a forcing kind the field lines, which read a rate
+    that varies in time from the name ``rate`` when one is given."""
     out = f"k{i}x, k{i}y, k{i}z = "
-    lines = [f"{out}rhs({t}, {x}, {y}, {z})"] if stages == "call" else field_lines(stages, t, x, y, z, out)
-    return "\n".join(" " * indent + line for line in lines)
+    lines = [f"{out}rhs({t}, {x}, {y}, {z})"] if stages == "call" else field_lines(stages, t, x, y, z, out, rate)
+    return "\n".join(" " * indent + line for line in (*before, *lines))
+
+
+def _rate(stages: str, t: str) -> list[str]:
+    """The lines that set ``lam`` to the production rate at time t: none in a
+    calling kernel or under a rate constant in time."""
+    return [] if stages == "call" else rate_lines(stages, t, "lam")
 
 
 def _rk4_stages(stages: str) -> dict:
-    times = ("t", "t + h2", "t + h2", "t + step")
     points = (("x", "y", "z"), ("x2", "y2", "z2"), ("x3", "y3", "z3"), ("x4", "y4", "z4"))
-    return {f"k{i}": _stage(stages, i, t, *u) for i, (t, u) in enumerate(zip(times, points), 1)}
+    times, befores, carry = ("t", "t + h2", "t + h2", "t + step"), ((),) * 4, ""
+    if _rate(stages, "t"):
+        # The rate once per distinct stage time, in lam: stage 3 reads stage
+        # 2's, and stage 1 reads the last step's stage 4's when t is the time
+        # t4 it was taken at (t + step can round off the grid time t0 + i*h).
+        times = ("t", "t + h2", "t + h2", "t4")
+        befores = (
+            ["if t != t4:", *(f"    {s}" for s in _rate(stages, "t"))],
+            _rate(stages, "t + h2"),
+            [],
+            ["t4 = t + step", *_rate(stages, "t4")],
+        )
+        carry = "    t4 = nan  # the time of the rate in lam: none yet\n"
+    stage_lines = zip(times, points, befores)
+    return {
+        "carry": carry,
+        **{f"k{i}": _stage(stages, i, t, *u, rate="lam", before=b) for i, (t, u, b) in enumerate(stage_lines, 1)},
+    }
 
 
 def _dp5_stages(stages: str) -> dict:
@@ -563,8 +592,14 @@ def _dp5_stages(stages: str) -> dict:
 
     lines = []
     for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
+        t = f"t + {c!r} * h"
         lines += [f"        {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
-        lines.append(_stage(stages, i, f"t + {c!r} * h", f"x{i}", f"y{i}", f"z{i}"))
+        # The rate once per distinct stage time, in lam: a stage whose time a
+        # later stage shares takes it, and the later one reads it.
+        later, earlier = c in _DP_C[i:], c in _DP_C[1:i - 1]
+        before = _rate(stages, t) if later else ()
+        rate = "lam" if later or earlier else None
+        lines.append(_stage(stages, i, t, f"x{i}", f"y{i}", f"z{i}", rate=rate, before=before))
     # b{u} is |u7| by a branch and a{u} the |u| carried from the last
     # acceptance; b if b > a else a is max(a, b) without the call. A NaN b of
     # either sign loses that comparison, and a zero's sign vanishes in
@@ -604,6 +639,7 @@ def _kernel(mode: str, stages: str):
         "_last_step": _last_step,
         "floor": math.floor,
         "inf": math.inf,
+        "nan": math.nan,
         "sqrt": math.sqrt,
     }
     return compile_function(source, f"<hbvkit.integrate.{name}>", namespace)

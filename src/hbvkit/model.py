@@ -225,6 +225,14 @@ def constant_rate(forcing: Forcing, analysis: str) -> float:
     return forcing.value
 
 
+def quotient(a: float, b: float) -> float:
+    """a / b for a >= 0 and b >= 0 as in IEEE arithmetic, where Python raises
+    ZeroDivisionError: a product of tiny rates in b can underflow to 0, and
+    the quotient is then inf, past every float, or NaN where a underflowed
+    to 0 too."""
+    return a / b if b else a * math.inf
+
+
 def as_state(u, require_nonnegative: bool = False) -> tuple[float, float, float]:
     """The state ``u`` as three finite Python floats, optionally rejecting
     negative parts.
@@ -317,20 +325,45 @@ def field_setup(kind: str) -> tuple[str, ...]:
     return _PRODUCTION[kind][1]
 
 
-def field_lines(kind: str, t: str, x: str, y: str, z: str, out: str) -> list[str]:
+def field_lines(kind: str, t: str, x: str, y: str, z: str, out: str, rate: str | None = None) -> list[str]:
     """The vector field's text under a forcing kind at time ``t`` and state
     ``x, y, z``: the lines the production rate needs first, the infection
     term, then ``out`` (``"return "`` or an assignment) followed by dx, dy,
     dz. ``t`` may be an expression: it goes in parentheses, so its value is
-    the float a call would be passed."""
-    _, _, seat, production = _PRODUCTION[kind]
-    t = t if t.isidentifier() else f"({t})"
+    the float a call would be passed. Given ``rate``, a name that
+    ``rate_lines`` set to the rate at ``t``, a kind whose rate varies in time
+    reads it there and writes no lines for it."""
+    seat, production = ([], rate) if rate is not None and _varies(kind) else _production(kind, t)
     infect, derivative = _FIELD
     return [
-        *(s.format(t=t) for s in seat),
+        *seat,
         infect.format(x=x, z=z),
-        out + derivative.format(production=production.format(t=t), x=x, y=y, z=z),
+        out + derivative.format(production=production, x=x, y=y, z=z),
     ]
+
+
+def rate_lines(kind: str, t: str, rate: str) -> list[str]:
+    """The lines that set ``rate`` to the production rate at time ``t``, the
+    float ``field_lines`` computes there, under a kind whose rate varies in
+    time; none under a constant rate, which ``field_lines`` writes as it is."""
+    if not _varies(kind):
+        return []
+    seat, production = _production(kind, t)
+    return [*seat, f"{rate} = {production}"]
+
+
+def _production(kind: str, t: str) -> tuple[list[str], str]:
+    """The lines the production rate at time ``t`` needs first, and the
+    rate's expression."""
+    _, _, seat, production = _PRODUCTION[kind]
+    t = t if t.isidentifier() else f"({t})"
+    return [s.format(t=t) for s in seat], production.format(t=t)
+
+
+def _varies(kind: str) -> bool:
+    """Whether the production rate of a forcing kind reads the time."""
+    _, _, seat, production = _PRODUCTION[kind]
+    return any("{t}" in s for s in (*seat, production))
 
 
 def compile_function(source: str, filename: str, namespace: dict):

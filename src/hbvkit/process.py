@@ -197,17 +197,17 @@ def absorbing_check(traj: Trajectory, slack: float | None = None) -> AbsorbingSe
     elif not (math.isfinite(slack) and slack > 0.0):
         raise ValueError(f"slack must be finite and positive, got {slack}")
 
-    l1 = np.sum(traj.states, axis=1)
-    cap = max(float(l1[0]), ceiling)
-    holds = bool(np.all(l1 <= cap + slack))
-
-    inside = l1 <= ceiling + slack
-    entry_time = None
-    if inside[-1]:
-        # last index after which the trajectory never leaves the ball
-        outside = np.nonzero(~inside)[0]
-        first = 0 if len(outside) == 0 else int(outside[-1]) + 1
-        entry_time = float(traj.times[first])
+    # x + y + z is the order np.sum(states, axis=1) adds a row in
+    l1 = [x + y + z for x, y, z in traj.state_list]
+    ball = ceiling + slack
+    # the points outside the ball, NaN included: the cap is at least the
+    # ball, so only these can pass it
+    outside = [i for i, v in enumerate(l1) if not v <= ball]
+    cap = max(l1[0], ceiling) + slack
+    holds = all(l1[i] <= cap for i in outside)
+    # the first point after the last one outside, if the run ends inside
+    first = outside[-1] + 1 if outside else 0
+    entry_time = float(traj.time_list[first]) if first < len(l1) else None
     return AbsorbingSetReport(
         alpha=alpha, ceiling=ceiling, entry_time=entry_time, holds=holds, slack=float(slack)
     )

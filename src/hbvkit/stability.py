@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import Trajectory
-from .model import Forcing, Parameters, as_state, constant_rate, jacobian
+from .model import Forcing, Parameters, as_state, constant_rate, jacobian, quotient
 
 __all__ = [
     "R0Variants",
@@ -239,12 +239,14 @@ def r0_all(params: Parameters, forcing: Forcing) -> R0Variants:
     lam = constant_rate(forcing, "reproduction numbers")
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
+    # a divisor that is a product of tiny rates can underflow to 0: the
+    # quotient is then inf (model.quotient); simple divides by single rates
     simple = beta_eff * (lam / params.mu1) / params.loss_y
-    alt = (
-        lam * params.beta * params.p * (1.0 - params.epsilon) * (1.0 - params.eta)
-        / (params.mu1 * params.mu2 * (params.mu1 + prod_eff))
+    alt = quotient(
+        lam * params.beta * params.p * (1.0 - params.epsilon) * (1.0 - params.eta),
+        params.mu1 * params.mu2 * (params.mu1 + prod_eff),
     )
-    ngm = beta_eff * prod_eff * lam / (params.mu1 * params.mu3 * params.loss_y)
+    ngm = quotient(beta_eff * prod_eff * lam, params.mu1 * params.mu3 * params.loss_y)
     return R0Variants(simple=simple, alt=alt, ngm=ngm)
 
 

@@ -4,7 +4,8 @@
 tableau loop; these tests check the generated text itself: that it is the
 source Python reports for each kernel, that each DP5 line carries its
 tableau row in order, that an inlined stage is the field text ``make_rhs``
-compiles, and that a traceback through a stage points at its line.
+compiles, that a rate that varies in time is taken once per distinct stage
+time, and that a traceback through a stage points at its line.
 """
 
 import inspect
@@ -17,11 +18,13 @@ import pytest
 
 import hbvkit as hk
 from hbvkit.integrate import _DP_A, _DP_C, _DP_E, _QUIET, _kernel, _Recorder
-from hbvkit.model import _rhs_factory, analytic_bounds, field_lines, make_rhs
+from hbvkit.model import _rhs_factory, analytic_bounds, field_lines, make_rhs, rate_lines
 from hbvkit.scenarios import FORCING_KINDS
 
 _TERM = re.compile(r"(-?[0-9][0-9.e+-]*) \* k(\d)([xyz])")
 STAGES = ("call", *FORCING_KINDS)
+# the forcing kinds whose production rate reads the time
+VARYING = ("sinusoid", "piecewise_linear")
 KERNELS = [(mode, stages) for mode in ("fixed", "adaptive") for stages in STAGES]
 # RK4 stage i, its time and state, and the line it follows
 RK4_STAGES = (
@@ -30,6 +33,19 @@ RK4_STAGES = (
     (3, "t + h2", ("x3", "y3", "z3"), "x3, y3, z3 = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z"),
     (4, "t + step", ("x4", "y4", "z4"), "x4, y4, z4 = x + step * k3x, y + step * k3y, z + step * k3z"),
 )
+
+
+def _rk4_rate(stages, i):
+    """The lines before RK4 stage i under a rate that varies in time, and the
+    stage's time: stage 2 takes the rate into lam and stage 3 reads it;
+    stage 4 takes it at t4, which stage 1 of the next step reads unless t
+    differs from t4."""
+    return {
+        1: (["if t != t4:", *rate_lines(stages, "t", "lam")], "t"),
+        2: (rate_lines(stages, "t + h2", "lam"), "t + h2"),
+        3: ([], "t + h2"),
+        4: (["t4 = t + step", *rate_lines(stages, "t4", "lam")], "t4"),
+    }[i]
 
 
 def _lines(kernel):
@@ -45,12 +61,13 @@ def _terms(line):
     return [(float(a), int(j), u) for a, j, u in _TERM.findall(line)]
 
 
-def _stage(stages, i, t, u):
-    """The lines a kernel writes for stage i at time t and state u."""
+def _stage(stages, i, t, u, rate=None):
+    """The lines a kernel writes for stage i at time t and state u; the field
+    reads a rate that varies in time from ``rate`` when one is given."""
     out = f"k{i}x, k{i}y, k{i}z = "
     if stages == "call":
         return [f"{out}rhs({t}, {', '.join(u)})"]
-    return field_lines(stages, t, *u, out)
+    return field_lines(stages, t, *u, out, rate)
 
 
 def _assert_stage_follows(lines, before, stage):
@@ -83,9 +100,14 @@ def test_each_sum_is_its_tableau_row_in_order(u):
         for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
             line = _line(lines, f"{u}{i} = {u} + h * (")
             assert _terms(line) == [(a, j, u) for j, a in enumerate(row, 1)]
-            # the stage follows its last component's sum
-            stage = _stage(stages, i, f"t + {c!r} * h", (f"x{i}", f"y{i}", f"z{i}"))
+            # the stage follows its last component's sum; stages 6 and 7 share
+            # the time t + 1.0 * h, so 6 takes the rate into lam and 7 reads it
+            t = f"t + {c!r} * h"
+            stage = _stage(stages, i, t, (f"x{i}", f"y{i}", f"z{i}"), "lam" if i in (6, 7) else None)
+            if i == 6 and stages != "call":
+                stage = rate_lines(stages, t, "lam") + stage
             _assert_stage_follows(lines, _line(lines, f"z{i} = z + h * ("), stage)
+        assert _DP_C[5] == _DP_C[6] and len(set(_DP_C)) == 6
         line = _line(lines, f"r{u} = h * (")
         assert _terms(line) == [(e, j, u) for j, e in enumerate(_DP_E, 1)]
         assert line.endswith(f"/ (atol + rtol * (b{u} if b{u} > a{u} else a{u}))")
@@ -95,10 +117,26 @@ def test_each_sum_is_its_tableau_row_in_order(u):
 def test_rk4_stages_keep_their_update(stages):
     lines = _lines(_kernel("fixed", stages))
     for i, t, u, before in RK4_STAGES:
-        _assert_stage_follows(lines, before, _stage(stages, i, t, u))
+        if stages in VARYING:
+            rate, t = _rk4_rate(stages, i)
+            _assert_stage_follows(lines, before, rate + _stage(stages, i, t, u, "lam"))
+        else:
+            _assert_stage_follows(lines, before, _stage(stages, i, t, u))
+    if stages in VARYING:  # no rate is taken before the first step
+        _assert_stage_follows(lines, "n_whole -= 1", ["t4 = nan  # the time of the rate in lam: none yet"])
     for u in "xyz":
         assert f"{u} + s * (k1{u} + 2.0 * (k2{u} + k3{u}) + k4{u})," in lines
     assert "t_next = t0 + (steps + 1) * h" in lines
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize("stages", STAGES)
+def test_only_a_rate_that_varies_in_time_is_shared(mode, stages):
+    """A calling kernel and a constant-rate kernel bind no rate local: each
+    stage calls rhs or writes the rate's name as it is."""
+    names = set(_kernel(mode, stages).__code__.co_varnames)
+    shared = {"lam", "t4"} if mode == "fixed" else {"lam"}
+    assert names & {"lam", "t4"} == (shared if stages in VARYING else set())
 
 
 @pytest.mark.parametrize("kind", FORCING_KINDS)

@@ -220,6 +220,80 @@ def test_feasible_endemic_state_past_the_float_range_is_reported_unpolished():
     assert math.isnan(rep.residual_norm) and not hk.equilibria.certified(params, forcing, rep)
 
 
+_RATE_NAMES = ("mu1", "mu2", "mu3", "beta", "eta", "epsilon", "p", "q")
+
+
+def test_sweep_survives_a_reproduction_number_divisor_that_underflows():
+    """mu1 * mu3 * loss_y, mu1 * mu2 * (mu1 + prod_eff) and the closed form's
+    mu2 * mu3 underflow to 0 on this draw. r0_all, then the closed form's
+    z, used to abort the sweep with ZeroDivisionError. Each quotient is inf,
+    as in IEEE arithmetic, and the exact feasibility test agrees with it."""
+    box = {
+        "lam": (1e20, 1e20), "mu1": (1e-300, 1e-300), "mu2": (1e-300, 1e-300), "mu3": (1e-160, 1e-160),
+        "beta": (1e300, 1e300), "p": (1e-300, 1e-300), "q": (1.7e308, 1.7e308),
+    }
+    (row,) = hk.sweep(1, 0, box=box).rows
+    assert row["r0_ngm"] == math.inf and row["feasible"] is True
+    params = hk.Parameters(**{name: row[name] for name in _RATE_NAMES})
+    forcing = hk.ConstantForcing(row["lam"])
+    assert params.mu1 * params.mu3 * params.loss_y == 0.0
+    assert hk.r0_all(params, forcing).alt == math.inf
+    rep = hk.endemic(params, forcing)
+    assert not all(map(math.isfinite, rep.alt_state)) and math.isnan(rep.alt_residual)
+
+
+def test_a_reproduction_number_whose_terms_both_underflow_is_nan():
+    """beta_eff * prod_eff * lam and mu1 * mu3 * loss_y both underflow to 0 on
+    this draw, whose exact r0_ngm is below 1. The quotient 0/0 is NaN, as in
+    IEEE arithmetic, and decides no side of 1; an inf there would count a
+    threshold violation on an infeasible draw."""
+    box = {
+        "lam": (1.0, 1.0), "mu1": (1e-300, 1e-300), "mu2": (0.5, 0.5), "mu3": (1e-300, 1e-300),
+        "beta": (1e-300, 1e-300), "p": (1e-300, 1e-300), "q": (0.5, 0.5),
+    }
+    result = hk.sweep(1, 0, box=box)
+    (row,) = result.rows
+    assert math.isnan(row["r0_ngm"]) and row["feasible"] is False and row["threshold_ok"] is True
+    assert result.counts["threshold_violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "a, b, q", [(6.0, 3.0, 2.0), (1e-300, 0.0, math.inf), (math.inf, 0.0, math.inf), (0.0, 0.0, math.nan)]
+)
+def test_quotient_divides_by_an_underflowed_zero_as_ieee_does(a, b, q):
+    assert repr(hk.model.quotient(a, b)) == repr(q)
+
+
+def test_sweep_survives_an_infinite_loss_rate():
+    """loss_y = mu2 + q overflows to inf on this draw, and the exact
+    feasibility test used to abort the sweep with OverflowError from
+    inf.as_integer_ratio(). All its factors are positive, so the infinite one
+    makes the right side's product inf, which the finite left side does not
+    exceed: the draw is infeasible."""
+    box = {
+        "lam": (1e300, 1e300), "mu1": (1e300, 1e300), "mu2": (1.7e308, 1.7e308), "mu3": (1e-20, 1e-20),
+        "beta": (1e20, 1e20), "p": (1e160, 1e160), "q": (1.7e308, 1.7e308),
+    }
+    result = hk.sweep(1, 0, box=box)
+    (row,) = result.rows
+    assert row["feasible"] is False and result.counts["feasible"] == 0
+    params = hk.Parameters(**{name: row[name] for name in _RATE_NAMES})
+    assert params.loss_y == math.inf
+    assert hk.endemic(params, hk.ConstantForcing(row["lam"])).feasible is False
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, exceeds",
+    [
+        ((math.inf, 1e-300, 1e-300), (1e300, 1e300, 1e300), True),
+        ((1e300, 1e300, 1e300), (1e-300, math.inf, 1e-300), False),
+        ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), False),  # inf > inf
+    ],
+)
+def test_an_infinite_factor_makes_its_product_infinite(lhs, rhs, exceeds):
+    assert hk.equilibria._exceeds(lhs, rhs) is exceeds
+
+
 def test_endemic_feasibility_is_exact_beside_the_threshold():
     """beta*lam is 1 + 2**-54 for lam = fl(0.2), beta = 5, and 1 - 2**-54 for
     lam = fl(1/3), beta = 3: the float y_bar is 0 in both, the exact one is

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hbvkit as hk
 
@@ -250,6 +254,62 @@ def test_absorbing_rejects_an_infinite_slack(clearing_params, wave_forcing, tigh
     traj = hk.integrate(clearing_params, wave_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, tight_ctl)
     with pytest.raises(ValueError, match="slack must be finite"):
         hk.absorbing_check(traj, slack=np.inf)
+
+
+def _numpy_absorbing_check(traj, slack=None):
+    """The check as it was written on the arrays ``traj.states`` and
+    ``traj.times``, kept verbatim as the reference."""
+    alpha, ceiling = traj.bounds.l1_alpha, traj.bounds.l1_ceiling
+    if alpha is None:
+        raise ValueError(
+            f"absorbing bound needs mu2 > (1-epsilon)*p, got {traj.params.mu2} <= {traj.params.prod_eff}"
+        )
+    if slack is None:
+        slack = 1e-6 * ceiling
+    elif not (math.isfinite(slack) and slack > 0.0):
+        raise ValueError(f"slack must be finite and positive, got {slack}")
+
+    l1 = np.sum(traj.states, axis=1)
+    cap = max(float(l1[0]), ceiling)
+    holds = bool(np.all(l1 <= cap + slack))
+
+    inside = l1 <= ceiling + slack
+    entry_time = None
+    if inside[-1]:
+        # last index after which the trajectory never leaves the ball
+        outside = np.nonzero(~inside)[0]
+        first = 0 if len(outside) == 0 else int(outside[-1]) + 1
+        entry_time = float(traj.times[first])
+    return hk.AbsorbingSetReport(
+        alpha=alpha, ceiling=ceiling, entry_time=entry_time, holds=holds, slack=float(slack)
+    )
+
+
+# parts around the ball of radius 5.5, and the values that fail every bound
+_parts = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5.5, 1.0, 4.5, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    states=st.lists(st.tuples(_parts, _parts, _parts), min_size=1, max_size=30),
+    slack=st.one_of(st.none(), st.just(0.5), st.floats(1e-12, 10.0)),
+)
+# (0.1 + 0.1) + z lies past the ball 5.5 + 1e-6, and 0.1 + (0.1 + z) on it
+@example(states=[(0.1, 0.1, 5.300001000000001)], slack=1e-6)
+# points on the ball 5.5 + 0.5 are inside it
+@example(states=[(7.0, 0.0, 0.0), (1.0, 4.5, 0.5), (0.5, 4.5, 1.0)], slack=0.5)
+def test_absorbing_check_equals_the_numpy_check(clearing_params, wave_forcing, tight_ctl, states, slack):
+    times = [0.25 * i for i in range(len(states))]
+    bounds = hk.BoundsReport(M=10.0, z_ceiling=10.0, l1_alpha=2.0, l1_ceiling=5.5)
+    traj = hk.Trajectory(times, states, (), clearing_params, wave_forcing, bounds, tight_ctl)
+    report = hk.absorbing_check(traj, slack)
+    assert "states" not in vars(traj) and "times" not in vars(traj)  # no array was built
+    with np.errstate(invalid="ignore", over="ignore"):  # a row may sum to inf or NaN, as in the check
+        assert repr(report) == repr(_numpy_absorbing_check(traj, slack))
 
 
 # }}}

@@ -176,11 +176,13 @@ def _stage_times(forcing, ctl, t_end):
 
 def _entries(forcing, stage_times):
     """The stage times at which a run enters a knot segment other than the one
-    it holds, starting from the first."""
+    it holds, starting from the first. A stage at the time of the stage before
+    it reads that stage's rate and seats nothing: RK4's stage 3 and DP5's
+    stage 7 always, RK4's stage 1 when t is the last step's stage-4 time."""
     x0, x1, *_ = forcing.segments[0]
     entries = []
-    for t in stage_times:
-        if not x0 <= t < x1:
+    for prev, t in zip([None, *stage_times], stage_times):
+        if t != prev and not x0 <= t < x1:
             entries.append(t)
             x0, x1, *_ = forcing.segments[bisect_right(forcing.times, t) - 1]
     return entries
@@ -208,9 +210,8 @@ def test_table_kernel_searches_once_per_segment_entered(ctl, monkeypatch):
     assert searches == _entries(TABLE, stage_times)
     assert len(searches) * 20 < len(stage_times)
     # forward only, DP5 too since it lands on each knot: one search per knot
-    # passed, then one per stage at t_end, the last knot (DP5 has two there)
-    entered = [bisect_right(TABLE.times, t) - 1 for t in searches]
-    assert entered == [1, 2, 3, 4] if ctl.mode == "fixed" else entered == [1, 2, 3, 4, 4]
+    # passed, the last one at t_end, where DP5's stage 7 reads stage 6's rate
+    assert [bisect_right(TABLE.times, t) - 1 for t in searches] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
@@ -226,3 +227,42 @@ def test_table_off_the_span_raises_as_the_calling_kernel_does(mode, t0, t_end):
             _integrate(f, ONE, t0, run_stops(forcing, t0, t_end), ctl, rec, math.inf)
         outcomes.append((str(info.value), recorded(rec)))
     assert outcomes[0] == outcomes[1]
+
+
+# Rates steep enough at t = 0.46 that one ulp of time moves them.
+OFF_GRID = {
+    "table": hk.PiecewiseLinearForcing((-0.04, 0.45, 0.5, 2.96), (20.0, 1.0, 1000.0, 20.0)),
+    "sinusoid": hk.SinusoidForcing(amplitude=15.0, omega=256.0, phase=0.5, offset=20.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_GRID))
+def test_rk4_takes_its_own_rate_where_t_is_off_the_last_stage_time(kind):
+    """Stage 1 of an RK4 step reads the rate stage 4 of the step before took
+    only when t equals that stage's time t4. From t0 = -0.04 with h = 0.25,
+    the second step runs from t0 + h = 0.21 to t0 + 2*h, but 0.21 plus the
+    step t0 + 2*h - 0.21 rounds one ulp off t0 + 2*h, where the rate differs:
+    the third step's stage 1 takes its own rate, as the calling kernel does."""
+    t0, t_end, ctl = -0.04, 2.96, hk.FixedStep(h=0.25)
+    params = hk.Parameters(mu1=0.5, mu2=0.7, mu3=0.4, beta=0.3, eta=0.5, epsilon=0.1, p=0.2, q=0.3)
+    forcing = OFF_GRID[kind]
+    rhs = make_rhs(params, forcing)
+    stage_times = []
+
+    def calling(t, x, y, z):
+        stage_times.append(t)
+        return rhs(t, x, y, z)
+
+    runs = []
+    for f in (rhs, calling):
+        rec = _Recorder(ctl, analytic_bounds(params, forcing, ONE))
+        _integrate(f, ONE, t0, run_stops(forcing, t0, t_end), ctl, rec, math.inf)
+        assert rec.times[-1] == t_end and not rec.events
+        runs.append(recorded(rec))
+    assert runs[0] == runs[1]
+    # (stage-4 time of step k, stage-1 time of step k + 1): equal but for k = 2
+    pairs = [(stage_times[j - 1], stage_times[j]) for j in range(4, len(stage_times), 4)]
+    assert [k for k, (t4, t) in enumerate(pairs, 1) if t4 != t] == [2]
+    t4, t = pairs[1]
+    assert t == t0 + 2 * 0.25 and t4 in (math.nextafter(t, 0.0), math.nextafter(t, 1.0))
+    assert forcing(t4) != forcing(t)
