@@ -6,6 +6,7 @@ workload's ``make_config``; these tests only read ``bench/``.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -62,6 +63,21 @@ TABLE_CONTROLS = {
             "report.json": "8e62ba81b73bf49c74711f7afa442c2f62f321a3659491d8572a9eb99939f10f",
         },
     ),
+}
+
+
+# registry id -> sha256 of the run files of its scenario run as fixed-step RK4
+# with h = 0.01: set1-nonauto's wave runs the sinusoid kernel and table2-dfe's
+# constant rate the constant kernel, which no registry run steps with RK4.
+FIXED_STEP_RUNS = {
+    "set1-nonauto": {
+        "trajectory.csv": "e883c02141eff64ea48d8df608f0d6c276b7ed187d90569d1ec87af7f4b81b44",
+        "report.json": "c9ff9bb1cbfbd754f7e5c3db9b891a31308db7e7f6a845908be2921fbe1a4a72",
+    },
+    "table2-dfe": {
+        "trajectory.csv": "ab51f40c5b3e864ccd4eb7f3773cbaa3f4f86f78687f981219b04a32c7250da3",
+        "report.json": "b38d0b19361a02f0fbc21682287def2e2593ea06423aa7d0efc6e32179fb8180",
+    },
 }
 
 
@@ -125,4 +141,11 @@ def test_table_forcing_run_bytes(tmp_path, persistent_params, mode):
         ("conditions", "absorbing"),
     )
     hk.run_scenario(scenario, tmp_path)
+    assert {name: _sha256(tmp_path / name) for name in expected} == expected
+
+
+@pytest.mark.parametrize("sid", sorted(FIXED_STEP_RUNS))
+def test_fixed_step_registry_run_bytes(tmp_path, sid):
+    expected = FIXED_STEP_RUNS[sid]
+    hk.run_scenario(dataclasses.replace(hk.SCENARIOS[sid], control=hk.FixedStep(h=0.01)), tmp_path)
     assert {name: _sha256(tmp_path / name) for name in expected} == expected
