@@ -48,18 +48,19 @@ Each method has one text template, ``_RK4`` or ``_DP5``, under a head and a
 recording block both share (``_HEAD``, ``_RECORD``), so each rule is written
 once. The field of a ``make_rhs`` closure is written into the stages
 (``model.field_lines``, the text the closure runs too), reading the values
-the closure carries in ``rhs.field``. Under table or sinusoid forcing a step
-evaluates the production rate once per distinct stage time, into the local
-``lam`` (``model.rate_lines``): RK4's stage 3 reads stage 2's rate and DP5's
-stage 7 reads stage 6's, and RK4's stage 1 reads the rate the last step's
-stage 4 took when t equals its time ``t4``, a float compare, so each stage
-sees the float a call at its time gives. Any other callable is called at
-every stage, so a wrapper that counts calls sees every evaluation. A field's
-setup lines
-(``model.field_setup``) run once per run, so what they seat, such as a knot
-segment, lives in kernel locals for the run. The stage text is straight-line
-float code with no exception path: a stage past the float range gives inf or
-NaN, which the DP5 controller rejects and the monitors stop on.
+the closure carries in ``rhs.field``. The field reads the production rate
+from the local ``lam`` under every forcing, and a stage sets it
+(``model.rate_lines``) unless the stage before ran at the same time: RK4's
+stage 3 reads stage 2's, DP5's stage 7 reads stage 6's, and RK4's stage 1
+reads the last step's stage 4's when t equals its time ``t4``, a float
+compare, so each stage sees the float a call at its time gives. A field's
+setup lines (``model.field_setup``) run once per run: a constant rate sets
+``lam`` there, and a table seats its first knot segment in kernel locals.
+Any other callable is called at every stage, so a wrapper that counts calls
+sees every evaluation. The stage text is straight-line float code: a stage
+past the float range gives inf or NaN, which the DP5 controller rejects and
+the monitors stop on. Only a rate line raises, as a call would: a table's at
+a time off its knots, a sinusoid's where ``omega * t`` overflows.
 
 ``_integrate`` picks the kernel from the rhs object, and ``_kernel``
 compiles it on first use, once per process, as
@@ -546,41 +547,33 @@ _DP5 = """\
         h = h_max if h_max < h else h
 """
 
-def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 8, rate=None, before=()) -> str:
+def _stage(stages: str, i: int, t: str, x: str, y: str, z: str, indent: int = 8, rate=True, before=()) -> str:
     """The lines ``before``, then lines that set k{i}x, k{i}y, k{i}z to the
     vector field at (t, x, y, z), by default at the indentation of a step: a
-    call of ``rhs``, or under a forcing kind the field lines, which read a rate
-    that varies in time from the name ``rate`` when one is given."""
+    call of ``rhs``, or under a forcing kind the lines that set ``lam`` at t,
+    unless ``rate`` is false, then the field lines, which read ``lam``."""
     out = f"k{i}x, k{i}y, k{i}z = "
-    lines = [f"{out}rhs({t}, {x}, {y}, {z})"] if stages == "call" else field_lines(stages, t, x, y, z, out, rate)
+    if stages == "call":
+        lines = [f"{out}rhs({t}, {x}, {y}, {z})"]
+    else:
+        lines = [*(rate_lines(stages, t) if rate else ()), *field_lines(x, y, z, out)]
     return "\n".join(" " * indent + line for line in (*before, *lines))
 
 
-def _rate(stages: str, t: str) -> list[str]:
-    """The lines that set ``lam`` to the production rate at time t: none in a
-    calling kernel or under a rate constant in time."""
-    return [] if stages == "call" else rate_lines(stages, t, "lam")
-
-
 def _rk4_stages(stages: str) -> dict:
-    points = (("x", "y", "z"), ("x2", "y2", "z2"), ("x3", "y3", "z3"), ("x4", "y4", "z4"))
-    times, befores, carry = ("t", "t + h2", "t + h2", "t + step"), ((),) * 4, ""
-    if _rate(stages, "t"):
-        # The rate once per distinct stage time, in lam: stage 3 reads stage
-        # 2's, and stage 1 reads the last step's stage 4's when t is the time
-        # t4 it was taken at (t + step can round off the grid time t0 + i*h).
-        times = ("t", "t + h2", "t + h2", "t4")
-        befores = (
-            ["if t != t4:", *(f"    {s}" for s in _rate(stages, "t"))],
-            _rate(stages, "t + h2"),
-            [],
-            ["t4 = t + step", *_rate(stages, "t4")],
-        )
-        carry = "    t4 = nan  # the time of the rate in lam: none yet\n"
-    stage_lines = zip(times, points, befores)
+    # Under a rate that varies in time, stage 1 reads the lam the last step's
+    # stage 4 set when t is the time t4 it was set at (t + step can round off
+    # the grid time t0 + i*h).
+    first = [] if stages == "call" else rate_lines(stages, "t")
+    before1 = ["if t != t4:", *(f"    {s}" for s in first)] if first else ()
+    t4, before4 = ("t4", ["t4 = t + step"]) if first else ("t + step", ())
     return {
-        "carry": carry,
-        **{f"k{i}": _stage(stages, i, t, *u, rate="lam", before=b) for i, (t, u, b) in enumerate(stage_lines, 1)},
+        "carry": "    t4 = nan  # the time of the rate in lam: none yet\n" if first else "",
+        "k1": _stage(stages, 1, "t", "x", "y", "z", rate=False, before=before1),
+        "k2": _stage(stages, 2, "t + h2", "x2", "y2", "z2"),
+        # stage 3 runs at stage 2's time and reads its lam
+        "k3": _stage(stages, 3, "t + h2", "x3", "y3", "z3", rate=False),
+        "k4": _stage(stages, 4, t4, "x4", "y4", "z4", before=before4),
     }
 
 
@@ -592,14 +585,10 @@ def _dp5_stages(stages: str) -> dict:
 
     lines = []
     for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
-        t = f"t + {c!r} * h"
         lines += [f"        {u}{i} = {u} + h * ({row_sum(row, u)})" for u in "xyz"]
-        # The rate once per distinct stage time, in lam: a stage whose time a
-        # later stage shares takes it, and the later one reads it.
-        later, earlier = c in _DP_C[i:], c in _DP_C[1:i - 1]
-        before = _rate(stages, t) if later else ()
-        rate = "lam" if later or earlier else None
-        lines.append(_stage(stages, i, t, f"x{i}", f"y{i}", f"z{i}", rate=rate, before=before))
+        # a stage sets lam unless the stage before ran at the same time
+        rate = c != _DP_C[i - 2]
+        lines.append(_stage(stages, i, f"t + {c!r} * h", f"x{i}", f"y{i}", f"z{i}", rate=rate))
     # b{u} is |u7| by a branch and a{u} the |u| carried from the last
     # acceptance; b if b > a else a is max(a, b) without the call. A NaN b of
     # either sign loses that comparison, and a zero's sign vanishes in
@@ -675,11 +664,12 @@ def integrate(
     u0 = as_state(u0, require_nonnegative=True)
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise ValueError(f"t0 and t_end must be finite with t_end > t0, got [{t0}, {t_end}]")
+    stops = run_stops(forcing, t0, t_end)  # a table off the span raises here, before any step
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)
     rec = _Recorder(ctl, bounds)
     budget = math.inf if max_steps is None else max_steps
-    _integrate(rhs, u0, t0, run_stops(forcing, t0, t_end), ctl, rec, budget)
+    _integrate(rhs, u0, t0, stops, ctl, rec, budget)
     return Trajectory(
         time_list=rec.times,
         state_list=rec.states,

@@ -269,47 +269,59 @@ def _is_sequence(v) -> bool:
 # The vector field, written once as text: make_rhs compiles its closures from
 # it, and the run kernels of hbvkit.integrate write it into their stages.
 # {x}, {y}, {z} name the state; the second line's three expressions are dx,
-# dy and dz, with {production} the production rate.
+# dy and dz. They read the production rate from the local lam under every
+# forcing: only the lines that set lam depend on the forcing kind.
 _FIELD = (
     "infect = beta_eff * {x} * {z}",
-    "{production} - mu1 * {x} - infect + q * {y}, infect - loss_y * {y}, prod_eff * {y} - mu3 * {z}",
+    "lam - mu1 * {x} - infect + q * {y}, infect - loss_y * {y}, prod_eff * {y} - mu3 * {z}",
 )
 # The rates the field reads, each a field or property of Parameters.
 _RATES = ("mu1", "mu3", "q", "beta_eff", "prod_eff", "loss_y")
 # Per forcing kind: the names its production rate reads, each an attribute of
-# the forcing; the lines a run kernel runs once before its first stage and a
-# closure at each call; the lines a stage at time {t} runs first; and the rate
-# at {t}.
+# the forcing; the setup lines, which a run kernel runs once before its first
+# stage and a closure at each call; the rate lines, which set lam to the rate
+# at time {t}; and the attribute holding the times where the rate has kinks,
+# or None. A constant rate sets lam in its setup and writes no rate lines.
 _PRODUCTION = {
-    "constant": (("value",), (), (), "value"),
+    "constant": (("value",), ("lam = value",), (), None),
     # SinusoidForcing.__call__, in its order of operations
-    "sinusoid": (("offset", "amplitude", "omega", "phase"), (), (), "offset + amplitude * cos(omega * {t} + phase)"),
+    "sinusoid": (
+        ("offset", "amplitude", "omega", "phase"), (), ("lam = offset + amplitude * cos(omega * {t} + phase)",), None
+    ),
     # A stage seats the knot segment (x0, x1, y0, slope) that holds its time
     # ts, searching only when ts has left the segment seated last, so a run
     # searches once per segment it enters; PiecewiseLinearForcing.__call__.
+    # A table's slope jumps at its knots, which also bound its domain.
     "piecewise_linear": (
         ("times", "segments"),
         ("x0, x1, y0, slope = segments[0]",),
-        ("ts = {t}", "if not (x0 <= ts < x1): x0, x1, y0, slope = segments[_knot_index(ts, times)]"),
-        "(y0 if ts == x0 else slope * (ts - x0) + y0)",
+        (
+            "ts = {t}",
+            "if not (x0 <= ts < x1): x0, x1, y0, slope = segments[_knot_index(ts, times)]",
+            "lam = y0 if ts == x0 else slope * (ts - x0) + y0",
+        ),
+        "times",
     ),
 }
 # The functions the field text calls.
 FIELD_GLOBALS = {"cos": math.cos, "_knot_index": _knot_index}
-# Per forcing kind whose rate has kinks, the attribute holding their times: a
-# table's slope jumps at its knots. ``run_stops`` reads it.
-_KINKS = {"piecewise_linear": "times"}
 
 
 def run_stops(forcing: Forcing, t0: float, t_end: float) -> tuple[float, ...]:
     """The times a run from t0 to t_end stops at, in order: the kinks of the
     production rate strictly inside (t0, t_end), then t_end. Only a
     piecewise-linear table has kinks, its knots; any other forcing has the
-    single stop t_end."""
-    kinks = _KINKS.get(forcing.kind)
+    single stop t_end. A table must cover [t0, t_end]: one that starts after
+    t0 or ends before t_end raises OutOfDomainError, before any step."""
+    kinks = _PRODUCTION[forcing.kind][3]
     if kinks is None:
         return (t_end,)
-    return (*(t for t in getattr(forcing, kinks) if t0 < t < t_end), t_end)
+    times = getattr(forcing, kinks)
+    if times[0] > t0:
+        raise OutOfDomainError(f"forcing.{kinks} starts at {times[0]}, after the t_span start {t0}")
+    if times[-1] < t_end:
+        raise OutOfDomainError(f"forcing.{kinks} ends at {times[-1]}, before the t_span end {t_end}")
+    return (*(t for t in times if t0 < t < t_end), t_end)
 
 
 def field_names(kind: str) -> tuple[str, ...]:
@@ -320,50 +332,26 @@ def field_names(kind: str) -> tuple[str, ...]:
 
 def field_setup(kind: str) -> tuple[str, ...]:
     """The lines of the vector field under a forcing kind that run once before
-    the stages ``field_lines`` writes: once per run in a run kernel, at each
-    call in a ``make_rhs`` closure."""
+    the stages: once per run in a run kernel, at each call in a ``make_rhs``
+    closure. A constant rate sets ``lam`` here."""
     return _PRODUCTION[kind][1]
 
 
-def field_lines(kind: str, t: str, x: str, y: str, z: str, out: str, rate: str | None = None) -> list[str]:
-    """The vector field's text under a forcing kind at time ``t`` and state
-    ``x, y, z``: the lines the production rate needs first, the infection
-    term, then ``out`` (``"return "`` or an assignment) followed by dx, dy,
-    dz. ``t`` may be an expression: it goes in parentheses, so its value is
-    the float a call would be passed. Given ``rate``, a name that
-    ``rate_lines`` set to the rate at ``t``, a kind whose rate varies in time
-    reads it there and writes no lines for it."""
-    seat, production = ([], rate) if rate is not None and _varies(kind) else _production(kind, t)
-    infect, derivative = _FIELD
-    return [
-        *seat,
-        infect.format(x=x, z=z),
-        out + derivative.format(production=production, x=x, y=y, z=z),
-    ]
-
-
-def rate_lines(kind: str, t: str, rate: str) -> list[str]:
-    """The lines that set ``rate`` to the production rate at time ``t``, the
-    float ``field_lines`` computes there, under a kind whose rate varies in
-    time; none under a constant rate, which ``field_lines`` writes as it is."""
-    if not _varies(kind):
-        return []
-    seat, production = _production(kind, t)
-    return [*seat, f"{rate} = {production}"]
-
-
-def _production(kind: str, t: str) -> tuple[list[str], str]:
-    """The lines the production rate at time ``t`` needs first, and the
-    rate's expression."""
-    _, _, seat, production = _PRODUCTION[kind]
+def rate_lines(kind: str, t: str) -> list[str]:
+    """The lines that set ``lam`` to the production rate at time ``t`` under a
+    forcing kind; none under a constant rate, which ``field_setup`` sets.
+    ``t`` may be an expression: it goes in parentheses, so its value is the
+    float a call would be passed."""
     t = t if t.isidentifier() else f"({t})"
-    return [s.format(t=t) for s in seat], production.format(t=t)
+    return [s.format(t=t) for s in _PRODUCTION[kind][2]]
 
 
-def _varies(kind: str) -> bool:
-    """Whether the production rate of a forcing kind reads the time."""
-    _, _, seat, production = _PRODUCTION[kind]
-    return any("{t}" in s for s in (*seat, production))
+def field_lines(x: str, y: str, z: str, out: str) -> list[str]:
+    """The vector field's text at state ``x, y, z``, reading the production
+    rate from ``lam``: the infection term, then ``out`` (``"return "`` or an
+    assignment) followed by dx, dy, dz."""
+    infect, derivative = _FIELD
+    return [line.format(x=x, y=y, z=z) for line in (infect, out + derivative)]
 
 
 def compile_function(source: str, filename: str, namespace: dict):
@@ -385,7 +373,7 @@ def compile_function(source: str, filename: str, namespace: dict):
 def _rhs_factory(kind: str):
     """The factory of a forcing kind's rhs closures, compiled from the field
     text on first use: it takes the values of ``field_names(kind)``."""
-    body = [*field_setup(kind), *field_lines(kind, "t", "x", "y", "z", "return ")]
+    body = [*field_setup(kind), *rate_lines(kind, "t"), *field_lines("x", "y", "z", "return ")]
     source = f"def {kind}_rhs({', '.join(field_names(kind))}):\n    def rhs(t, x, y, z):\n"
     source += "".join(f"        {s}\n" for s in body) + "    return rhs\n"
     return compile_function(source, f"<hbvkit.model.make_rhs[{kind}]>", dict(FIELD_GLOBALS, __name__=__name__))
@@ -397,8 +385,10 @@ def make_rhs(params: Parameters, forcing: Forcing):
     The closure operates on plain floats and holds no state between calls,
     so it is safe to call concurrently; `vector_field` is the array-facing
     wrapper. It is compiled from ``_FIELD``, the one written copy of the
-    vector field, and carries ``rhs.field = (forcing.kind, values)``: the
-    values of ``field_names(forcing.kind)``, the derived rates computed once.
+    vector field, under the lines of the forcing kind that set ``lam``, the
+    production rate at t (its setup lines, then its rate lines). It carries
+    ``rhs.field = (forcing.kind, values)``: the values of
+    ``field_names(forcing.kind)``, the derived rates computed once.
     The run kernels of ``hbvkit.integrate`` read that attribute to write the
     same field into their stages; any other callable, a wrapper around this
     closure included, is called at every stage.

@@ -31,10 +31,10 @@ from .model import (
     ConstantForcing,
     Forcing,
     Parameters,
-    PiecewiseLinearForcing,
     SinusoidForcing,
     as_state,
     jacobian,
+    run_stops,
 )
 
 __all__ = [
@@ -87,12 +87,7 @@ class Scenario:
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(f"t_span must be finite and increasing, got {self.t_span}")
         object.__setattr__(self, "t_span", (t0, t1))
-        if isinstance(self.forcing, PiecewiseLinearForcing):
-            first, last = self.forcing.times[0], self.forcing.times[-1]
-            if first > t0:
-                raise ValueError(f"forcing.times starts at {first}, after the t_span start {t0}")
-            if last < t1:
-                raise ValueError(f"forcing.times ends at {last}, before the t_span end {t1}")
+        run_stops(self.forcing, t0, t1)  # a table must cover the span
         object.__setattr__(self, "analyses", tuple(self.analyses))
         for name in self.analyses:
             if name not in ANALYSES:

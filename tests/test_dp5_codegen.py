@@ -4,8 +4,9 @@
 tableau loop; these tests check the generated text itself: that it is the
 source Python reports for each kernel, that each DP5 line carries its
 tableau row in order, that an inlined stage is the field text ``make_rhs``
-compiles, that a rate that varies in time is taken once per distinct stage
-time, and that a traceback through a stage points at its line.
+compiles, that a stage sets the production rate ``lam`` unless the stage
+before ran at the same time, and that a traceback through a stage points at
+its line.
 """
 
 import inspect
@@ -18,7 +19,7 @@ import pytest
 
 import hbvkit as hk
 from hbvkit.integrate import _DP_A, _DP_C, _DP_E, _QUIET, _kernel, _Recorder
-from hbvkit.model import _rhs_factory, analytic_bounds, field_lines, make_rhs, rate_lines
+from hbvkit.model import _rhs_factory, analytic_bounds, field_lines, field_setup, make_rhs, rate_lines
 from hbvkit.scenarios import FORCING_KINDS
 
 _TERM = re.compile(r"(-?[0-9][0-9.e+-]*) \* k(\d)([xyz])")
@@ -36,15 +37,14 @@ RK4_STAGES = (
 
 
 def _rk4_rate(stages, i):
-    """The lines before RK4 stage i under a rate that varies in time, and the
-    stage's time: stage 2 takes the rate into lam and stage 3 reads it;
-    stage 4 takes it at t4, which stage 1 of the next step reads unless t
-    differs from t4."""
+    """The lines before RK4 stage i's field under a rate that varies in time,
+    and the stage's time: stage 2 sets lam and stage 3 reads it; stage 4 sets
+    it at t4, which stage 1 of the next step reads unless t differs from t4."""
     return {
-        1: (["if t != t4:", *rate_lines(stages, "t", "lam")], "t"),
-        2: (rate_lines(stages, "t + h2", "lam"), "t + h2"),
+        1: (["if t != t4:", *rate_lines(stages, "t")], "t"),
+        2: (rate_lines(stages, "t + h2"), "t + h2"),
         3: ([], "t + h2"),
-        4: (["t4 = t + step", *rate_lines(stages, "t4", "lam")], "t4"),
+        4: (["t4 = t + step", *rate_lines(stages, "t4")], "t4"),
     }[i]
 
 
@@ -61,13 +61,13 @@ def _terms(line):
     return [(float(a), int(j), u) for a, j, u in _TERM.findall(line)]
 
 
-def _stage(stages, i, t, u, rate=None):
-    """The lines a kernel writes for stage i at time t and state u; the field
-    reads a rate that varies in time from ``rate`` when one is given."""
+def _stage(stages, i, t, u, rate=True):
+    """The lines a kernel writes for stage i at time t and state u: a call, or
+    the lines that set lam at t, unless ``rate`` is false, then the field."""
     out = f"k{i}x, k{i}y, k{i}z = "
     if stages == "call":
         return [f"{out}rhs({t}, {', '.join(u)})"]
-    return field_lines(stages, t, *u, out, rate)
+    return [*(rate_lines(stages, t) if rate else []), *field_lines(*u, out)]
 
 
 def _assert_stage_follows(lines, before, stage):
@@ -100,12 +100,9 @@ def test_each_sum_is_its_tableau_row_in_order(u):
         for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
             line = _line(lines, f"{u}{i} = {u} + h * (")
             assert _terms(line) == [(a, j, u) for j, a in enumerate(row, 1)]
-            # the stage follows its last component's sum; stages 6 and 7 share
-            # the time t + 1.0 * h, so 6 takes the rate into lam and 7 reads it
-            t = f"t + {c!r} * h"
-            stage = _stage(stages, i, t, (f"x{i}", f"y{i}", f"z{i}"), "lam" if i in (6, 7) else None)
-            if i == 6 and stages != "call":
-                stage = rate_lines(stages, t, "lam") + stage
+            # the stage follows its last component's sum; stage 7 shares
+            # stage 6's time t + 1.0 * h, so it reads the lam stage 6 set
+            stage = _stage(stages, i, f"t + {c!r} * h", (f"x{i}", f"y{i}", f"z{i}"), rate=i != 7)
             _assert_stage_follows(lines, _line(lines, f"z{i} = z + h * ("), stage)
         assert _DP_C[5] == _DP_C[6] and len(set(_DP_C)) == 6
         line = _line(lines, f"r{u} = h * (")
@@ -119,9 +116,9 @@ def test_rk4_stages_keep_their_update(stages):
     for i, t, u, before in RK4_STAGES:
         if stages in VARYING:
             rate, t = _rk4_rate(stages, i)
-            _assert_stage_follows(lines, before, rate + _stage(stages, i, t, u, "lam"))
-        else:
-            _assert_stage_follows(lines, before, _stage(stages, i, t, u))
+            _assert_stage_follows(lines, before, rate + _stage(stages, i, t, u, rate=False))
+        else:  # stage 3 reads stage 2's lam; a constant rate writes no rate lines
+            _assert_stage_follows(lines, before, _stage(stages, i, t, u, rate=i != 3))
     if stages in VARYING:  # no rate is taken before the first step
         _assert_stage_follows(lines, "n_whole -= 1", ["t4 = nan  # the time of the rate in lam: none yet"])
     for u in "xyz":
@@ -132,18 +129,29 @@ def test_rk4_stages_keep_their_update(stages):
 @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
 @pytest.mark.parametrize("stages", STAGES)
 def test_only_a_rate_that_varies_in_time_is_shared(mode, stages):
-    """A calling kernel and a constant-rate kernel bind no rate local: each
-    stage calls rhs or writes the rate's name as it is."""
-    names = set(_kernel(mode, stages).__code__.co_varnames)
-    shared = {"lam", "t4"} if mode == "fixed" else {"lam"}
-    assert names & {"lam", "t4"} == (shared if stages in VARYING else set())
+    """A calling kernel binds no rate local, and every field kernel binds lam.
+    Only a rate that varies in time is shared from step to step, through
+    RK4's t4; a constant rate sets lam once, before the loop."""
+    kernel = _kernel(mode, stages)
+    names = set(kernel.__code__.co_varnames)
+    if stages == "call":
+        assert names & {"lam", "t4"} == set()
+    elif stages in VARYING:
+        assert names & {"lam", "t4"} == ({"lam", "t4"} if mode == "fixed" else {"lam"})
+    else:
+        assert names & {"lam", "t4"} == {"lam"}
+        lines = _lines(kernel)
+        (i,) = [i for i, line in enumerate(lines) if line.startswith("lam =")]
+        assert [lines[i]] == list(field_setup(stages)) and i < lines.index("while t < t_stop:")
 
 
 @pytest.mark.parametrize("kind", FORCING_KINDS)
 def test_inlined_stages_are_the_field_make_rhs_compiles(kind):
-    closure = "".join(linecache.getlines(_rhs_factory(kind).__code__.co_filename))
-    for line in field_lines(kind, "t", "x", "y", "z", "return "):
-        assert f"        {line}\n" in closure
+    """A closure runs the setup lines, sets lam at t, then runs the field
+    lines that the kernels write into their stages."""
+    closure = linecache.getlines(_rhs_factory(kind).__code__.co_filename)
+    body = [*field_setup(kind), *rate_lines(kind, "t"), *field_lines("x", "y", "z", "return ")]
+    assert closure[2:-1] == [f"        {line}\n" for line in body]
 
 
 def _frames(info, filename):
@@ -177,7 +185,7 @@ def test_traceback_points_at_the_generated_stage(persistent_params):
 
 def test_traceback_points_at_the_inlined_stage(persistent_params):
     # omega * t overflows first at k4's time, t + 0.8 * h = 1.8, and cos(inf)
-    # raises: the traceback shows the field line written into stage 4
+    # raises: the traceback shows the rate line written into stage 4
     forcing = hk.SinusoidForcing(amplitude=1.0, omega=1e308, phase=0.0, offset=20.0)
     ctl = hk.AdaptiveStep(h_init=1.0, h_max=1.0)
     rec = _Recorder(ctl, analytic_bounds(persistent_params, forcing, (1.0, 1.0, 1.0)))
@@ -185,5 +193,5 @@ def test_traceback_points_at_the_inlined_stage(persistent_params):
     with pytest.raises(ValueError, match="math domain error") as info:
         _kernel("adaptive", "sinusoid")(rhs, rhs.field[1], (1.0, 1.0, 1.0), 1.0, (3.0,), ctl, rec, 100)
     (frame,) = _frames(info, _kernel("adaptive", "sinusoid").__code__.co_filename)
-    assert frame.line == _stage("sinusoid", 4, "t + 0.8 * h", ("x4", "y4", "z4"))[1]
-    assert "cos(omega * (t + 0.8 * h) + phase)" in frame.line
+    assert frame.line == _stage("sinusoid", 4, "t + 0.8 * h", ("x4", "y4", "z4"))[0]
+    assert frame.line == "lam = offset + amplitude * cos(omega * (t + 0.8 * h) + phase)"

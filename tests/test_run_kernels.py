@@ -18,6 +18,7 @@ and searches the knots only when a stage leaves it.
 import functools
 import importlib
 import math
+import re
 from bisect import bisect_right
 
 import pytest
@@ -215,8 +216,12 @@ def test_table_kernel_searches_once_per_segment_entered(ctl, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-@pytest.mark.parametrize("t0, t_end", [(0.0, 1.5), (-0.25, 1.0)], ids=["past-the-end", "before-the-start"])
-def test_table_off_the_span_raises_as_the_calling_kernel_does(mode, t0, t_end):
+@pytest.mark.parametrize(
+    "t0, stops", [(0.0, (0.5, 1.0, 1.5)), (-0.25, (0.0, 0.5, 1.0))], ids=["past-the-end", "before-the-start"]
+)
+def test_table_off_the_span_raises_as_the_calling_kernel_does(mode, t0, stops):
+    # the knots inside the span, then t_end: run_stops refuses this span, so
+    # the kernel meets the table's end in a stage
     forcing = hk.PiecewiseLinearForcing((0.0, 0.5, 1.0), (20.0, 25.0, 18.0))
     ctl = hk.FixedStep(h=0.1) if mode == "fixed" else hk.AdaptiveStep()
     rhs = make_rhs(PARAMS, forcing)
@@ -224,9 +229,28 @@ def test_table_off_the_span_raises_as_the_calling_kernel_does(mode, t0, t_end):
     for f in (rhs, lambda t, x, y, z: rhs(t, x, y, z)):
         rec = _Recorder(ctl, analytic_bounds(PARAMS, forcing, ONE))
         with pytest.raises(hk.OutOfDomainError, match=r"outside the tabulated range \[0.0, 1.0\]") as info:
-            _integrate(f, ONE, t0, run_stops(forcing, t0, t_end), ctl, rec, math.inf)
+            _integrate(f, ONE, t0, stops, ctl, rec, math.inf)
         outcomes.append((str(info.value), recorded(rec)))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize(
+    "t0, t_end, message",
+    [
+        (0.0, 1.5, "forcing.times ends at 1.0, before the t_span end 1.5"),
+        (-0.25, 1.0, "forcing.times starts at 0.0, after the t_span start -0.25"),
+    ],
+    ids=["past-the-end", "before-the-start"],
+)
+def test_integrate_refuses_a_table_off_the_span_before_any_step(monkeypatch, mode, t0, t_end, message):
+    forcing = hk.PiecewiseLinearForcing((0.0, 0.5, 1.0), (20.0, 25.0, 18.0))
+    ctl = hk.FixedStep(h=0.1) if mode == "fixed" else hk.AdaptiveStep()
+    runs = []
+    monkeypatch.setattr(integrate_module, "_integrate", lambda *args: runs.append(args))
+    with pytest.raises(hk.OutOfDomainError, match=re.escape(message)):
+        hk.integrate(PARAMS, forcing, ONE, t0, t_end, ctl)
+    assert runs == []
 
 
 # Rates steep enough at t = 0.46 that one ulp of time moves them.
