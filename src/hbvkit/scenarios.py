@@ -580,11 +580,12 @@ def _sweep_row(index: int, lam: float, params: Parameters) -> dict:
         max_re = max(lam_i.real for lam_i in stab.eigenvalues_3x3(j_dfe))
         # floats decide a side beyond their rounding: r0_ngm carries five and
         # the Jacobian's beta_eff*x two, inside 4 ulps of 1; an eigenvalue
-        # below one ulp of the Jacobian's largest entry is rounding of that matrix
+        # below one ulp of the Jacobian's largest entry is rounding of that
+        # matrix. A NaN checks nothing, and its flag is left blank.
         r0_decided = abs(r0 - 1.0) > 4.0 * math.ulp(1.0)
         eig_decided = abs(max_re) >= math.ulp(max(map(abs, entries)))
-        threshold_ok = not r0_decided or (r0 > 1.0) == end.feasible != dfe_stable
-        eig_sign_ok = not eig_decided or (max_re < 0.0) == dfe_stable
+        threshold_ok = None if math.isnan(r0) else not r0_decided or (r0 > 1.0) == end.feasible != dfe_stable
+        eig_sign_ok = None if math.isnan(max_re) else not eig_decided or (max_re < 0.0) == dfe_stable
 
     traj = integrate(
         params, forcing, (1.0, 1.0, 1.0), 0.0, _SWEEP_SPAN, _SWEEP_CTL,

@@ -11,8 +11,11 @@ it and the other two are kept as diagnostics.
 A stability class has one rule at every state, ``_classify``: exact
 Routh-Hurwitz signs of the Jacobian's cubic, roots on the imaginary axis
 included. The float eigenvalues are reported rates and decide no class.
-Both read the Jacobian's entries as Python floats; the eigenvalues have the
-bits the same algebra gives on np.float64 entries.
+They are the cubic's closed-form roots after a Newton polish; where the
+polished roots miss the cubic's constant term, |lam1 lam2 lam3 + c0| >
+1e-9 |c0|, the dominant real root is divided out and the quadratic left
+gives the other two. Both read the Jacobian's entries as Python floats; the
+eigenvalues have the bits the same algebra gives on np.float64 entries.
 """
 
 from __future__ import annotations
@@ -113,11 +116,11 @@ def _cubic_roots(c2: float, c1: float, c0: float) -> tuple[complex, complex, com
     return tuple((r - shift) * scale for r in roots)
 
 
-def _polish_root(lam: complex, c2: float, c1: float, c0: float) -> tuple[complex, bool]:
-    """A couple of Newton steps on the cubic to push the residual to rounding:
-    (root, refused). A step that raises |p(lam)| more than 16-fold is refused
-    and ends the polish: near a multiple root the derivative is almost 0, and
-    the step jumps far off."""
+def _polish_root(lam: complex, c2: float, c1: float, c0: float) -> complex:
+    """A couple of Newton steps on the cubic to push the residual to rounding.
+    A step that raises |p(lam)| more than 16-fold is not taken and ends the
+    polish: near a multiple root the derivative is almost 0, and the step
+    jumps far off."""
     val = ((lam + c2) * lam + c1) * lam + c0
     for _ in range(2):
         der = (3.0 * lam + 2.0 * c2) * lam + c1
@@ -129,9 +132,9 @@ def _polish_root(lam: complex, c2: float, c1: float, c0: float) -> tuple[complex
         new = lam - step
         new_val = ((new + c2) * new + c1) * new + c0
         if abs(new_val) > 16.0 * abs(val):
-            return lam, True
+            break
         lam, val = new, new_val
-    return lam, False
+    return lam
 
 
 def _deflated(roots, c1: float, c0: float):
@@ -159,23 +162,19 @@ def eigenvalues_3x3(J) -> tuple[complex, complex, complex]:
     """Eigenvalues as roots of the characteristic cubic, sorted by real part
     (descending). Complex eigenvalues come in exact conjugate pairs.
 
-    A refused polish means the closed-form roots were too coarse: on a stiff
-    matrix the small roots merge at the scale of the large one. Then the
-    dominant real root is divided out, and the quadratic left gives the rest.
+    One deflation rule: polished roots that miss the cubic's constant term,
+    |lam1 lam2 lam3 + c0| > 1e-9 |c0|, were too coarse (on a stiff matrix the
+    small roots merge at the scale of the large one), and the dominant real
+    root is divided out; the quadratic left gives the other two. A NaN
+    product decides nothing, and the polished roots stand.
     """
     c2, c1, c0 = characteristic_coefficients(J)
-    polished, refused = [], False
+    polished = []
     for r in _cubic_roots(c2, c1, c0):
         # polish the upper-half-plane copy: conjugates stay exact, reals real
-        pr, refused_here = _polish_root(complex(r.real, abs(r.imag)), c2, c1, c0)
-        refused |= refused_here
-        if r.imag > 0:
-            polished.append(pr)
-        elif r.imag < 0:
-            polished.append(pr.conjugate())
-        else:
-            polished.append(complex(pr.real, 0.0))
-    if refused:
+        pr = _polish_root(complex(r.real, abs(r.imag)), c2, c1, c0)
+        polished.append(pr if r.imag > 0 else pr.conjugate() if r.imag < 0 else complex(pr.real, 0.0))
+    if abs(polished[0] * polished[1] * polished[2] + c0) > 1e-9 * abs(c0):
         polished = _deflated(polished, c1, c0)
     polished.sort(key=lambda lam: (-lam.real, lam.imag))
     return tuple(polished)

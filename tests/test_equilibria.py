@@ -245,15 +245,15 @@ def test_sweep_survives_a_reproduction_number_divisor_that_underflows():
 def test_a_reproduction_number_whose_terms_both_underflow_is_nan():
     """beta_eff * prod_eff * lam and mu1 * mu3 * loss_y both underflow to 0 on
     this draw, whose exact r0_ngm is below 1. The quotient 0/0 is NaN, as in
-    IEEE arithmetic, and decides no side of 1; an inf there would count a
-    threshold violation on an infeasible draw."""
+    IEEE arithmetic, and decides no side of 1, so threshold_ok is blank; an
+    inf there would count a threshold violation on an infeasible draw."""
     box = {
         "lam": (1.0, 1.0), "mu1": (1e-300, 1e-300), "mu2": (0.5, 0.5), "mu3": (1e-300, 1e-300),
         "beta": (1e-300, 1e-300), "p": (1e-300, 1e-300), "q": (0.5, 0.5),
     }
     result = hk.sweep(1, 0, box=box)
     (row,) = result.rows
-    assert math.isnan(row["r0_ngm"]) and row["feasible"] is False and row["threshold_ok"] is True
+    assert math.isnan(row["r0_ngm"]) and row["feasible"] is False and row["threshold_ok"] is None
     assert result.counts["threshold_violations"] == 0
 
 
