@@ -67,8 +67,11 @@ compiles it on first use, once per process, as
 ``<hbvkit.integrate._dp5_call>`` and so on, kept in ``linecache`` for
 tracebacks and ``inspect.getsource``. The DP5 stage and error sums are
 generated from ``_DP_A``/``_DP_C``/``_DP_E``, the one written copy of its
-tableau: each adds its tableau row left to right, zero coefficients
-included, and the error norm adds x, y, z in that order. RK4 keeps
+tableau: each adds the nonzero terms of its tableau row left to right, so
+b2 = 0 of the 5th-order row and e2 = 0 of the error row are not written, and
+the error norm adds x, y, z in that order. For a finite k, s + 0.0 * k is s
+but for the sign of an exact zero, and a non-finite k2 makes k3, and so the
+error norm, non-finite either way: the step is rejected and h halved. RK4 keeps
 ``x + h/6 * (k1 + 2*(k2 + k3) + k4)`` and the grid ``t0 + (i+1)*h``. Run
 files are compared byte for byte, so they depend on this arithmetic.
 """
@@ -579,9 +582,10 @@ def _rk4_stages(stages: str) -> dict:
 
 def _dp5_stages(stages: str) -> dict:
     # Per stage and component one line u{i} = u + h * (a1 * k1u + ...), each
-    # coefficient written as its float's repr.
+    # coefficient written as its float's repr; a zero coefficient's term is
+    # left out.
     def row_sum(coeffs, u):
-        return " + ".join(f"{a!r} * k{j}{u}" for j, a in enumerate(coeffs, 1))
+        return " + ".join(f"{a!r} * k{j}{u}" for j, a in enumerate(coeffs, 1) if a)
 
     lines = []
     for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
@@ -659,11 +663,15 @@ def integrate(
     exception; inspect ``Trajectory.events``. ``max_steps`` caps the number
     of attempted steps (used by the parameter sweep to bound work on stiff
     corner cases); a run that hits the cap before t_end ends on a
-    ``step_budget`` event, so ``Trajectory.terminated`` reports it.
+    ``step_budget`` event, so ``Trajectory.terminated`` reports it. A fixed
+    step whose count (t_end - t0) / h is not finite raises ValueError.
     """
     u0 = as_state(u0, require_nonnegative=True)
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise ValueError(f"t0 and t_end must be finite with t_end > t0, got [{t0}, {t_end}]")
+    if ctl.mode == "fixed" and not math.isfinite((t_end - t0) / ctl.h):
+        # RK4 counts its whole steps before the first one
+        raise ValueError(f"(t_end - t0) / h is not finite for the span [{t0}, {t_end}] and fixed step h={ctl.h}")
     stops = run_stops(forcing, t0, t_end)  # a table off the span raises here, before any step
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)

@@ -381,8 +381,26 @@ def save_config(s: Scenario, path) -> None:
 
 
 def dumps(doc) -> str:
-    """JSON text as written to report files and printed by the CLI."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """JSON text as written to report files and printed by the CLI. It is
+    strict JSON (RFC 8259): a non-finite float is written as the string its
+    CSV cell shows, ``"nan"``, ``"inf"`` or ``"-inf"``."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float: spell it, then write again
+        text = json.dumps(_spelled(doc), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
+
+
+def _spelled(value):
+    """``value`` with each non-finite float, in any dict, list or tuple,
+    replaced by its CSV cell text."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _cell(value)
+    if isinstance(value, dict):
+        return {key: _spelled(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(v) for v in value]
+    return value
 
 
 # }}}

@@ -98,6 +98,75 @@ def test_simulate_blowup_exits_3_with_partial_outputs(tmp_path, blowup_config):
     assert (tmp_path / "blowup" / "trajectory.csv").exists()
 
 
+def test_fixed_step_span_too_long_to_count_exits_2(tmp_path, capsys):
+    doc = scenario_to_dict(hk.SCENARIOS["table2-dfe"])
+    doc |= {"id": "long", "t_span": [0, 1e308], "control": {"mode": "fixed", "h": 1e-10}, "analyses": []}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: (t_end - t0) / h is not finite") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity raise."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture()
+def underflow_configs(tmp_path):
+    """table2-dfe's rates with q = 1e-320 and constant forcing 9.8, whose
+    endemic state's alternative form is non-finite, and rates whose products
+    underflow in the reproduction numbers' divisors."""
+    base = hk.SCENARIOS["table2-dfe"]
+    paths = {}
+    for name, change in (
+        ("q-underflow", {"q": 1e-320}),
+        ("divisor-underflow", {"mu1": 1e-200, "mu2": 1e-200, "mu3": 1e-200}),
+    ):
+        scenario = dataclasses.replace(
+            base, id=name, params=dataclasses.replace(base.params, **change),
+            forcing=hk.ConstantForcing(9.8), analyses=("equilibria", "r0"),
+        )
+        paths[name] = tmp_path / f"{name}.json"
+        hk.save_config(scenario, paths[name])
+    return paths
+
+
+def test_non_finite_values_print_as_strict_json(underflow_configs, capsys):
+    assert main(["equilibria", "--config", str(underflow_configs["q-underflow"])]) == 0
+    endemic = _strict_json(capsys.readouterr().out)["endemic"]
+    assert endemic["alt_residual"] == "nan"
+    assert endemic["alt_state"][:2] == ["inf", "-inf"] and math.isfinite(endemic["alt_state"][2])
+    assert main(["r0", "--config", str(underflow_configs["divisor-underflow"])]) == 0
+    r0 = _strict_json(capsys.readouterr().out)
+    assert r0["ngm"] == r0["alt"] == "inf" and r0["lambda"] == 9.8
+
+
+def test_report_json_is_strict_json(underflow_configs, tmp_path):
+    for name, path in underflow_configs.items():
+        report = hk.run_scenario(path, tmp_path / "runs" / name)
+        text = report.report_path.read_text()
+        assert '"inf"' in text or '"nan"' in text
+        doc = _strict_json(text)
+        assert set(doc["analyses"]) == {"equilibria", "r0"}
+
+
+def test_dumps_spells_each_non_finite_float_as_its_csv_cell():
+    doc = {"a": [math.nan, (math.inf, -math.inf)], "b": {"c": 1.5, "d": None, "e": True, "f": 2}}
+    text = scenarios.dumps(doc)
+    assert _strict_json(text) == {"a": ["nan", ["inf", "-inf"]], "b": {"c": 1.5, "d": None, "e": True, "f": 2}}
+    # a finite document is written as before
+    finite = doc["b"]
+    assert scenarios.dumps(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+
+
 def test_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

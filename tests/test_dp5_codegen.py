@@ -2,8 +2,8 @@
 
 ``tests/test_dp5_kernel.py`` checks the kernels' floats against a generic
 tableau loop; these tests check the generated text itself: that it is the
-source Python reports for each kernel, that each DP5 line carries its
-tableau row in order, that an inlined stage is the field text ``make_rhs``
+source Python reports for each kernel, that each DP5 line carries the
+nonzero terms of its tableau row in order, that an inlined stage is the field text ``make_rhs``
 compiles, that a stage sets the production rate ``lam`` unless the stage
 before ran at the same time, and that a traceback through a stage points at
 its line.
@@ -99,15 +99,26 @@ def test_each_sum_is_its_tableau_row_in_order(u):
         assert lines[end - len(k1):end] == k1
         for i, (row, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), 2):
             line = _line(lines, f"{u}{i} = {u} + h * (")
-            assert _terms(line) == [(a, j, u) for j, a in enumerate(row, 1)]
+            assert _terms(line) == [(a, j, u) for j, a in enumerate(row, 1) if a]
             # the stage follows its last component's sum; stage 7 shares
             # stage 6's time t + 1.0 * h, so it reads the lam stage 6 set
             stage = _stage(stages, i, f"t + {c!r} * h", (f"x{i}", f"y{i}", f"z{i}"), rate=i != 7)
             _assert_stage_follows(lines, _line(lines, f"z{i} = z + h * ("), stage)
         assert _DP_C[5] == _DP_C[6] and len(set(_DP_C)) == 6
         line = _line(lines, f"r{u} = h * (")
-        assert _terms(line) == [(e, j, u) for j, e in enumerate(_DP_E, 1)]
+        assert _terms(line) == [(e, j, u) for j, e in enumerate(_DP_E, 1) if e]
         assert line.endswith(f"/ (atol + rtol * (b{u} if b{u} > a{u} else a{u}))")
+    # b2 = 0 in the 5th-order row and e2 = 0 in the error row are left out
+    assert _DP_A[6][1] == _DP_E[1] == 0.0
+    assert "k2" not in _line(lines, f"{u}7 = {u} + h * (") and "k2" not in line
+
+
+def test_no_dp5_line_multiplies_by_zero():
+    # any line: stage sums, error sums, stage fields and rate lines
+    zero_product = re.compile(r"(?<![\w.])0\.0 \*")
+    for stages in STAGES:
+        source = inspect.getsource(_kernel("adaptive", stages))
+        assert [line for line in source.splitlines() if zero_product.search(line)] == []
 
 
 @pytest.mark.parametrize("stages", STAGES)

@@ -11,7 +11,7 @@ import functools
 import math
 import operator
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
@@ -185,6 +185,9 @@ def _knotted_tables(draw, t0, t_end):
     return hk.PiecewiseLinearForcing(tuple(knots), tuple(values))
 
 
+_EXAMPLE_PARAMS = hk.Parameters(mu1=1.0, mu2=1.0, mu3=1.0, beta=1e2, eta=0.0, epsilon=0.0, p=1.0, q=1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     params=_params, forcing=st.one_of(_forcing, st.none()),
@@ -192,6 +195,19 @@ def _knotted_tables(draw, t0, t_end):
     x=_component, y=_component, z=_component,
     atol=st.floats(1e-14, 1e-3), rtol=st.floats(1e-14, 1e-3), max_steps=st.integers(1, 40),
     data=st.data(),
+)
+# z = -0.0 makes k1y = infect - loss_y * y a -0.0, the sign the kernel's sums
+# without zero products could keep where the reference's 0.0 * k2y drops it
+@example(
+    params=_EXAMPLE_PARAMS, forcing=hk.ConstantForcing(1.0), t=0.0, span=1.0, h=0.1,
+    x=1.0, y=0.0, z=-0.0, atol=1e-6, rtol=1e-6, max_steps=20, data=None,
+)
+# k1 is finite and k2 overflows (beta_eff * x2 * z2 past the float range): the
+# reference's 0.0 * k2 is NaN where the kernel leaves k2 out of x7 and the
+# error sums, and both reject the step and halve h
+@example(
+    params=_EXAMPLE_PARAMS, forcing=hk.ConstantForcing(1.0), t=0.0, span=1.0, h=0.5,
+    x=1e150, y=1.0, z=1e150, atol=1e-6, rtol=1e-6, max_steps=40, data=None,
 )
 def test_step_matches_generic_tableau(params, forcing, t, span, h, x, y, z, atol, rtol, max_steps, data):
     # the inlined DP5 kernel, and the calling one around a plain wrapper

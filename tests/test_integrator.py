@@ -269,6 +269,15 @@ def test_non_finite_time_span_is_rejected(clearing_params, clearing_forcing, t0,
         hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), t0, t_end, ctl, max_steps=50)
 
 
+@pytest.mark.parametrize("t0, t_end, h", [(0.0, 1e308, 1e-10), (-1e308, 1e308, 1.0)])
+def test_fixed_step_span_too_long_to_count_is_rejected(clearing_params, clearing_forcing, t0, t_end, h):
+    # RK4 counts its whole steps, (t_end - t0) / h, before the first; a count
+    # past the float range (or a span that is one) is refused before any step
+    with pytest.raises(ValueError, match=r"\(t_end - t0\) / h is not finite") as info:
+        hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), t0, t_end, hk.FixedStep(h=h))
+    assert f"[{t0}, {t_end}]" in str(info.value) and f"h={h}" in str(info.value)
+
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         hk.FixedStep(h=-0.1)
