@@ -15,7 +15,7 @@ u0 = (1.0, 1.0, 1.0)
 
 # process laws: identity at t = t0, and composition over a midpoint
 echo = hk.process_solve(s.params, s.forcing, u0, 2.0, 2.0, s.control)
-print("phi(t0, t0, u0) == u0:", bool(np.array_equal(echo, np.array(u0))))
+print("phi(t0, t0, u0) == u0:", echo == u0)
 gap = hk.semigroup_check(s.params, s.forcing, u0, (0.0, 1.0, 2.0), s.control)
 print(f"evolution-property gap over (0, 1, 2): {gap:.3e}")
 

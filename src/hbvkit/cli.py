@@ -80,11 +80,13 @@ _ANALYSIS_FLAGS = {
         ("--b1", dict(type=float, help="finite virion bound >= 0, read by the nonauto set only (default 0)")),
     ),
     "contraction": (
-        ("--offset", dict(type=_parse_triple, help="partner start = u0 + offset (default 1,1,1)")),
+        ("--offset", dict(type=_parse_triple, help="partner start = u0 + offset (default 1,1,1); "
+                          "give a negative first part as --offset=-0.5,0,0")),
     ),
     "pullback": (
         ("--t-star", dict(dest="t_star", type=float, help="finite observation time; each start time t_star - T "
-                          "must round below the one before, t_star first (default: span start)")),
+                          "must round below the one before, t_star first (default: span start); "
+                          "give a negative value as --t-star=-1e3")),
         ("--horizons", dict(type=_parse_floats, help="finite increasing horizons T > 0, each giving its own "
                             "start time t_star - T (default 5,10,20,40)")),
         ("--ptol", dict(type=float, help="finite convergence tolerance > 0 (default 1e-6)")),

@@ -17,7 +17,7 @@ is its one rule: at most 8 ulps of the field's largest term at the state.
 ``endemic`` polishes a feasible persistent state with damped Newton steps
 on the vector field. The polish is private to ``endemic`` and has no knobs;
 the module exports no general solver. Residuals are taken on Python
-floats. numpy serves only that polish: its solves and steps take arrays.
+floats. numpy serves only the polish's solve.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _residual(rhs, u) -> tuple[tuple[float, float, float], float]:
 def disease_free(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     """Infection-free equilibrium (L/mu1, 0, 0). A quotient past the float
     range is inf, reported as it is, with a NaN residual."""
-    lam = constant_rate(forcing, "equilibria")
+    lam = constant_rate(forcing, "the infection-free equilibrium")
     state = (lam / params.mu1, 0.0, 0.0)
     return EquilibriumReport(
         kind="disease_free",
@@ -100,7 +100,7 @@ def certified(params: Parameters, forcing: Forcing, report: EquilibriumReport) -
     equilibrium the terms balance, so these are the largest. The rule is
     exact under power-of-two population scaling."""
     y = report.state[1]
-    largest = max(constant_rate(forcing, "equilibria"), params.loss_y * y, params.prod_eff * y)
+    largest = max(constant_rate(forcing, "the certificate of an equilibrium"), params.loss_y * y, params.prod_eff * y)
     return report.residual_norm <= 8.0 * math.ulp(largest)
 
 
@@ -119,7 +119,7 @@ def endemic(params: Parameters, forcing: Forcing) -> EquilibriumReport:
     inf too: such a state or closed form lies past the float range, and is
     reported as it is.
     """
-    lam = constant_rate(forcing, "equilibria")
+    lam = constant_rate(forcing, "the persistent equilibrium")
     rhs = make_rhs(params, forcing)
     beta_eff = params.beta_eff
     prod_eff = params.prod_eff
@@ -175,18 +175,17 @@ def _polish(rhs, params, u):
     scales 1, 1/2, ..., 2**-20 that strictly lowers the residual; a
     non-finite candidate counts as no improvement. A residual of 0, a step
     that no halving improves, a singular Jacobian or 25 steps end it. Only the
-    solve and the steps take arrays."""
+    solve takes arrays."""
     f, res = _residual(rhs, u)
     for _ in range(25):
         if res == 0.0:
             break
         try:
-            step = np.linalg.solve(jacobian(params, u), -np.array(f))
+            step = np.linalg.solve(jacobian(params, u), -np.array(f)).tolist()
         except np.linalg.LinAlgError:
             break
-        start = np.array(u)
         for k in range(21):  # step scales 1, 1/2, ..., 2**-20
-            candidate = tuple((start + 0.5**k * step).tolist())
+            candidate = tuple(a + 0.5**k * d for a, d in zip(u, step))
             f_cand, res_cand = _residual(rhs, candidate)
             if res_cand < res:
                 u, f, res = candidate, f_cand, res_cand

@@ -5,7 +5,9 @@ and ``cli`` import it, every function in ``process.__all__`` and the other
 traced layers, and ``integrate.make_rhs``; its integrate spans read
 ``traj.control.mode``. A rename there breaks the traced benchmark without
 failing any other test, so one cycle of each workload runs here under the
-tracer and the rhs counter.
+tracer and the rhs counter. The traced run also splits a fresh import's
+time between numpy and hbvkit, which fails once that import loads no numpy,
+so the split runs here too.
 """
 
 import sys
@@ -18,6 +20,7 @@ import hbvkit.cli  # noqa: F401  (the configs workload calls hbvkit.cli.main)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import run as bench_run  # noqa: E402
 import tracing as tr  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -44,3 +47,12 @@ def test_workload_cycle_under_tracer(tmp_path, name):
     assert rhs.calls > 0
     modes = {rec[tr.ATTRS]["mode"] for rec in tracer.spans if rec[tr.NAME] == "integrate.integrate"}
     assert modes <= {"fixed", "adaptive"} and modes
+
+
+def test_import_split_finds_numpy_under_a_fresh_import_of_hbvkit():
+    # the split takes the median of each module's -X importtime samples, and
+    # the median of no samples raises: an hbvkit import that no longer loads
+    # numpy needs the benchmark revised first
+    split = bench_run.measure_import_split()
+    assert sorted(split) == ["hbvkit", "numpy"]
+    assert all(value > 0.0 for value in split.values())

@@ -226,6 +226,26 @@ def test_pullback_command(capsys):
     assert doc["converged"] is True
 
 
+def test_negative_flag_values_in_the_equals_form_reach_the_analysis(capsys):
+    # after a space argparse takes "-1e3" and "-0.5,0,0" for flags; the = form
+    # passes them as values, and each flag's help says so
+    assert main(["pullback", "--config", "set1-nonauto", "--t-star=-1e3", "--horizons", "5,10"]) == 0
+    assert json.loads(capsys.readouterr().out)["t_star"] == -1000.0
+    assert main(["contraction", "--config", "table2-dfe", "--offset=-0.5,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["partner_u0"] == [0.5, 1.0, 1.0]
+    for command, form in (("pullback", "--t-star=-1e3"), ("contraction", "--offset=-0.5,0,0")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert form in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, config", [("lyapunov", "set1-nonauto"), ("stability", "set2-nonauto")])
+def test_equilibrium_under_a_time_varying_rate_names_the_state_not_a_subcommand(command, config, capsys):
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the infection-free equilibrium: defined only for a constant production rate\n"
+
+
 def test_absorbing_command(capsys):
     assert main(["absorbing", "--config", "set1-nonauto"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -414,6 +414,26 @@ def test_endemic_matches_the_reference_polish_at_the_halving_floor():
     assert _assert_matches_oracle(params, hk.ConstantForcing(19794673.84092535)).feasible
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    rates=st.tuples(*[_corner_rate] * 7),
+    fractions=st.tuples(_corner_fraction, _corner_fraction),
+    scale=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+)
+@example(rates=(1e2, 1e-2, 1e-2, 1e-2, 1e2, 1e2, 1e2), fractions=(0.0, 0.0), scale=(2.0, 0.5, 1.5))
+def test_polish_candidates_from_a_displaced_start_give_the_ndarray_bits(rates, fractions, scale):
+    """Each damped candidate a + 0.5**k * d on floats has the bits the array
+    form gave: started off the elimination state, the polish takes steps."""
+    lam, mu1, mu2, mu3, beta, p, q = rates
+    eta, epsilon = fractions
+    params = hk.Parameters(mu1=mu1, mu2=mu2, mu3=mu3, beta=beta, eta=eta, epsilon=epsilon, p=p, q=q)
+    rhs, state, _ = _oracle_elimination(params, hk.ConstantForcing(lam))
+    start = tuple(a * s for a, s in zip(state, scale))
+    got = hk.equilibria._polish(rhs, params, start)
+    want = _oracle_damped_newton(rhs, params, start, 0.0, 25)[:2]
+    assert [v.hex() for v in got[0] + (got[1],)] == [v.hex() for v in want[0] + (want[1],)]
+
+
 def test_newton_accepts_exact_root_unchanged(simple_endemic_case, monkeypatch):
     """The elimination lands on (4, 8, 8) exactly: the polish evaluates the
     field there once and takes no step."""

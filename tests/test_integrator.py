@@ -1,8 +1,9 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
@@ -71,6 +72,40 @@ def test_richardson_raises_through_the_one_completeness_check(clearing_params, c
     assert ProcessTerminatedError is integrate_module.ProcessTerminatedError
     with pytest.raises(ProcessTerminatedError, match=r"^run with h=1\.0 terminated at t="):
         hk.richardson_order(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, 1.0)
+
+
+def _ndarray_richardson_order(params, forcing, u0, t0, t_end, h):
+    """richardson_order as it was written on arrays, kept as the reference."""
+    finals = []
+    for step in (h, h / 2.0, h / 8.0):
+        traj = hk.integrate(params, forcing, u0, t0, t_end, hk.FixedStep(h=step))
+        require_complete(traj, f"run with h={step}")
+        finals.append(traj.final_state)
+    err_h = float(np.max(np.abs(finals[0] - finals[2])))
+    err_h2 = float(np.max(np.abs(finals[1] - finals[2])))
+    if err_h == 0.0 or err_h2 == 0.0:
+        raise RuntimeError("errors vanished; h too small to estimate an order")
+    return math.log2(err_h / err_h2)
+
+
+def _order_bits(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (RuntimeError, ProcessTerminatedError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    u0=st.tuples(*[st.floats(0.0, 10.0) | st.sampled_from([-0.0, 4.90675])] * 3),
+    h=st.floats(0.05, 0.5),
+)
+@example(u0=(4.90675, 0.0, 0.0), h=0.25)  # the infection-free state: the errors vanish
+@example(u0=(1.0, -0.0, 1.0), h=0.5)
+def test_richardson_order_gives_the_ndarray_bits(clearing_params, clearing_forcing, wave_forcing, u0, h):
+    for forcing in (clearing_forcing, wave_forcing):
+        args = (clearing_params, forcing, u0, 0.0, 1.0, h)
+        assert _order_bits(hk.richardson_order, *args) == _order_bits(_ndarray_richardson_order, *args)
 
 
 def test_adaptive_agrees_with_fine_fixed_reference():

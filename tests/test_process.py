@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +14,11 @@ DFE2 = np.array([4.90675, 0.0, 0.0])
 
 def test_initial_property_is_exact(clearing_params, clearing_forcing, tight_ctl):
     u0 = (1.1, 0.7, 0.3)
-    out = hk.process_solve(clearing_params, clearing_forcing, u0, 2.5, 2.5, tight_ctl)
-    assert np.array_equal(out, np.array(u0))
-    # an array u0 comes back as a new array, not as the caller's object
-    arr = np.array(u0)
-    echo = hk.process_solve(clearing_params, clearing_forcing, arr, 2.5, 2.5, tight_ctl)
-    assert echo is not arr and np.array_equal(echo, arr)
-    for out in (hk.process_solve(clearing_params, clearing_forcing, v, 2.5, 2.5, tight_ctl) for v in (u0, arr)):
-        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (3,)
-    echo[0] = 9.0
-    assert arr[0] == 1.1
+    # a tuple, a list or an array u0 comes back as a new triple of Python floats
+    for v in (u0, list(u0), np.array(u0)):
+        out = hk.process_solve(clearing_params, clearing_forcing, v, 2.5, 2.5, tight_ctl)
+        assert out is not v and type(out) is tuple and [type(c) for c in out] == [float] * 3
+        assert [c.hex() for c in out] == [c.hex() for c in u0]
 
 
 def test_query_rejects_reversed_times(clearing_params, clearing_forcing, tight_ctl):
@@ -81,7 +78,7 @@ def test_autonomous_shift_invariance(clearing_params, clearing_forcing, tight_ct
     u0 = (1.0, 1.0, 1.0)
     base = hk.process_solve(clearing_params, clearing_forcing, u0, 0.0, 2.0, tight_ctl)
     shifted = hk.process_solve(clearing_params, clearing_forcing, u0, s, 2.0 + s, tight_ctl)
-    assert np.max(np.abs(base - shifted)) <= 1e-8
+    assert max(abs(a - b) for a, b in zip(base, shifted)) <= 1e-8
 
 
 def test_semigroup_check_rejects_unordered(clearing_params, clearing_forcing, tight_ctl):
@@ -195,6 +192,126 @@ def test_pullback_rejects_a_non_finite_horizon(clearing_params, clearing_forcing
             clearing_params, clearing_forcing, 0.0, horizons, [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-6,
             hk.FixedStep(h=0.1),
         )
+
+
+# }}}
+
+
+# {{{ the float endpoints against the ndarray forms
+
+
+def _ndarray_process_solve(params, forcing, u0, t0, t, ctl):
+    """process_solve as it was written on arrays, kept as the reference. It
+    integrates through the name ``process`` reads, so a stand-in serves both."""
+    if t < t0:
+        raise ValueError(f"need t >= t0, got t={t}, t0={t0}")
+    u0 = hk.model.as_state(u0, require_nonnegative=True)
+    if t == t0:
+        return np.array(u0)
+    traj = hk.process.integrate(params, forcing, u0, t0, t, ctl)
+    hk.process.require_complete(traj, f"integration from t0={t0} to t={t}")
+    return traj.final_state
+
+
+def _ndarray_semigroup_check(params, forcing, u0, times, ctl):
+    """semigroup_check as it was written on arrays, kept as the reference."""
+    t0, t1, t2 = times
+    direct = _ndarray_process_solve(params, forcing, u0, t0, t2, ctl)
+    mid = _ndarray_process_solve(params, forcing, u0, t0, t1, ctl)
+    relayed = _ndarray_process_solve(params, forcing, np.maximum(mid, 0.0), t1, t2, ctl)
+    return float(np.max(np.abs(direct - relayed)))
+
+
+def _bits(v):
+    """The hex of each float in a nested state, or the error a call raised."""
+    if isinstance(v, BaseException):
+        return repr(v)
+    return [_bits(c) for c in v] if isinstance(v, (tuple, list, np.ndarray)) else float(v).hex()
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (ValueError, hk.ProcessTerminatedError) as exc:
+        return _bits(exc)
+
+
+_CHEAP = hk.AdaptiveStep(abs_tol=1e-6, rel_tol=1e-6, h_init=1e-2, h_max=0.5)
+_part = st.floats(0.0, 10.0) | st.sampled_from([0.0, -0.0, 5e-324])
+_times = st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(u0=st.tuples(_part, _part, _part), times=_times)
+@example(u0=(1.0, 1.0, 1.0), times=[0.0, 0.0, 2.0])
+@example(u0=(-0.0, 0.0, 1.0), times=[0.5, 0.5, 0.5])
+def test_process_laws_give_the_ndarray_bits(clearing_params, wave_forcing, u0, times):
+    t0, _, t = times
+    assert _outcome(hk.process_solve, clearing_params, wave_forcing, u0, t0, t, _CHEAP) == _outcome(
+        _ndarray_process_solve, clearing_params, wave_forcing, u0, t0, t, _CHEAP
+    )
+    args = (clearing_params, wave_forcing, u0, tuple(times), _CHEAP)
+    assert _outcome(hk.semigroup_check, *args) == _outcome(_ndarray_semigroup_check, *args)
+
+
+def _scripted_integrate(ends):
+    """An integrate stand-in whose k-th run ends at ``ends[k]``; it records
+    each start state."""
+    starts = []
+    bounds = hk.BoundsReport(M=10.0, z_ceiling=10.0, l1_alpha=2.0, l1_ceiling=5.5)
+
+    def run(params, forcing, u0, t0, t_end, ctl):
+        starts.append(u0)
+        return hk.Trajectory([t0, t_end], [u0, ends[len(starts) - 1]], (), params, forcing, bounds, ctl)
+
+    return run, starts
+
+
+# relay parts around 0: the clamp's input, negative noise included
+_relay = st.floats(-1e-9, 10.0) | st.sampled_from([-0.0, 0.0, -5e-324, -1e-300])
+_end = st.tuples(*[st.floats(-1e3, 1e3)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(direct=_end, mid=st.tuples(_relay, _relay, _relay), relayed=_end)
+@example(direct=(1.0, 2.0, 3.0), mid=(-0.0, 0.5, 2.0), relayed=(1.0, 2.0, 3.5))
+@example(direct=(1.0, 2.0, 3.0), mid=(-1e-300, 0.5, -5e-324), relayed=(1.25, -0.0, 3.0))
+def test_semigroup_relay_clamp_gives_the_ndarray_bits(clearing_params, wave_forcing, tight_ctl, direct, mid, relayed):
+    # max(0.0, v) gives np.maximum's +0.0 for a -0.0 part; max(v, 0.0) keeps -0.0
+    seen = []
+    for check in (hk.semigroup_check, _ndarray_semigroup_check):
+        run, starts = _scripted_integrate([direct, mid, relayed])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hk.process, "integrate", run)
+            gap = check(clearing_params, wave_forcing, (1.0, 1.0, 1.0), (0.0, 1.0, 2.0), tight_ctl)
+        seen.append((_bits(starts), _bits(gap)))
+    assert seen[0] == seen[1]
+    assert [type(v) for v in starts[2]] == [float] * 3
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    t_star=st.floats(-5.0, 5.0),
+    horizons=st.tuples(st.floats(0.1, 1.0), st.floats(1.1, 2.0)),
+    seeds=st.lists(st.tuples(_part, _part, _part), min_size=2, max_size=3, unique=True),
+)
+def test_pullback_endpoints_give_the_ndarray_bits(clearing_params, wave_forcing, t_star, horizons, seeds):
+    est = hk.pullback_estimate(clearing_params, wave_forcing, t_star, horizons, seeds, 1e-6, _CHEAP)
+    endpoints = tuple(
+        tuple(tuple(_ndarray_process_solve(clearing_params, wave_forcing, seed, t_star - T, t_star, _CHEAP).tolist())
+              for T in horizons)
+        for seed in seeds
+    )
+    assert _bits(est.endpoints) == _bits(endpoints)
+    assert type(est.attractor_point) is tuple
+    assert _bits(est.attractor_point) == _bits(np.array(est.endpoints[0][-1]))
+
+
+def test_process_imports_no_numpy():
+    tree = ast.parse(Path(hk.process.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and [name for name in imported if name.split(".")[0] == "numpy"] == []
 
 
 # }}}
