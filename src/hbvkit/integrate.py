@@ -290,9 +290,8 @@ class Trajectory:
         rounds differently.
         """
         query = np.asarray(t, dtype=float)
-        times, states = self.time_list, self.state_list
+        times, states, slopes = self.time_list, self.state_list, self._slopes
         first, last, n = times[0], times[-1], len(times) - 1
-        slopes = None  # built on the first query that needs them
         out = []
         for tq in query.reshape(-1).tolist():
             if not (first <= tq <= last):
@@ -301,8 +300,6 @@ class Trajectory:
             if i >= n:
                 out.append(states[-1])
                 continue
-            if slopes is None:
-                slopes = self._slopes
             t0 = times[i]
             h = times[i + 1] - t0
             s = (tq - t0) / h
@@ -664,7 +661,8 @@ def integrate(
     of attempted steps (used by the parameter sweep to bound work on stiff
     corner cases); a run that hits the cap before t_end ends on a
     ``step_budget`` event, so ``Trajectory.terminated`` reports it. A fixed
-    step whose count (t_end - t0) / h is not finite raises ValueError.
+    step whose count (t_end - t0) / h is not finite raises ValueError, as
+    does an adaptive span whose one landing step is below ``h_min``.
     """
     u0 = as_state(u0, require_nonnegative=True)
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
@@ -672,6 +670,9 @@ def integrate(
     if ctl.mode == "fixed" and not math.isfinite((t_end - t0) / ctl.h):
         # RK4 counts its whole steps before the first one
         raise ValueError(f"(t_end - t0) / h is not finite for the span [{t0}, {t_end}] and fixed step h={ctl.h}")
+    if ctl.mode == "adaptive" and _last_step(t0, t_end) < ctl.h_min:
+        # DP5 would stop on step_floor at t0; _landings holds knots to the same rule
+        raise ValueError(f"the span [{t0}, {t_end}] is shorter than one adaptive step of h_min={ctl.h_min}")
     stops = run_stops(forcing, t0, t_end)  # a table off the span raises here, before any step
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)

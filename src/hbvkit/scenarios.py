@@ -666,7 +666,7 @@ def sweep(n_draws: int, seed: int, out_path=None, box: dict | None = None) -> Sw
     for name in Parameters.FRACTIONS:
         lo, hi = full_box[name]
         if not 0.0 <= lo <= hi < 1.0:
-            raise ValueError(f"sweep box for {name!r} must sit inside [0, 1), got {full_box[name]}")
+            raise ValueError(f"sweep box for {name!r} must satisfy 0 <= lo <= hi < 1, got {full_box[name]}")
 
     # an unusable output directory fails before the first draw
     csv_path = None if out_path is None else Path(out_path)

@@ -446,11 +446,8 @@ def lyapunov_fit(traj: Trajectory, reference) -> LyapunovTrace:
 
 
 def _common_grid(traj1: Trajectory, traj2: Trajectory):
-    """traj1's times inside the overlap, with both states there: traj2's
-    resampled by one ``sample`` call unless the two grids are the same."""
+    """traj1's times inside the overlap, with both states there: traj2's by one ``sample`` call."""
     t1, t2 = traj1.time_list, traj2.time_list
-    if t1 == t2:
-        return traj1.times, traj1.states, traj2.states
     lo = max(t1[0], t2[0])
     hi = min(t1[-1], t2[-1])
     if hi <= lo:

@@ -110,6 +110,28 @@ def test_fixed_step_span_too_long_to_count_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "lyapunov"])
+def test_span_shorter_than_h_min_exits_2(command, tmp_path, capsys):
+    doc = scenario_to_dict(hk.SCENARIOS["table2-dfe"])
+    doc |= {"id": "short", "t_span": [0, 1e-13], "analyses": []}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: the span [0.0, 1e-13] is shorter than one adaptive step of h_min=1e-12")
+    assert captured.out == ""
+    assert not list(tmp_path.glob("runs/**/*.*"))
+
+
+def test_pullback_horizon_shorter_than_h_min_exits_2(capsys):
+    assert main(["pullback", "--config", "set1-nonauto", "--horizons=1e-300,1"]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: the span [-1e-300, 0.0] is shorter than one adaptive step")
+    assert captured.out == ""
+
+
 def _strict_json(text):
     """``text`` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity raise."""
 
@@ -305,6 +327,15 @@ def test_sweep_command_rejects_bad_box(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"lam": [0.0, 1.0]}))  # lo must be positive
     assert main(["sweep", "--n", "3", "--out", str(tmp_path), "--box", str(bad)]) == 2
+
+
+def test_sweep_reversed_fraction_bounds_state_the_rule(tmp_path, capsys):
+    box_path = tmp_path / "box.json"
+    box_path.write_text(json.dumps({"eta": [0.5, 0.2]}))
+    assert main(["sweep", "--n", "3", "--out", str(tmp_path), "--box", str(box_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: sweep box for 'eta' must satisfy 0 <= lo <= hi < 1, got (0.5, 0.2)"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize(

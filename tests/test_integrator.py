@@ -157,6 +157,20 @@ def test_step_floor_terminates(clearing_params, clearing_forcing):
     assert traj.events[-1].kind == "step_floor"
 
 
+def test_adaptive_span_below_h_min_is_refused_before_any_step(clearing_params, clearing_forcing):
+    ctl = hk.AdaptiveStep()  # h_min = 1e-12
+    with pytest.raises(ValueError, match=r"the span \[0.0, 1e-13\] is shorter than one adaptive step of h_min=1e-12"):
+        hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1e-13, ctl)
+    with pytest.raises(ValueError, match=r"span \[-1e-300, 0.0\]"):
+        hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), -1e-300, 0.0, ctl)
+    # a landing step of exactly h_min is taken
+    exact = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1e-12, ctl)
+    assert exact.time_list == [0.0, 1e-12] and not exact.events
+    # fixed-step RK4 has no h_min and steps the short span
+    fixed = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1e-13, hk.FixedStep(h=0.01))
+    assert fixed.time_list == [0.0, 1e-13] and not fixed.terminated
+
+
 def test_fixed_step_below_time_spacing_is_a_step_floor(clearing_params, clearing_forcing):
     # at t = 1e6 the float spacing is 1.2e-10, so t + 1e-11 rounds back to t
     ctl = hk.FixedStep(h=1e-11)

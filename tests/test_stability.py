@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hbvkit as hk
@@ -740,6 +740,62 @@ def test_contraction_rejects_mismatched_scenarios(
     t2 = hk.integrate(subthreshold_params, subthreshold_forcing, (1.0, 1.0, 1.0), 0.0, 2.0, tight_ctl)
     with pytest.raises(ValueError):
         hk.contraction_fit(t1, t2)
+
+
+def _same_grid_shortcut(traj1, traj2):
+    """``stability._common_grid``'s former branch for two runs on one grid."""
+    return traj1.times, traj1.states, traj2.states
+
+
+_RATE_SETS = sorted({sc.params for sc in hk.SCENARIOS.values()}, key=repr)
+_FORCINGS = {
+    "constant": hk.ConstantForcing(9.8135),
+    "sinusoid": hk.SinusoidForcing(amplitude=1.0, omega=2.0, phase=math.pi / 3.0, offset=10.0),
+    "table": hk.PiecewiseLinearForcing((0.0, 0.7, 1.9, 3.0), (9.0, 12.5, 8.5, 10.0)),
+}
+_state_part = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 50.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.sampled_from(_RATE_SETS),
+    kind=st.sampled_from(sorted(_FORCINGS)),
+    u1=st.tuples(_state_part, _state_part, _state_part),
+    u2=st.tuples(_state_part, _state_part, _state_part),
+    h=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+    t_end=st.sampled_from([1.0, 2.0, 3.0]),
+)
+@example(
+    params=_RATE_SETS[0], kind="sinusoid", u1=(1.0, -0.0, 2.0), u2=(3.0, 0.0, -0.0), h=0.05, t_end=2.0
+)
+def test_contraction_on_one_grid_keeps_the_shortcut_bits(params, kind, u1, u2, h, t_end):
+    ctl = hk.FixedStep(h=h)
+    a = hk.integrate(params, _FORCINGS[kind], u1, 0.0, t_end, ctl)
+    b = hk.integrate(params, _FORCINGS[kind], u2, 0.0, t_end, ctl)
+    assume(a.time_list == b.time_list)  # a run cut short by an event ends its grid early
+    times, s1, s2 = stab._common_grid(a, b)
+    want_times, want_s1, want_s2 = _same_grid_shortcut(a, b)
+    assert times.tobytes() == want_times.tobytes() and s1.tobytes() == want_s1.tobytes()
+    # a node's resampled floats are its own, up to the sign of an exact zero
+    assert np.array_equal(s2, want_s2)
+    assert np.sum((s1 - s2) ** 2, axis=1).tobytes() == np.sum((want_s1 - want_s2) ** 2, axis=1).tobytes()
+    got = hk.contraction_fit(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stab, "_common_grid", _same_grid_shortcut)
+        want = hk.contraction_fit(a, b)
+    assert got.degenerate == want.degenerate
+    for name in ("K", "alpha", "fit_quality"):
+        assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+
+
+def test_contraction_on_one_grid_needs_four_samples(clearing_params, clearing_forcing):
+    # on one grid as on two, a fit needs four samples in the overlap
+    ctl = hk.FixedStep(h=0.5)
+    a = hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 1.0, ctl)
+    b = hk.integrate(clearing_params, clearing_forcing, (2.0, 2.0, 2.0), 0.0, 1.0, ctl)
+    assert a.time_list == b.time_list == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="too few overlapping samples"):
+        hk.contraction_fit(a, b)
 
 
 def test_contraction_resamples_different_grids(clearing_params, clearing_forcing, tight_ctl):

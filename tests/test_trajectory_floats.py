@@ -98,6 +98,23 @@ def test_sample_of_a_sequence_stacks_single_samples(mode):
     assert traj.sample([]).shape == (0, 3)
 
 
+@pytest.mark.parametrize("mode", sorted(CONTROLS))
+def test_sample_at_the_ends_and_out_of_range(mode):
+    # the queries that read no slope: the last node, no query, a time off the run
+    traj = _run("piecewise_linear", mode, u0=(1.0, -0.0, 2.0))
+    last = traj.sample(traj.time_list[-1])
+    assert last.shape == (3,) and last.tobytes() == np.array(traj.state_list[-1]).tobytes()
+    first = traj.sample(0.0)  # a node's floats, but an exact zero reads +0.0
+    assert first.tobytes() == np.array([1.0, 0.0, 2.0]).tobytes()
+    for empty in ([], (), np.array([])):
+        none = traj.sample(empty)
+        assert none.shape == (0, 3) and none.dtype == np.float64
+    with pytest.raises(ValueError, match=r"^t=3.5 outside trajectory range \[0.0, 3.0\]$"):
+        traj.sample([1.0, 3.5])
+    with pytest.raises(ValueError, match=r"^t=-0.25 outside trajectory range \[0.0, 3.0\]$"):
+        traj.sample(-0.25)
+
+
 def test_sample_keeps_the_numpy_scalar_rounding_at_a_pinned_time():
     # On this segment at this time, taking (1 - s)**2 in either basis function
     # as a square rather than by glibc's pow, or grouping either slope
