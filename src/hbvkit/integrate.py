@@ -24,12 +24,12 @@ inside the span, where the slope of the production rate jumps, then
 ``t_end``. A step that reaches a stop is cut to ``stop - t``, less the ulps
 by which t plus it would round past the stop (``_last_step``), and is
 recorded at the stop, so no stage time lies past it. RK4 keeps its grid
-``t0 + i*h`` and lands on ``t_end`` only. DP5 lands on each knot that
-``_landings`` keeps, so no step straddles a kink, where the error estimate
-fails and steps are rejected until h is small enough to get past it. A run
-counts as at ``t_end`` once t reaches ``t_stop = t_end - 1e-14 * (t_end -
-t0)``, a window relative to the span, so a run and its copy with every time
-and step size divided by a power of two stop at the same steps.
+``t0 + i*h``: its whole steps end before ``t_stop = t_end - 1e-14 * (t_end -
+t0)``, a window relative to the span, and the next lands on ``t_end``. DP5
+lands on the stops ``_landings`` yields, the knots it keeps, so no step
+straddles a kink (where the error estimate fails and steps are rejected
+until h gets past it), then ``t_end``; a step that would end within
+``2 * h_min`` of a stop lands on it, so every landing step exceeds ``h_min``.
 
 Most points fire no monitor. The kernel tests each point inline against
 ``lo <= c <= hi`` for c = x, y, z, ``x + y`` and ``z`` below their ceilings
@@ -408,18 +408,18 @@ def _last_step(t: float, t_end: float) -> float:
     return h
 
 
-def _landings(knots, t0, t_stop, gap):
-    """(knot, near) for each knot a DP5 run lands on, in order: a step that
-    ends at near or later is cut to end on the knot. A knot is kept when it
-    lies ``gap`` (twice ``h_min``) or more after t0 or the last knot kept, and
-    before ``t_stop`` by as much; any other is crossed. So every landing step,
-    onto a knot or onto t_end after one, exceeds ``h_min``: a knot too close
-    to land on never ends a run on ``step_floor``."""
-    prev = t0
-    for knot in knots:
-        if knot - prev >= gap and t_stop - knot >= gap:
+def _landings(stops, t0, gap):
+    """(stop, near = stop - gap) for each stop a DP5 run lands on, in order,
+    t_end last: a step that ends at near or later is cut to end on the stop.
+    A knot, a stop before t_end, is kept when it lies gap (twice ``h_min``) or
+    more after t0 or the last knot kept, and before t_end by as much; any
+    other is crossed. So every landing step exceeds ``h_min``."""
+    prev, t_end = t0, stops[-1]
+    for knot in stops[:-1]:
+        if knot - prev >= gap and t_end - knot >= gap:
             yield knot, knot - gap
             prev = knot
+    yield t_end, t_end - gap
 
 
 # The run kernels' text. Each method has one template, _RK4 or _DP5, under
@@ -436,13 +436,12 @@ def {name}(rhs, field, u0, t0, stops, ctl, rec, budget):
     if push(t0, x, y, z):
         return
     t_end = stops[-1]
-    t_stop = t_end - 1e-14 * (t_end - t0)
     t, steps = t0, 0
 """
 
 # steps counts attempts: only DP5 makes an attempt it rejects
 _LOOP = """\
-    while t < t_stop:
+    while t < t_end:
         if steps >= budget:
             return rec.stop("step_budget", t, "steps", float(steps))"""
 
@@ -458,6 +457,7 @@ _RECORD = f"""\
 # one it would move the fixed-step bytes, so RK4 is written out.
 _RK4 = """\
     h = ctl.h
+    t_stop = t_end - 1e-14 * (t_end - t0)
     # Whole steps end at t0 + i*h for i = 1..n_whole, all before t_stop; the
     # step after them lands on t_end (t0 + n*h itself can round past t_end).
     n_whole = int(floor((t_end - t0) / h))
@@ -500,9 +500,9 @@ _DP5 = """\
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     h_min, h_max = ctl.h_min, ctl.h_max
     # The stop the run steps to next, and the time from which a step reaches
-    # it: each knot _landings keeps, then t_end, reached from t_stop.
-    landings = _landings(stops[:-1], t0, t_stop, 2.0 * h_min)
-    stop, near = next(landings, (t_end, t_stop))
+    # it: each knot _landings keeps, then t_end, where the loop ends.
+    landings = _landings(stops, t0, 2.0 * h_min)
+    stop, near = next(landings)
     # |x|, |y|, |z| of the accepted state, carried from step to step
     ax = x if x >= 0.0 else -x
     ay = y if y >= 0.0 else -y
@@ -530,7 +530,7 @@ _DP5 = """\
             continue
         if lands:
             t = stop
-            stop, near = next(landings, (t_end, t_stop))
+            stop, near = next(landings, (stop, near))
         else:
             t = t + h
         x, y, z, k1x, k1y, k1z = x7, y7, z7, k7x, k7y, k7z
@@ -671,7 +671,7 @@ def integrate(
         # RK4 counts its whole steps before the first one
         raise ValueError(f"(t_end - t0) / h is not finite for the span [{t0}, {t_end}] and fixed step h={ctl.h}")
     if ctl.mode == "adaptive" and _last_step(t0, t_end) < ctl.h_min:
-        # DP5 would stop on step_floor at t0; _landings holds knots to the same rule
+        # DP5 would stop on step_floor at t0; _landings holds later landings to h_min
         raise ValueError(f"the span [{t0}, {t_end}] is shorter than one adaptive step of h_min={ctl.h_min}")
     stops = run_stops(forcing, t0, t_end)  # a table off the span raises here, before any step
     bounds = analytic_bounds(params, forcing, u0)

@@ -451,8 +451,6 @@ def resolve_scenario(ref) -> Scenario:
 def run_scenario(ref, out_dir) -> RunReport:
     """Integrate a scenario, run its analyses and write the run directory."""
     scenario = resolve_scenario(ref)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
     t0, t_end = scenario.t_span
@@ -483,6 +481,8 @@ def run_scenario(ref, out_dir) -> RunReport:
         "skipped": skipped,
     }
 
+    out_dir = Path(out_dir)  # made only now: a run integrate refuses writes nothing
+    out_dir.mkdir(parents=True, exist_ok=True)
     trajectory_path = out_dir / "trajectory.csv"
     report_path = out_dir / "report.json"
     traj.to_csv(trajectory_path)

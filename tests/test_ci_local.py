@@ -2,16 +2,19 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
 import yaml
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ci_local.py"
 
 
-def _workflow(tmp_path, steps):
+def _workflow(tmp_path, steps, **job):
     path = tmp_path / "workflow.yml"
-    doc = {"name": "fixture", "on": {"push": None}, "jobs": {"check": {"runs-on": "ubuntu-latest", "steps": steps}}}
+    job = {"runs-on": "ubuntu-latest", **job, "steps": steps}
+    doc = {"name": "fixture", "on": {"push": None}, "jobs": {"check": job}}
     path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     return path
 
@@ -79,3 +82,38 @@ def test_a_step_sees_the_runner_dirs_and_the_hbvkit_shim(tmp_path):
     assert summary[0] == "step summary:" and summary[1].startswith("probe: ")
     shim = Path(summary[1].removeprefix("probe: "))
     assert shim.name == "hbvkit" and not shim.exists()
+
+
+def _running(pid):
+    """True while ``pid`` is a live process: not gone and not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("limits", [
+    ({"timeout-minutes": 0.02}, {}, "Sleeps: timed out after 0.02 min"),
+    ({}, {"timeout-minutes": 0.02}, "check: timed out after 0.02 min"),
+], ids=["step", "job"])
+def test_a_step_past_its_time_limit_is_killed_with_its_children(limits, tmp_path):
+    step_keys, job_keys, message = limits
+    pids, after = tmp_path / "pids", tmp_path / "after"
+    workflow = _workflow(tmp_path, [
+        # the shell and a child in the background, both in the step's group
+        {"name": "Sleeps", **step_keys, "run": f"sleep 60 &\necho $$ $! > {pids}\nsleep 60"},
+        {"name": "After", "run": f"touch {after}"},
+    ], **job_keys)
+    started = time.monotonic()
+    done = _run(workflow)
+    assert time.monotonic() - started < 30
+    assert done.returncode == 124
+    assert _report_lines(done.stdout) == ["== Sleeps", message]
+    assert not after.exists()
+    shell, child = map(int, pids.read_text().split())
+    for _ in range(50):  # the init process reaps the killed processes
+        if not (_running(shell) or _running(child)):
+            break
+        time.sleep(0.1)
+    assert not _running(shell) and not _running(child)

@@ -124,6 +124,21 @@ def test_span_shorter_than_h_min_exits_2(command, tmp_path, capsys):
     assert not list(tmp_path.glob("runs/**/*.*"))
 
 
+@pytest.mark.parametrize("refused", [
+    {"t_span": [0, 1e-13]},
+    {"t_span": [0, 1e300], "control": {"mode": "fixed", "h": 1e-300}},
+], ids=["span-below-h_min", "uncountable-fixed-step"])
+def test_a_refused_simulate_makes_no_run_directory(refused, tmp_path, capsys):
+    doc = scenario_to_dict(hk.SCENARIOS["table2-dfe"]) | {"id": "refused", "analyses": []} | refused
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "runs").exists()
+
+
 def test_pullback_horizon_shorter_than_h_min_exits_2(capsys):
     assert main(["pullback", "--config", "set1-nonauto", "--horizons=1e-300,1"]) == 2
     captured = capsys.readouterr()

@@ -153,7 +153,7 @@ def test_only_a_rate_that_varies_in_time_is_shared(mode, stages):
         assert names & {"lam", "t4"} == {"lam"}
         lines = _lines(kernel)
         (i,) = [i for i, line in enumerate(lines) if line.startswith("lam =")]
-        assert [lines[i]] == list(field_setup(stages)) and i < lines.index("while t < t_stop:")
+        assert [lines[i]] == list(field_setup(stages)) and i < lines.index("while t < t_end:")
 
 
 @pytest.mark.parametrize("kind", FORCING_KINDS)

@@ -71,14 +71,15 @@ def _reference_run(rhs, u0, t0, stops, ctl, rec, budget):
     """The stepping loop written plainly around the reference steps, with
     min/max for the clamps: what every kernel must record. ``stops`` ends in
     t_end; DP5 lands on each knot before it that lies two h_min or more past
-    t0 or the last knot kept, and before t_stop by as much."""
+    t0 or the last knot kept, and before t_end by as much, then on t_end,
+    each from two h_min before it. RK4's whole steps end before t_stop."""
     t_end = stops[-1]
     x, y, z = u0
     if rec.push(t0, x, y, z):
         return
-    t_stop = t_end - 1e-14 * (t_end - t0)
     t, steps = t0, 0
     if ctl.mode == "fixed":
+        t_stop = t_end - 1e-14 * (t_end - t0)
         n_whole = math.floor((t_end - t0) / ctl.h)
         if t0 + n_whole * ctl.h >= t_stop:
             n_whole -= 1
@@ -97,12 +98,12 @@ def _reference_run(rhs, u0, t0, stops, ctl, rec, budget):
     gap = 2.0 * ctl.h_min
     landings = []  # (stop, the time from which a step reaches it)
     for knot in stops[:-1]:
-        if knot - (landings[-1][0] if landings else t0) >= gap and t_stop - knot >= gap:
+        if knot - (landings[-1][0] if landings else t0) >= gap and t_end - knot >= gap:
             landings.append((knot, knot - gap))
-    landings.append((t_end, t_stop))
+    landings.append((t_end, t_end - gap))
     k1 = rhs(t, x, y, z)
     h, err_prev = ctl.h_init, 1e-4
-    while t < t_stop:
+    while t < t_end:
         if steps >= budget:
             return rec.stop("step_budget", t, "steps", float(steps))
         stop, near = landings[0]
@@ -115,7 +116,7 @@ def _reference_run(rhs, u0, t0, stops, ctl, rec, budget):
         steps += 1
         if err <= 1.0:
             t = stop if last else t + h
-            if last and len(landings) > 1:
+            if last:
                 landings.pop(0)
             x, y, z, k1 = x7, y7, z7, k7
             if rec.push(t, x, y, z):
@@ -224,6 +225,41 @@ def test_step_matches_generic_tableau(params, forcing, t, span, h, x, y, z, atol
             stepping(f, (x, y, z), t, stops, ctl, rec, max_steps)
             runs.append(recorded(rec))
     assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+# A free step of h_max that ends this many h_min before t_end: within 2 h_min
+# of it, or past it, the step lands on t_end.
+_END_OFFSETS = st.sampled_from([-3.0, -1.0, 0.0, 0.01, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0, 2.01, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=_params, forcing=st.one_of(_forcing, st.none()),
+    t=st.floats(0.0, 50.0), h=st.floats(1e-3, 0.1), n=st.integers(1, 4), offset=_END_OFFSETS,
+    h_min=st.sampled_from([1e-14, 1e-12, 1e-9]),
+    x=_component, y=_component, z=_component, data=st.data(),
+)
+def test_a_free_step_near_t_end_matches_the_reference(params, forcing, t, h, n, offset, h_min, x, y, z, data):
+    """h_init = h_max = h over a span of n * h + offset * h_min: while the
+    controller keeps h at h_max, the n-th step ends offset * h_min before
+    t_end, in or near the window from which a step lands on t_end. Both
+    kernels record the reference's floats, and no run ends on step_floor
+    closer to t_end than h_min: every landing step exceeds h_min."""
+    t_end = t + n * h + offset * h_min
+    if forcing is None:  # a table over the span, its knots stops
+        forcing = data.draw(_knotted_tables(t, t_end))
+    ctl = hk.AdaptiveStep(abs_tol=1e-3, rel_tol=1e-3, h_init=h, h_min=h_min, h_max=h, blow_up_threshold=1e300)
+    bounds = analytic_bounds(params, forcing, (x, y, z))
+    rhs = make_rhs(params, forcing)
+    stops = run_stops(forcing, t, t_end)
+    runs = []
+    for stepping in (_integrate, _reference_run):
+        for f in (rhs, lambda t, x, y, z: rhs(t, x, y, z)):
+            rec = _Recorder(ctl, bounds)
+            stepping(f, (x, y, z), t, stops, ctl, rec, 200)
+            runs.append(recorded(rec))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert all(t_end - e.time >= h_min for e in rec.events if e.kind == "step_floor")
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,10 @@ has a failing error estimate, so a run stops at each knot inside its span
 (``model.run_stops``): no attempted step has stage times on both sides of
 one, and every knot inside the span is an accepted time. A knot too close to
 land on, within 2 * h_min of t0, of the knot before it or of the end of the
-run, is crossed rather than ending the run on ``step_floor``. The calling
+run, is crossed rather than ending the run on ``step_floor``. ``t_end`` is
+the last stop and is landed on by the same rule (``integrate._landings``):
+a step that would end within 2 * h_min of a stop lands on it, so no landing
+step, onto a knot or onto ``t_end``, is as short as h_min. The calling
 kernel, a wrapper that counts rhs calls for instance, takes the same steps.
 """
 
@@ -17,7 +20,7 @@ from bisect import bisect_left
 import pytest
 
 import hbvkit as hk
-from hbvkit.integrate import _integrate, _Recorder
+from hbvkit.integrate import _integrate, _landings, _Recorder
 from hbvkit.model import analytic_bounds, make_rhs, run_stops
 
 integrate_module = importlib.import_module("hbvkit.integrate")
@@ -57,6 +60,24 @@ def test_run_stops_are_the_knots_inside_the_span_then_t_end():
     assert run_stops(TABLE, 0.25, 0.5) == (0.3, 0.5)
     for forcing in (hk.ConstantForcing(20.0), hk.SinusoidForcing(1.0, 2.0, 0.0, 10.0)):
         assert run_stops(forcing, 0.0, 5.0) == (5.0,)
+
+
+def test_landings_keep_the_knots_two_h_min_apart_then_t_end():
+    gap = 2e-12
+    stops = (1e-12, 0.3, 0.3 + 1e-12, 2.0, 5.0 - 1e-12, 5.0)
+    assert list(_landings(stops, 0.0, gap)) == [(0.3, 0.3 - gap), (2.0, 2.0 - gap), (5.0, 5.0 - gap)]
+    assert list(_landings((5.0,), 0.0, gap)) == [(5.0, 5.0 - gap)]
+
+
+def test_a_free_step_ending_within_two_h_min_of_t_end_lands_on_it():
+    """h_init = h_max = 1 - 2e-14 puts the first free step 2e-14 short of
+    t_end = 1, within 2 * h_min (2e-12): that step lands on t_end instead of
+    leaving a last step of 2e-14, below h_min, that would end the run on
+    ``step_floor``."""
+    ctl = hk.AdaptiveStep(h_init=1 - 2e-14, h_max=1 - 2e-14)
+    traj = hk.integrate(hk.SCENARIOS["table2-dfe"].params, hk.ConstantForcing(9.8135), (4.90675, 0, 0), 0.0, 1.0, ctl)
+    assert traj.time_list == [0.0, 1.0]
+    assert traj.events == ()
 
 
 def test_every_knot_inside_the_span_is_an_accepted_time():

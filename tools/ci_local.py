@@ -11,9 +11,14 @@ run. An ``hbvkit`` shim, ``python -m hbvkit`` with ``src/`` on
 ``PYTHONPATH``, comes first on ``PATH``, with ``python`` and ``python3``
 naming the interpreter that runs this script.
 
-Each step prints its name, exit code and seconds. The run stops at the
-first step that fails and exits with its code; it exits 0 when every step
-passes. What the steps wrote to ``GITHUB_STEP_SUMMARY`` is printed last.
+Each step prints its name, exit code and seconds. Each step runs in its own
+process group. A step's ``timeout-minutes`` limits that step, and a job's
+limits the job's steps together: when a limit passes, the step's whole
+process group is killed, ``<step or job name>: timed out after N min`` is
+printed and the run exits 124, as ``timeout(1)`` does. The run stops at the
+first step that fails or times out and exits with its code; it exits 0 when
+every step passes. What the steps wrote to ``GITHUB_STEP_SUMMARY`` is
+printed last.
 
 Limits:
 
@@ -22,8 +27,8 @@ Limits:
 * The ``Install`` step is always skipped: ``src/`` on ``PYTHONPATH`` and the
   shim stand in for the editable install. ``--skip NAME`` skips one more
   step by its name and may be repeated.
-* A step's ``env``, ``shell``, ``working-directory`` and ``timeout-minutes``
-  keys are not read.
+* A step's ``env``, ``shell`` and ``working-directory`` keys are not read,
+  nor a job's keys other than ``steps``, its ``name`` and ``timeout-minutes``.
 
 PyYAML is a test dependency of hbvkit, not a runtime one.
 """
@@ -31,8 +36,10 @@ PyYAML is a test dependency of hbvkit, not a runtime one.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -44,6 +51,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 ALWAYS_SKIPPED = frozenset({"Install"})
+TIMED_OUT = 124
 
 
 def _runner_env(tmp: Path) -> dict[str, str]:
@@ -67,8 +75,16 @@ def _runner_env(tmp: Path) -> dict[str, str]:
     return env
 
 
+def _deadline(owner: dict, name: str, start: float) -> tuple[float, str, float]:
+    """(the time its limit passes, its name, the limit in minutes) of a job or
+    step that starts at ``start``; an unset ``timeout-minutes`` never passes."""
+    minutes = owner.get("timeout-minutes", math.inf)
+    return start + 60.0 * minutes, name, minutes
+
+
 def _run_steps(workflow: dict, skip: frozenset[str], env: dict[str, str]) -> int:
-    for job in workflow["jobs"].values():
+    for job_id, job in workflow["jobs"].items():
+        job_limit = _deadline(job, job.get("name", job_id), time.monotonic())
         for step in job["steps"]:
             if "run" not in step:
                 print(f"{step['uses']}: skipped (uses: action)", flush=True)
@@ -79,11 +95,21 @@ def _run_steps(workflow: dict, skip: frozenset[str], env: dict[str, str]) -> int
                 continue
             print(f"== {name}", flush=True)
             started = time.perf_counter()
-            done = subprocess.run(
-                ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step["run"]], cwd=ROOT, env=env
+            deadline, who, minutes = min(job_limit, _deadline(step, name, time.monotonic()))
+            # its own session, so a kill reaches every process the step started
+            proc = subprocess.Popen(
+                ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step["run"]],
+                cwd=ROOT, env=env, start_new_session=True,
             )
+            try:
+                proc.wait(None if deadline == math.inf else max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                print(f"{who}: timed out after {minutes:g} min", flush=True)
+                return TIMED_OUT
             # a step killed by a signal exits as bash reports it: 128 + the signal number
-            code = done.returncode if done.returncode >= 0 else 128 - done.returncode
+            code = proc.returncode if proc.returncode >= 0 else 128 - proc.returncode
             print(f"{name}: exit {code} in {time.perf_counter() - started:.1f} s", flush=True)
             if code:
                 return code
