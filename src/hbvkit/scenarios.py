@@ -668,12 +668,12 @@ def sweep(n_draws: int, seed: int, out_path=None, box: dict | None = None) -> Sw
         if not 0.0 <= lo <= hi < 1.0:
             raise ValueError(f"sweep box for {name!r} must satisfy 0 <= lo <= hi < 1, got {full_box[name]}")
 
-    # an unusable output directory fails before the first draw
+    # a refused seed makes no directory; an unusable one fails before the first draw
+    rng = np.random.default_rng(seed)
     csv_path = None if out_path is None else Path(out_path)
     if csv_path is not None:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
 
-    rng = np.random.default_rng(seed)
     rows = [_sweep_row(i, *_draw_params(rng, full_box)) for i in range(n_draws)]
     counts = {"draws": n_draws} | {
         key: sum(1 for row in rows if row[flag] == value)

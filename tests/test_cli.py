@@ -237,6 +237,25 @@ def test_conditions_command_specific_set(capsys):
     assert lines[0]["satisfied"] and lines[1]["satisfied"] and not lines[2]["satisfied"]
 
 
+@pytest.mark.parametrize("config", ["set2-auto-boundcheck", "table2-dfe"])
+def test_conditions_at_the_equilibrium_read_its_virion_level(config, capsys):
+    # the persistent state where it is feasible, else the infection-free one
+    assert main(["conditions", "--config", config, "--set", "equilibrium"]) == 0
+    [margins] = json.loads(capsys.readouterr().out)
+    scenario = hk.SCENARIOS[config]
+    endemic = hk.endemic(scenario.params, scenario.forcing)
+    assert margins["condition_set"] == "equilibrium"
+    assert margins["aux"]["z_bar"] == (endemic.state[2] if endemic.feasible else 0.0)
+    assert endemic.feasible == (config == "set2-auto-boundcheck")
+
+
+def test_conditions_at_the_equilibrium_under_a_time_varying_rate_exits_2(capsys):
+    assert main(["conditions", "--config", "set1-nonauto", "--set", "equilibrium"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the persistent equilibrium: defined only for a constant production rate\n"
+    assert captured.out == ""
+
+
 def test_stability_command(capsys):
     assert main(["stability", "--config", "table2-dfe"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -386,6 +405,14 @@ def test_an_out_that_is_a_file_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert line.startswith("error: ") and str(out) in line
     assert "Traceback" not in captured.err and captured.out == ""
     assert out.read_text() == ""
+
+
+def test_a_refused_seed_makes_no_sweep_directory(tmp_path, capsys):
+    out = tmp_path / "D" / "deep"
+    assert main(["sweep", "--n", "2", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: expected non-negative integer\n" and captured.out == ""
+    assert not (tmp_path / "D").exists()
 
 
 def test_module_entry_point_runs():
@@ -554,6 +581,24 @@ def test_pullback_seeds_that_collide_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seeds must be pairwise distinct" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pullback", "--config", "set1-nonauto", "--horizons", "5,abc"],
+         "expected comma-separated numbers, got '5,abc'"),
+        (["contraction", "--config", "table2-dfe", "--offset", "1,2"],
+         "expected three comma-separated numbers, got '1,2'"),
+    ],
+    ids=["horizons-not-a-number", "offset-of-two"],
+)
+def test_a_list_flag_that_does_not_parse_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].endswith(message) and captured.out == ""
 
 
 def test_pullback_infinite_horizon_exits_2(fixed_step_config, capsys):

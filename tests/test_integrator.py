@@ -339,3 +339,8 @@ def test_step_control_validation():
         hk.FixedStep(h=0.1, abs_tol=1e-6)
     with pytest.raises(TypeError):
         hk.AdaptiveStep(h=0.5)
+    # both modes share the monitor thresholds and their checks
+    with pytest.raises(ValueError, match="blow_up_threshold must be positive"):
+        hk.AdaptiveStep(blow_up_threshold=0.0)
+    with pytest.raises(ValueError, match="positivity_tol must be nonnegative"):
+        hk.FixedStep(positivity_tol=-1e-9)

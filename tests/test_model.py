@@ -62,6 +62,24 @@ def test_forcing_must_stay_positive(build):
         build()
 
 
+@pytest.mark.parametrize("field", ["amplitude", "omega", "phase", "offset"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sinusoid_coefficients_must_be_finite(field, value):
+    coefficients = dict(amplitude=1.0, omega=2.0, phase=0.0, offset=10.0) | {field: value}
+    with pytest.raises(ValueError, match="sinusoid coefficients must be finite"):
+        hk.SinusoidForcing(**coefficients)
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [((0.0,), (1.0,)), ((0.0, 1.0), (1.0, 2.0, 3.0)), ((0.0, 1.0, 2.0), (1.0, 2.0))],
+    ids=["one-knot", "more-values", "more-times"],
+)
+def test_a_table_needs_two_knots_of_equal_length(times, values):
+    with pytest.raises(ValueError, match="need at least two"):
+        hk.PiecewiseLinearForcing(times=times, values=values)
+
+
 @st.composite
 def _tables_and_times(draw):
     """A knot table and times in its range: knot hits, both ends, the

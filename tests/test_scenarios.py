@@ -39,6 +39,18 @@ def test_config_error_reports_json_position(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_config_error_on_a_missing_path(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(hk.ConfigError, match="cannot read config") as err:
+        hk.load_config(path)
+    assert str(path) in str(err.value)
+
+
+def test_scenario_refuses_an_unknown_analysis():
+    with pytest.raises(ValueError, match="unknown analysis 'nope'"):
+        dataclasses.replace(hk.SCENARIOS["table2-dfe"], analyses=("r0", "nope"))
+
+
 def test_config_error_names_missing_fields(tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"id": "x", "params": {"mu1": 1.0}}))

@@ -40,6 +40,24 @@ def test_eigenvalues_of_diagonal_matrix():
     assert [lam.real for lam in eigs] == pytest.approx([-1.0, -2.0, -3.0], rel=1e-14)
 
 
+def test_eigenvalues_of_the_zero_matrix():
+    assert hk.eigenvalues_3x3(np.zeros((3, 3))) == (0j, 0j, 0j)
+
+
+def test_eigenvalues_of_a_triple_root_are_exact():
+    # -2 I: the scaled depressed cubic has p = q = 0, its triple-root branch
+    assert characteristic_coefficients(-2.0 * np.eye(3)) == (6.0, 12.0, 8.0)
+    assert hk.eigenvalues_3x3(-2.0 * np.eye(3)) == (-2 + 0j, -2 + 0j, -2 + 0j)
+
+
+@pytest.mark.parametrize(
+    "J", [np.eye(2), np.diag([1.0, math.nan, 1.0])], ids=["2x2", "nan-entry"]
+)
+def test_characteristic_coefficients_need_a_finite_3x3_matrix(J):
+    with pytest.raises(ValueError, match="need a finite 3x3 matrix"):
+        characteristic_coefficients(J)
+
+
 def test_eigenvalues_at_infection_free_point(clearing_params):
     J = hk.jacobian(clearing_params, DFE2)
     eigs = hk.eigenvalues_3x3(J)
@@ -676,6 +694,24 @@ def test_lyapunov_degenerate_at_equilibrium(clearing_params, clearing_forcing, t
     assert trace.degenerate
 
 
+def _hand_built(times, states, params, forcing):
+    """A trajectory of the given points, as no integration would record them."""
+    bounds = hk.analytic_bounds(params, forcing, states[0])
+    return hk.Trajectory([float(t) for t in times], list(states), (), params, forcing, bounds, hk.AdaptiveStep())
+
+
+@pytest.mark.parametrize(
+    "xs", [(2.0, 1.5, 1.0, 1.0), (2.0, 1.5, 1.25, 1.0)], ids=["no-positive", "one-positive"]
+)
+def test_lyapunov_fit_is_degenerate_with_under_two_positive_values_in_its_half(
+    clearing_params, clearing_forcing, xs
+):
+    traj = _hand_built(range(4), [(x, 0.0, 0.0) for x in xs], clearing_params, clearing_forcing)
+    trace = hk.lyapunov_fit(traj, (1.0, 0.0, 0.0))
+    assert trace.values[0] == 1.0
+    assert (trace.degenerate, trace.rate, trace.fit_quality) == (True, 0.0, 0.0)
+
+
 def test_lyapunov_certificate_rate_is_a_lower_bound():
     # rates so dominant that every margin holds; the certificate constant
     # k = min(nu1, nu2, nu3) must then under-estimate the observed decay
@@ -740,6 +776,23 @@ def test_contraction_rejects_mismatched_scenarios(
     t2 = hk.integrate(subthreshold_params, subthreshold_forcing, (1.0, 1.0, 1.0), 0.0, 2.0, tight_ctl)
     with pytest.raises(ValueError):
         hk.contraction_fit(t1, t2)
+
+
+def test_contraction_is_degenerate_with_under_two_positive_distances_in_its_half(
+    clearing_params, clearing_forcing
+):
+    a = _hand_built(range(6), [(1.0, 1.0, 1.0)] * 6, clearing_params, clearing_forcing)
+    xs = (2.0, 1.5, 1.2, 1.0, 1.0, 1.0)
+    b = _hand_built(range(6), [(x, 1.0, 1.0) for x in xs], clearing_params, clearing_forcing)
+    assert hk.contraction_fit(a, b) == hk.ContractionFit(0.0, 0.0, 0.0, True)
+
+
+@pytest.mark.parametrize("start", [3.0, 4.0], ids=["touching", "apart"])
+def test_contraction_refuses_runs_that_do_not_overlap(clearing_params, clearing_forcing, start):
+    a = _hand_built([0.0, 1.0, 2.0, 3.0], [(1.0, 1.0, 1.0)] * 4, clearing_params, clearing_forcing)
+    b = _hand_built([start + i for i in range(4)], [(2.0, 1.0, 1.0)] * 4, clearing_params, clearing_forcing)
+    with pytest.raises(ValueError, match="trajectories do not overlap in time"):
+        hk.contraction_fit(a, b)
 
 
 def _same_grid_shortcut(traj1, traj2):
