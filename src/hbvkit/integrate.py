@@ -243,7 +243,8 @@ class Trajectory:
     float tuples. ``final_time``,
     ``final_state``, ``sample`` and ``to_csv`` read the floats. A
     trajectory is written once by its integration and immutable after;
-    ``==`` compares the stored fields.
+    ``==`` compares the stored fields, so two runs that recorded a NaN (a
+    ``nonfinite`` stop) compare unequal: compare those by ``float.hex``.
     """
 
     time_list: list[float]
@@ -660,20 +661,22 @@ def integrate(
     exception; inspect ``Trajectory.events``. ``max_steps`` caps the number
     of attempted steps (used by the parameter sweep to bound work on stiff
     corner cases); a run that hits the cap before t_end ends on a
-    ``step_budget`` event, so ``Trajectory.terminated`` reports it. A fixed
-    step whose count (t_end - t0) / h is not finite raises ValueError, as
-    does an adaptive span whose one landing step is below ``h_min``.
+    ``step_budget`` event, so ``Trajectory.terminated`` reports it; a cap of
+    0 records only (t0, u0). A cap other than None or an int >= 0 raises
+    ValueError, as do a span ``model.run_stops`` refuses, a fixed step whose
+    count (t_end - t0) / h is not finite and an adaptive span whose one
+    landing step is below ``h_min``, all before any step.
     """
+    stops = run_stops(forcing, t0, t_end)
     u0 = as_state(u0, require_nonnegative=True)
-    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
-        raise ValueError(f"t0 and t_end must be finite with t_end > t0, got [{t0}, {t_end}]")
+    if max_steps is not None and (type(max_steps) is not int or max_steps < 0):  # a bool is not a cap
+        raise ValueError(f"max_steps must be None or a non-negative int, got {max_steps!r}")
     if ctl.mode == "fixed" and not math.isfinite((t_end - t0) / ctl.h):
         # RK4 counts its whole steps before the first one
         raise ValueError(f"(t_end - t0) / h is not finite for the span [{t0}, {t_end}] and fixed step h={ctl.h}")
     if ctl.mode == "adaptive" and _last_step(t0, t_end) < ctl.h_min:
         # DP5 would stop on step_floor at t0; _landings holds later landings to h_min
         raise ValueError(f"the span [{t0}, {t_end}] is shorter than one adaptive step of h_min={ctl.h_min}")
-    stops = run_stops(forcing, t0, t_end)  # a table off the span raises here, before any step
     bounds = analytic_bounds(params, forcing, u0)
     rhs = make_rhs(params, forcing)
     rec = _Recorder(ctl, bounds)

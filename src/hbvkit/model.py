@@ -103,8 +103,20 @@ class Parameters:
         return self.mu2 + self.q
 
 
+class _Rate:
+    """What a forcing derives from its ``kind`` and its (lowest, highest) rate ``bounds``."""
+
+    @property
+    def is_constant(self) -> bool:
+        return self.kind == "constant"
+
+    @property
+    def lambda_max(self) -> float:
+        return self.bounds[1]
+
+
 @dataclass(frozen=True)
-class ConstantForcing:
+class ConstantForcing(_Rate):
     """Constant production rate; the autonomous special case."""
 
     kind: ClassVar[str] = "constant"
@@ -113,12 +125,6 @@ class ConstantForcing:
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value > 0.0):
             raise ValueError(f"production rate must be finite and positive, got {self.value!r}")
-
-    is_constant = True
-
-    @property
-    def lambda_max(self) -> float:
-        return self.value
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -129,7 +135,7 @@ class ConstantForcing:
 
 
 @dataclass(frozen=True)
-class SinusoidForcing:
+class SinusoidForcing(_Rate):
     """offset + amplitude*cos(omega*t + phase), bounded within offset +- |amplitude|."""
 
     kind: ClassVar[str] = "sinusoid"
@@ -144,22 +150,16 @@ class SinusoidForcing:
         if self.offset - abs(self.amplitude) <= 0.0:
             raise ValueError("sinusoid forcing must stay strictly positive")
 
-    is_constant = False
-
-    @property
-    def lambda_max(self) -> float:
-        return self.offset + abs(self.amplitude)
-
     @property
     def bounds(self) -> tuple[float, float]:
-        return (self.offset - abs(self.amplitude), self.lambda_max)
+        return (self.offset - abs(self.amplitude), self.offset + abs(self.amplitude))
 
     def __call__(self, t: float) -> float:
         return self.offset + self.amplitude * math.cos(self.omega * t + self.phase)
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearForcing:
+class PiecewiseLinearForcing(_Rate):
     """Linear interpolation through (time, rate) knots; defined only on the knot range."""
 
     kind: ClassVar[str] = "piecewise_linear"
@@ -188,15 +188,9 @@ class PiecewiseLinearForcing:
         slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(times, times[1:], values, values[1:])]
         object.__setattr__(self, "segments", tuple(zip(times, times[1:] + times[-1:], values, slopes + [0.0])))
 
-    is_constant = False
-
-    @property
-    def lambda_max(self) -> float:
-        return max(self.values)
-
     @property
     def bounds(self) -> tuple[float, float]:
-        return (min(self.values), self.lambda_max)
+        return (min(self.values), max(self.values))
 
     def __call__(self, t: float) -> float:
         """The rate at t: a knot value at a knot, elsewhere np.interp's
@@ -311,8 +305,11 @@ def run_stops(forcing: Forcing, t0: float, t_end: float) -> tuple[float, ...]:
     """The times a run from t0 to t_end stops at, in order: the kinks of the
     production rate strictly inside (t0, t_end), then t_end. Only a
     piecewise-linear table has kinks, its knots; any other forcing has the
-    single stop t_end. A table must cover [t0, t_end]: one that starts after
-    t0 or ends before t_end raises OutOfDomainError, before any step."""
+    single stop t_end. The span must be finite and increasing, or ValueError
+    is raised, and a table must cover it: one that starts after t0 or ends
+    before t_end raises OutOfDomainError. Both come before any step."""
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
+        raise ValueError(f"t_span must be finite and increasing, got [{t0}, {t_end}]")
     kinks = _PRODUCTION[forcing.kind][3]
     if kinks is None:
         return (t_end,)

@@ -85,10 +85,9 @@ def process_solve(
     """Evaluate phi(t, t0, u0) as three floats; at t == t0 they are u0's, unchanged.
 
     Raises ProcessTerminatedError when the integration ends on a
-    terminating monitor event, so a partial run is never taken for phi.
+    terminating monitor event, so a partial run is never taken for phi, and
+    ValueError for t < t0 (``model.run_stops``), before any step.
     """
-    if t < t0:
-        raise ValueError(f"need t >= t0, got t={t}, t0={t0}")
     u0 = as_state(u0, require_nonnegative=True)
     if t == t0:
         return u0

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,26 @@ def test_max_steps_reached_exactly_at_t_end_is_complete(clearing_params, clearin
     assert not traj.events and not traj.terminated
 
 
+@pytest.mark.parametrize("cap", [math.nan, -1, 2.5, True])
+def test_max_steps_must_be_none_or_a_non_negative_int(clearing_params, clearing_forcing, tight_ctl, cap, monkeypatch):
+    # NaN would lift the cap, 2.5 would allow three steps and True one
+    def no_step(*args):
+        raise AssertionError("a refused cap must stop the run before any step")
+
+    monkeypatch.setattr(importlib.import_module("hbvkit.integrate"), "_integrate", no_step)
+    with pytest.raises(ValueError, match=r"max_steps must be None or a non-negative int, got "):
+        hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), 0.0, 15.0, tight_ctl, max_steps=cap)
+
+
+@pytest.mark.parametrize("ctl", [hk.AdaptiveStep(), hk.FixedStep(h=0.1)], ids=["adaptive", "fixed"])
+def test_max_steps_zero_records_only_the_start(clearing_params, clearing_forcing, ctl):
+    traj = hk.integrate(clearing_params, clearing_forcing, (1.0, 2.0, 3.0), 0.0, 15.0, ctl, max_steps=0)
+    assert traj.time_list == [0.0]
+    assert traj.state_list == [(1.0, 2.0, 3.0)]
+    assert traj.events == (MonitorEvent("step_budget", 0.0, "steps", 0.0),)
+    assert traj.terminated
+
+
 def _assert_lands_on_t_end(params, t0, t_end, ctl):
     """The run ends on t_end, with no recorded time past it, and a table that
     ends at t_end is never read past its last knot."""
@@ -316,6 +337,19 @@ def test_non_finite_time_span_is_rejected(clearing_params, clearing_forcing, t0,
     # the step cap keeps an adaptive run from -inf finite should it be started
     with pytest.raises(ValueError, match="finite"):
         hk.integrate(clearing_params, clearing_forcing, (1.0, 1.0, 1.0), t0, t_end, ctl, max_steps=50)
+
+
+@pytest.mark.parametrize("t0, t_end", [(1.0, 0.0), (0.0, math.nan)])
+def test_integrate_scenario_and_process_share_the_span_rule(clearing_params, clearing_forcing, tight_ctl, t0, t_end):
+    # model.run_stops holds the one check, so the three entry points give one message
+    message = re.escape(f"t_span must be finite and increasing, got [{t0}, {t_end}]")
+    u0 = (1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        hk.integrate(clearing_params, clearing_forcing, u0, t0, t_end, tight_ctl)
+    with pytest.raises(ValueError, match=message):
+        hk.Scenario("s", clearing_params, clearing_forcing, u0, (t0, t_end))
+    with pytest.raises(ValueError, match=message):
+        hk.process_solve(clearing_params, clearing_forcing, u0, t0, t_end, tight_ctl)
 
 
 @pytest.mark.parametrize("t0, t_end, h", [(0.0, 1e308, 1e-10), (-1e308, 1e308, 1.0)])

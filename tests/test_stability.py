@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,52 @@ def test_eigenvalues_of_a_triple_root_are_exact():
     # -2 I: the scaled depressed cubic has p = q = 0, its triple-root branch
     assert characteristic_coefficients(-2.0 * np.eye(3)) == (6.0, 12.0, 8.0)
     assert hk.eigenvalues_3x3(-2.0 * np.eye(3)) == (-2 + 0j, -2 + 0j, -2 + 0j)
+
+
+def _near_double_dfe():
+    """The Jacobian at a DFE whose (y, z) block has two roots 5e-8 apart, and
+    its exact eigenvalues from the float entries: z = 0 makes the matrix block
+    upper-triangular, so they are J[0][0] = -mu1 and the block's two roots,
+    here in ``decimal`` at 50 digits."""
+    params = hk.Parameters(mu1=2.0, mu2=1.0, mu3=2.0, beta=1e-7, eta=0.0, epsilon=0.0, p=1.0, q=3.0)
+    J = hk.jacobian(params, hk.disease_free(params, hk.ConstantForcing(1.0)).state)
+    (x, _, _), (zero_y, a, b), (zero_z, c, d) = J.tolist()
+    assert (x, zero_y, zero_z) == (-2.0, 0.0, 0.0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, d = map(Decimal, (a, b, c, d))
+        root = ((a - d) ** 2 + 4 * b * c).sqrt()
+        block = ((a + d + root) / 2, (a + d - root) / 2)
+    return J, sorted([Decimal(x), *block])
+
+
+def _worst_rel_error(values, exact):
+    """The largest relative error of the sorted floats ``values`` against ``exact``."""
+    return max(abs(float((Decimal(v) - e) / e)) for v, e in zip(sorted(values), exact))
+
+
+def test_the_near_double_dfe_oracle_agrees_with_lapack():
+    J, exact = _near_double_dfe()
+    assert [float(e) for e in exact] == [-4.0000000249999997, -2.0, -1.9999999750000003]
+    lapack = np.linalg.eigvals(J)
+    assert not lapack.imag.any()
+    assert _worst_rel_error(lapack.real.tolist(), exact) <= 1e-15
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 24: the cubic route reads the near-double DFE pair as a complex pair "
+        "(-1.9999999874999994 +- 4.2e-8 i, a node read as a focus); the DFE block mend "
+        "moves three registry report.json digests, so it waits on item 1a's re-record rule"
+    ),
+)
+def test_eigenvalues_3x3_splits_a_near_double_dfe_pair():
+    J, exact = _near_double_dfe()
+    eig = hk.eigenvalues_3x3(J)
+    assert [v.imag for v in eig] == [0.0, 0.0, 0.0]
+    assert _worst_rel_error([v.real for v in eig], exact) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,26 @@ def test_identical_runs_compare_equal_and_a_changed_rate_does_not(kind, mode):
     assert a != changed
 
 
+def _recorded_bits(traj):
+    """A run's recorded floats by ``float.hex``, and its events' kinds, times
+    and components: equal for equal runs, a NaN included."""
+    times = [t.hex() for t in traj.time_list]
+    states = [[v.hex() for v in u] for u in traj.state_list]
+    return times, states, [(e.kind, e.time, e.component, e.value.hex()) for e in traj.events]
+
+
+def test_identical_runs_that_record_a_nan_compare_equal_by_their_bits():
+    params = hk.Parameters(mu1=1.0, mu2=1.0, mu3=1.0, beta=1e200, eta=0.0, epsilon=0.0, p=1e200, q=1.0)
+    a, b = (
+        hk.integrate(params, hk.ConstantForcing(1.0), (1.0, 1.0, 1.0), 0.0, 5.0, hk.FixedStep(h=0.5))
+        for _ in range(2)
+    )
+    assert [(e.kind, e.time) for e in a.events] == [("nonfinite", 0.5)]
+    # a NaN never equals itself, so == cannot tell these two runs apart from different ones
+    assert a != b
+    assert _recorded_bits(a) == _recorded_bits(b)
+
+
 def test_a_run_reads_its_floats_without_building_arrays(tmp_path):
     traj = _run("piecewise_linear", "adaptive")
     assert not _arrays_built(traj)
